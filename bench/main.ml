@@ -1352,7 +1352,7 @@ let gj () =
 (* ------------------------------------------------------------------ *)
 (* merge: batch-sorted delta merge vs the per-tuple insert loop         *)
 
-(* Store-level microbench first: fold one deterministic candidate stream
+(* Store-level microbench: fold one deterministic candidate stream
    (with duplicates) into an empty Set store in drain-sized rounds, once
    through [merge_slice] per tuple and once through [stage_slice] +
    [merge_run].  The keyspace is sized so the final store crosses 1M
@@ -1364,32 +1364,6 @@ let gj () =
 
 let merge_bench () =
   let reps = bench_reps ~default:3 in
-  (* End-to-end control first (before the microbench balloons the major
-     heap): the same engine run under both --merge paths must reach the
-     identical fixpoint, and records what the batch path buys (or
-     costs) once exchange and join time dilute the merge.  Reps are
-     interleaved so neither path systematically runs on a colder heap. *)
-  let tc_edb = D.Queries.arc_edb (D.Datasets.rmat 300) in
-  let e2e_times_b = ref [] and e2e_times_p = ref [] in
-  let e2e_counts = ref [] in
-  for _ = 1 to reps do
-    List.iter
-      (fun merge ->
-        let cfg = { (config D.Coord.dws) with D.merge } in
-        let secs, n = run_query D.Queries.tc tc_edb cfg in
-        (match merge with
-        | D.Parallel.Batch_sorted -> e2e_times_b := secs :: !e2e_times_b
-        | D.Parallel.Per_tuple -> e2e_times_p := secs :: !e2e_times_p);
-        e2e_counts := n :: !e2e_counts)
-      [ D.Parallel.Batch_sorted; D.Parallel.Per_tuple ]
-  done;
-  let eb, eb_mean, eb_sd = sample_stats !e2e_times_b in
-  let ep, ep_mean, ep_sd = sample_stats !e2e_times_p in
-  let eb_n = List.hd !e2e_counts in
-  if List.exists (fun n -> n <> eb_n) !e2e_counts then begin
-    Printf.eprintf "bench-merge: TC fixpoints disagree across merge paths\n";
-    exit 1
-  end;
   let total = 3_000_000 in
   let keyspace = 2_000_000 in
   let round = 262_144 in
@@ -1478,25 +1452,17 @@ let merge_bench () =
       Printf.sprintf "%.3f" bt_sd; Printf.sprintf "%.2f" (rate bt /. 1e6);
       Report.cell_speedup (bt /. pt) ];
   Report.print t;
-  Printf.printf
-    "store microbench: batch-sorted is %.2fx per-tuple; TC rmat-300 end-to-end: %.2fx\n" speedup
-    (ep /. Float.max 1e-9 eb);
+  Printf.printf "store microbench: batch-sorted is %.2fx per-tuple\n" speedup;
   add_json_block "merge"
     (Printf.sprintf
        "{\"total_candidates\": %d, \"keyspace\": %d, \"round_tuples\": %d, \"store_keys\": %d,\n\
        \    \"reps\": %d, \"cores\": %d,\n\
        \    \"per_tuple_s\": %.6f, \"per_tuple_mean_s\": %.6f, \"per_tuple_stddev_s\": %.6f,\n\
        \    \"batch_s\": %.6f, \"batch_mean_s\": %.6f, \"batch_stddev_s\": %.6f,\n\
-       \    \"speedup\": %.3f,\n\
-       \    \"tc_dataset\": \"rmat-300\", \"tc_tuples\": %d,\n\
-       \    \"tc_batch_s\": %.6f, \"tc_batch_mean_s\": %.6f, \"tc_batch_stddev_s\": %.6f,\n\
-       \    \"tc_per_tuple_s\": %.6f, \"tc_per_tuple_mean_s\": %.6f, \
-        \"tc_per_tuple_stddev_s\": %.6f,\n\
-       \    \"tc_speedup\": %.3f}"
+       \    \"speedup\": %.3f}"
        total keyspace round pt_keys reps
        (Domain.recommended_domain_count ())
-       pt pt_mean pt_sd bt bt_mean bt_sd speedup eb_n eb eb_mean eb_sd ep ep_mean ep_sd
-       (ep /. Float.max 1e-9 eb));
+       pt pt_mean pt_sd bt bt_mean bt_sd speedup);
   let cores = Domain.recommended_domain_count () in
   if cores >= 2 then begin
     if speedup < 1.3 then begin
@@ -1915,11 +1881,12 @@ let serve_bench () =
 
 (* The parallel-maintenance grid: the same TC rmat-400 session repaired
    under mixed batches of 20 / 200 / 2000 arcs with maintain_workers 1
-   (the sequential interpreted ablation), 2, and 4.  Every cell's
-   post-batch fixpoint must be identical across maintain_workers and
-   match a cold recompute of the post-batch EDB; multi-core, the
-   compiled+parallel path at 4 maintenance workers must beat the
-   sequential interpreter >= 2x on the 200-arc batch. *)
+   (every compiled kernel inline on the coordinator), 2, and 4.  Every
+   cell's post-batch fixpoint must be identical across maintain_workers
+   and match a cold recompute of the post-batch EDB; multi-core, the
+   same kernels as morsel rounds at 4 maintenance workers must beat the
+   inline mw=1 run >= 2x on the 200-arc batch, so the gate measures
+   parallel scaling alone. *)
 let serve_scaling_bench () =
   let reps = bench_reps ~default:3 in
   let spec = D.Queries.tc in

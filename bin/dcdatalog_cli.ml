@@ -109,30 +109,12 @@ let maintain_workers_arg =
   Arg.(value & opt int D.default_config.maintain_workers
        & info [ "maintain-workers" ] ~docv:"N"
            ~doc:"Workers for incremental maintenance rounds in $(b,repl)/$(b,serve) \
-                 (0 = same as --workers, the default; 1 = the sequential interpreted \
-                 path; capped at --workers).")
+                 (0 = same as --workers, the default; 1 = every maintenance kernel runs \
+                 inline on the coordinator; capped at --workers).")
 
 let unopt_arg =
   Arg.(value & flag & info [ "unoptimized" ]
          ~doc:"Disable the \xc2\xa76.2 optimizations (aggregate index, existence cache).")
-
-let merge_conv =
-  let parse = function
-    | "batch" -> Ok D.Parallel.Batch_sorted
-    | "per-tuple" -> Ok D.Parallel.Per_tuple
-    | s -> Error (`Msg (Printf.sprintf "unknown merge path %s (batch | per-tuple)" s))
-  in
-  let print fmt = function
-    | D.Parallel.Batch_sorted -> Format.pp_print_string fmt "batch"
-    | D.Parallel.Per_tuple -> Format.pp_print_string fmt "per-tuple"
-  in
-  Arg.conv (parse, print)
-
-let merge_arg =
-  Arg.(value & opt merge_conv D.Parallel.Batch_sorted & info [ "merge" ] ~docv:"PATH"
-         ~doc:"Delta-merge path: 'batch' (sort the drained run, one B+-tree descent per leaf \
-               segment; the default) or 'per-tuple' (the historical one-descent-per-tuple \
-               escape hatch).")
 
 let params_arg =
   Arg.(value & opt_all param_conv [] & info [ "param" ] ~docv:"K=V"
@@ -257,7 +239,7 @@ let resolve_source query program =
 (* --- commands --- *)
 
 let run_cmd query program dataset rmat edges_file edb_files workers strategy no_steal unopt
-    merge params show stats timeout stall_window checkpoint_every max_recoveries fault_seed
+    params show stats timeout stall_window checkpoint_every max_recoveries fault_seed
     fault_crash fault_delay fault_sites fault_max_crashes =
   if workers < 1 then input_error "--workers must be at least 1"
   else if checkpoint_every < 0 then input_error "--checkpoint-every must be non-negative"
@@ -301,7 +283,6 @@ let run_cmd query program dataset rmat edges_file edb_files workers strategy no_
               workers;
               strategy;
               steal = not no_steal;
-              merge;
               max_iterations = (match spec with Some s -> s.max_iterations | None -> 0);
               store_opts =
                 (if unopt then D.Rec_store.unoptimized_opts else D.Rec_store.default_opts);
@@ -373,7 +354,7 @@ let request_timeout_arg =
 (* Same input assembly as `run`, ending in a resident session instead of
    a one-shot evaluation. *)
 let open_serving_session query program dataset rmat edges_file edb_files workers strategy
-    no_steal unopt merge maintain_workers params k =
+    no_steal unopt maintain_workers params k =
   if workers < 1 then input_error "--workers must be at least 1"
   else if maintain_workers < 0 then input_error "--maintain-workers must be non-negative"
   else
@@ -420,7 +401,6 @@ let open_serving_session query program dataset rmat edges_file edb_files workers
               workers;
               strategy;
               steal = not no_steal;
-              merge;
               maintain_workers;
               store_opts =
                 (if unopt then D.Rec_store.unoptimized_opts else D.Rec_store.default_opts);
@@ -441,9 +421,9 @@ let open_serving_session query program dataset rmat edges_file edb_files workers
             Fun.protect ~finally:(fun () -> D.Session.close session) (fun () -> k session)))))
 
 let repl_cmd query program dataset rmat edges_file edb_files workers strategy no_steal unopt
-    merge maintain_workers params request_timeout =
+    maintain_workers params request_timeout =
   open_serving_session query program dataset rmat edges_file edb_files workers strategy
-    no_steal unopt merge maintain_workers params (fun session ->
+    no_steal unopt maintain_workers params (fun session ->
       let tty = Unix.isatty Unix.stdin in
       if tty then begin
         Printf.printf "dcdatalog repl — %d relations resident, version %d. 'help' lists commands.\n"
@@ -455,9 +435,9 @@ let repl_cmd query program dataset rmat edges_file edb_files workers strategy no
       0)
 
 let serve_cmd query program dataset rmat edges_file edb_files workers strategy no_steal unopt
-    merge maintain_workers params socket request_timeout =
+    maintain_workers params socket request_timeout =
   open_serving_session query program dataset rmat edges_file edb_files workers strategy
-    no_steal unopt merge maintain_workers params (fun session ->
+    no_steal unopt maintain_workers params (fun session ->
       let server = Dcd_serve.Serve.listen_unix ?request_timeout session ~path:socket in
       Printf.printf "serving on %s (version %d; EOF on stdin shuts down)\n" socket
         (D.Session.version session);
@@ -505,7 +485,7 @@ let list_cmd () =
 let run_term =
   Term.(
     const run_cmd $ query_arg $ program_arg $ dataset_arg $ rmat_arg $ edges_arg $ edb_arg
-    $ workers_arg $ strategy_arg $ no_steal_arg $ unopt_arg $ merge_arg $ params_arg $ show_arg $ stats_arg $ timeout_arg
+    $ workers_arg $ strategy_arg $ no_steal_arg $ unopt_arg $ params_arg $ show_arg $ stats_arg $ timeout_arg
     $ stall_window_arg $ checkpoint_every_arg $ max_recoveries_arg $ fault_seed_arg
     $ fault_crash_arg $ fault_delay_arg $ fault_sites_arg $ fault_max_crashes_arg)
 
@@ -514,13 +494,13 @@ let explain_term = Term.(const explain_cmd $ query_arg $ program_arg $ params_ar
 let repl_term =
   Term.(
     const repl_cmd $ query_arg $ program_arg $ dataset_arg $ rmat_arg $ edges_arg $ edb_arg
-    $ workers_arg $ strategy_arg $ no_steal_arg $ unopt_arg $ merge_arg
+    $ workers_arg $ strategy_arg $ no_steal_arg $ unopt_arg
     $ maintain_workers_arg $ params_arg $ request_timeout_arg)
 
 let serve_term =
   Term.(
     const serve_cmd $ query_arg $ program_arg $ dataset_arg $ rmat_arg $ edges_arg $ edb_arg
-    $ workers_arg $ strategy_arg $ no_steal_arg $ unopt_arg $ merge_arg
+    $ workers_arg $ strategy_arg $ no_steal_arg $ unopt_arg
     $ maintain_workers_arg $ params_arg $ socket_arg $ request_timeout_arg)
 
 let list_term = Term.(const list_cmd $ const ())

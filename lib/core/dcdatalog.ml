@@ -41,7 +41,6 @@ type config = Parallel.config = {
   batch_tuples : int;
   steal : bool;
   morsel_tuples : int;
-  merge : Parallel.merge_path;
   coord : Coord.config;
   fault : Fault.spec option;
   checkpoint_every : int;

@@ -74,9 +74,6 @@ type config = Parallel.config = {
   batch_tuples : int;
   steal : bool; (** morsel-driven work stealing (default [true]) *)
   morsel_tuples : int; (** scan tuples per stealable morsel (default 2048) *)
-  merge : Parallel.merge_path;
-      (** delta-merge path: [Batch_sorted] (default) or the historical
-          [Per_tuple] escape hatch *)
   coord : Coord.config;
   fault : Fault.spec option;
   checkpoint_every : int;
@@ -87,8 +84,8 @@ type config = Parallel.config = {
           the last epoch and re-running ([0] = fail fast) *)
   maintain_workers : int;
       (** workers for incremental-maintenance delta joins in a
-          {!Session} ([0] = same as [workers], [1] = sequential
-          interpreter) *)
+          {!Session} ([0] = same as [workers], [1] = inline on the
+          coordinator) *)
 }
 
 val default_config : config

@@ -108,7 +108,7 @@ let open_session ~plan ~edb ?(config = Parallel.default_config) () =
   let runtime = Parallel.create_runtime ~workers:config.Parallel.workers in
   match
     let result = Parallel.run ~runtime plan ~edb ~config in
-    let maintain = Maintain.create ~plan ~config ~runtime ~catalog:result.Parallel.catalog () in
+    let maintain = Maintain.create ~plan ~config ~runtime ~catalog:result.Parallel.catalog in
     (result, maintain)
   with
   | exception e ->

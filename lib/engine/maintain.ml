@@ -22,6 +22,10 @@
      through the parallel engine itself ({!Parallel.run} on the resident
      {!Parallel.runtime} pool), then diff against the previous state.
 
+   Every rule body, at [create] as well as in [apply], is evaluated by a
+   compiled {!Maintain_kernel} pipeline; a round runs inline on the
+   coordinator or as a morsel round on the pool ([run_round]).
+
    The old (pre-batch) state of a finished lower stratum is
    reconstructed per predicate as [(current \ d_ins) ∪ d_del] from the
    per-batch delta recorder, with lazily built overlay indexes over the
@@ -61,7 +65,7 @@ type batch_report = {
   br_deltas : (string * Dcd_storage.Tuple.t list * Dcd_storage.Tuple.t list) list;
   br_workers : (float * int * int * int) list;
       (* per maintenance worker: (join seconds, morsels executed,
-         steals, tuples stolen) — empty on the sequential path *)
+         steals, tuples stolen) *)
 }
 
 (* --- state --- *)
@@ -125,12 +129,12 @@ type pred_state = {
 
 (* One worker's private half of a compiled maintenance kernel: its
    {!Maintain_kernel.instance} (register file, head/contrib scratch)
-   plus, for DRed decrement kernels, a filler per same-stratum non-delta
-   atom so the emit closure can look up that atom's derivation rank
-   without a boxed environment. *)
+   plus a filler per same-stratum body atom, tagged with its body
+   position, so the DRed emit closures can look up that atom's
+   derivation rank without a boxed environment. *)
 type mk_inst = {
   mi_pipe : Maintain_kernel.instance;
-  mi_atoms : (pred_state * int array * (unit -> unit)) array;
+  mi_atoms : (int * pred_state * int array * (unit -> unit)) array;
 }
 
 type mkernel = {
@@ -188,13 +192,12 @@ type cstratum = {
 type t = {
   plan : Physical.t;
   config : Parallel.config;
-  runtime : Parallel.runtime option;
+  runtime : Parallel.runtime;
   preds : (string, pred_state) Hashtbl.t;
   edb : (string, unit) Hashtbl.t;
   m_workers : int;
-      (* effective maintenance parallelism: 1 without a runtime (or as
-         the explicit ablation), else config.maintain_workers clamped
-         to [1, workers] with 0 meaning "same as workers" *)
+      (* effective maintenance parallelism: config.maintain_workers
+         clamped to [1, workers], 0 meaning "same as workers" *)
   m_steal : Steal.t option; (* morsel board for parallel rounds (m_workers > 1) *)
   m_fault : Fault.t option; (* injection schedule for the Maintain site *)
   m_bufs : (Tuple.t * Tuple.t) Vec.t array;
@@ -219,8 +222,6 @@ type vis =
   | Cur
   | Old
 
-exception Found
-
 (* --- basic helpers --- *)
 
 let get_pred mt name =
@@ -232,26 +233,6 @@ let sym_value mt s =
   match List.assoc_opt s mt.plan.Physical.params with
   | Some v -> v
   | None -> Dcd_util.Symbol.intern mt.plan.Physical.symbols s
-
-let term_value mt env = function
-  | Ast.Int i -> i
-  | Ast.Sym s -> sym_value mt s
-  | Ast.Var v -> (
-    match Hashtbl.find_opt env v with
-    | Some x -> x
-    | None -> invalid_arg (Printf.sprintf "Maintain: unbound variable %s" v))
-
-let rec expr_value mt env = function
-  | Ast.Term t -> term_value mt env t
-  | Ast.Binop (op, a, b) -> (
-    let x = expr_value mt env a and y = expr_value mt env b in
-    match op with
-    | Ast.Add -> x + y
-    | Ast.Sub -> x - y
-    | Ast.Mul -> x * y
-    | Ast.Div -> x / y
-    | Ast.Mod -> x mod y)
-  | Ast.Neg e -> -expr_value mt env e
 
 let group_of a tup =
   let arity = Array.length tup in
@@ -484,42 +465,6 @@ let agg_support_add mt ps a tuple contrib sign =
     if Hashtbl.length vt = 0 then Tup_tbl.remove st contrib);
   refresh_group mt ps a support_tbl group
 
-(* --- head emission --- *)
-
-let head_tuple mt cr env =
-  Array.of_list
-    (List.map
-       (fun (arg : Ast.head_arg) ->
-         match arg with
-         | Ast.Plain t -> term_value mt env t
-         | Ast.Agg (Ast.Count, _) -> 0
-         | Ast.Agg ((Ast.Min | Ast.Max), [ t ]) -> term_value mt env t
-         | Ast.Agg (Ast.Sum, ts) -> term_value mt env (List.nth ts (List.length ts - 1))
-         | Ast.Agg _ -> invalid_arg "Maintain: malformed aggregate")
-       cr.cr_rule.Ast.head_args)
-
-(* Reconstructs the tuple a fully-matched body atom is bound to. *)
-let atom_tuple mt env ca = Array.map (term_value mt env) ca.ca_args
-
-let head_contrib mt cr env =
-  Array.of_list
-    (List.concat_map
-       (fun (arg : Ast.head_arg) ->
-         match arg with
-         | Ast.Agg (Ast.Count, ts) -> List.map (term_value mt env) ts
-         | Ast.Agg (Ast.Sum, ts) ->
-           List.map (term_value mt env) (List.filteri (fun i _ -> i < List.length ts - 1) ts)
-         | Ast.Agg ((Ast.Min | Ast.Max), _) | Ast.Plain _ -> [])
-       cr.cr_rule.Ast.head_args)
-
-let emit_counting mt cr env sign =
-  let ps = get_pred mt cr.cr_head in
-  let tuple = head_tuple mt cr env in
-  match (ps.ps_body, cr.cr_agg) with
-  | Pplain counts, None -> plain_add mt ps counts tuple sign
-  | Pagg a, Some _ -> agg_support_add mt ps a tuple (head_contrib mt cr env) sign
-  | _ -> invalid_arg "Maintain: aggregate/plain mismatch"
-
 (* --- rule compilation and greedy ordering --- *)
 
 let compile_rule (r : Ast.rule) =
@@ -654,13 +599,13 @@ let get_order mt cr key =
     cr.cr_orders <- (key, o) :: cr.cr_orders;
     o
 
-(* --- kernel compilation (parallel maintenance) --- *)
+(* --- kernel compilation --- *)
 
 (* Phase keys for the per-rule kernel cache.  For delta/scan atom [i]:
    counting uses [4i] (positions < i New, > i Old), DRed seeding
-   [4i+1] (same-stratum Cur, lower Old, decrement extras), the DRed
-   cascade [4i+2] (all Cur, a trailing rank column on the scan row) and
-   insert propagation [4i+3] (all Cur); [-2] is the head-bound
+   [4i+1] (same-stratum Cur, lower Old), the DRed cascade [4i+2] (all
+   Cur, a trailing rank column on the scan row) and insert propagation
+   and rank labelling [4i+3] (all Cur); [-2] is the head-bound
    rederivation probe. *)
 let kcount i = 4 * i
 let kseed i = (4 * i) + 1
@@ -675,8 +620,10 @@ let krederive = -2
    (partially bound, with the per-batch delete overlay layered on for
    Old visibility) or a full visible scan.  The iteration closures read
    the maintenance tables but never write them — a parallel round keeps
-   every mutation in the per-worker emission buffers. *)
-let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~datom_idx ~in_stratum =
+   every mutation in the per-worker emission buffers.  [scan] is the
+   row a run feeds in: a body atom, the head (rederivation probes) or
+   the empty tuple of a unit scan (full evaluations). *)
+let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~in_stratum =
   let nregs = ref 0 in
   let vars : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let reg_of v =
@@ -712,6 +659,7 @@ let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~datom_idx ~in_stratum =
   let scan_terms =
     match scan with
     | `Atom i -> cr.cr_atoms.(i).ca_args
+    | `Unit -> [||]
     | `Head ->
       Array.of_list
         (List.map
@@ -840,16 +788,13 @@ let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~datom_idx ~in_stratum =
          cr.cr_rule.Ast.head_args)
   in
   let datoms =
-    match datom_idx with
-    | None -> [||]
-    | Some skip ->
-      let acc = ref [] in
-      Array.iteri
-        (fun j ca ->
-          if j <> skip && in_stratum ca.ca_pred then
-            acc := (get_pred mt ca.ca_pred, Array.map src_of ca.ca_args) :: !acc)
-        cr.cr_atoms;
-      Array.of_list (List.rev !acc)
+    let acc = ref [] in
+    Array.iteri
+      (fun j ca ->
+        if in_stratum ca.ca_pred then
+          acc := (j, get_pred mt ca.ca_pred, Array.map src_of ca.ca_args) :: !acc)
+      cr.cr_atoms;
+    Array.of_list (List.rev !acc)
   in
   let spec =
     {
@@ -867,9 +812,9 @@ let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~datom_idx ~in_stratum =
         let regs = Maintain_kernel.regs pipe in
         let atoms =
           Array.map
-            (fun (ps, srcs) ->
+            (fun (j, ps, srcs) ->
               let buf = Array.make (Array.length srcs) 0 in
-              (ps, buf, Kernel.filler srcs ~regs ~buf))
+              (j, ps, buf, Kernel.filler srcs ~regs ~buf))
             datoms
         in
         { mi_pipe = pipe; mi_atoms = atoms })
@@ -883,8 +828,8 @@ let get_kernel mt cs cr key =
     let in_stratum p = List.mem p cs.cs_stratum.Analysis.preds in
     let mk =
       if key = krederive then
-        build_mkernel mt cr ~order:(get_order mt cr (-2)) ~scan:`Head ~vis_of:(fun _ -> Cur)
-          ~with_rank:false ~datom_idx:None ~in_stratum
+        build_mkernel mt cr ~order:(get_order mt cr krederive) ~scan:`Head
+          ~vis_of:(fun _ -> Cur) ~with_rank:false ~in_stratum
       else begin
         let i = key / 4 in
         let order = get_order mt cr i in
@@ -893,23 +838,27 @@ let get_kernel mt cs cr key =
         | 0 ->
           build_mkernel mt cr ~order ~scan
             ~vis_of:(fun j -> if j < i then Cur else Old)
-            ~with_rank:false ~datom_idx:None ~in_stratum
+            ~with_rank:false ~in_stratum
         | 1 ->
           build_mkernel mt cr ~order ~scan
             ~vis_of:(fun j -> if in_stratum cr.cr_atoms.(j).ca_pred then Cur else Old)
-            ~with_rank:false ~datom_idx:(Some i) ~in_stratum
-        | 2 ->
-          build_mkernel mt cr ~order ~scan ~vis_of:(fun _ -> Cur) ~with_rank:true
-            ~datom_idx:(Some i) ~in_stratum
-        | _ ->
-          build_mkernel mt cr ~order ~scan ~vis_of:(fun _ -> Cur) ~with_rank:false
-            ~datom_idx:None ~in_stratum
+            ~with_rank:false ~in_stratum
+        | 2 -> build_mkernel mt cr ~order ~scan ~vis_of:(fun _ -> Cur) ~with_rank:true ~in_stratum
+        | _ -> build_mkernel mt cr ~order ~scan ~vis_of:(fun _ -> Cur) ~with_rank:false ~in_stratum
       end
     in
     cr.cr_kernels <- (key, mk) :: cr.cr_kernels;
     mk
 
-(* --- parallel round execution --- *)
+(* The full evaluation of [cr] (order key [-1], all Cur) over a one-row
+   unit scan.  It runs once per rule, at [create], so the kernel is not
+   cached and dies with it. *)
+let full_kernel mt cs cr =
+  build_mkernel mt cr ~order:(get_order mt cr (-1)) ~scan:`Unit ~vis_of:(fun _ -> Cur)
+    ~with_rank:false
+    ~in_stratum:(fun p -> List.mem p cs.cs_stratum.Analysis.preds)
+
+(* --- round execution --- *)
 
 (* Rounds smaller than this run inline on the coordinator: a morsel
    round costs a pool submit and a barrier, which only pays for itself
@@ -963,14 +912,14 @@ let raise_worker_crash (failures : Domain_pool.failure list) =
    buffers sequentially.  Every pass only uses rounds whose
    applications commute within the round (signed counting updates of
    one sign, support decrements, idempotent inserts, monotone merges),
-   which is what keeps the result bit-identical to the sequential
-   interpreter. *)
+   so the fixpoint does not depend on which worker ran which morsel;
+   only the order in which fresh ranks are handed out does. *)
 let run_round mt mk ~arena ~morsel ~apply =
   let n = Arena.length arena in
   if n > 0 then begin
     let mw = mt.m_workers in
-    match (mt.m_steal, mt.runtime) with
-    | Some steal, Some rt when n >= par_threshold && mw > 1 ->
+    match mt.m_steal with
+    | Some steal when n >= par_threshold ->
       List.iter (fun f -> f ()) mk.mk_prewarm;
       Steal.reset steal;
       let body me =
@@ -1010,7 +959,7 @@ let run_round mt mk ~arena ~morsel ~apply =
           mt.m_wjoin.(me) <- mt.m_wjoin.(me) +. (Clock.now () -. t0)
         end
       in
-      (match Domain_pool.submit rt.Parallel.rt_pool body with
+      (match Domain_pool.submit mt.runtime.Parallel.rt_pool body with
       | Ok () -> ()
       | Error failures -> raise_worker_crash failures);
       for w = 0 to mw - 1 do
@@ -1040,222 +989,44 @@ let arena_of_tbl mt tbl ~arity =
   Tup_tbl.iter (fun tup () -> ignore (Arena.push a tup)) tbl;
   a
 
-(* --- evaluation --- *)
-
-let match_atom mt env (args : Ast.term array) (tup : Tuple.t) =
-  let n = Array.length args in
-  if Array.length tup <> n then None
-  else begin
-    let added = ref [] in
-    let rec go i =
-      if i = n then true
-      else
-        match args.(i) with
-        | Ast.Var v -> (
-          match Hashtbl.find_opt env v with
-          | Some b -> b = tup.(i) && go (i + 1)
-          | None ->
-            Hashtbl.add env v tup.(i);
-            added := v :: !added;
-            go (i + 1))
-        | t -> term_value mt env t = tup.(i) && go (i + 1)
-    in
-    if go 0 then Some !added
-    else begin
-      List.iter (Hashtbl.remove env) !added;
-      None
-    end
-  end
-
-let with_match mt env args tup k =
-  match match_atom mt env args tup with
-  | Some added ->
-    k ();
-    List.iter (Hashtbl.remove env) added
-  | None -> ()
-
-(* Iterates the tuples of [ps] under [visk] matching the atom's
-   argument list against the environment: membership probe when fully
-   bound, keyed bucket scan (with the delete-overlay for Old) when
-   partially bound, full visible scan otherwise. *)
-let iter_match mt ps visk env (args : Ast.term array) k =
-  let arity = Array.length args in
-  if arity <> ps.ps_arity then
-    invalid_arg (Printf.sprintf "Maintain: arity mismatch for %s" ps.ps_name);
-  let vals = Array.make (max arity 1) 0 in
-  let bnd = Array.make (max arity 1) false in
-  let nbound = ref 0 in
-  Array.iteri
-    (fun i t ->
-      match t with
-      | Ast.Int v ->
-        vals.(i) <- v;
-        bnd.(i) <- true;
-        incr nbound
-      | Ast.Sym s ->
-        vals.(i) <- sym_value mt s;
-        bnd.(i) <- true;
-        incr nbound
-      | Ast.Var v -> (
-        match Hashtbl.find_opt env v with
-        | Some x ->
-          vals.(i) <- x;
-          bnd.(i) <- true;
-          incr nbound
-        | None -> ()))
-    args;
-  if !nbound = arity then begin
-    (* [vals] already has length [arity] unless the atom is nullary;
-       the membership probe only hashes and compares, never retains *)
-    let tup = if arity = Array.length vals then vals else Array.sub vals 0 arity in
-    if mem_vis ps visk tup then k ()
-  end
-  else if !nbound = 0 then iter_vis ps visk (fun tup -> with_match mt env args tup k)
-  else begin
-    let cols = Array.make !nbound 0 in
-    let key = Array.make !nbound 0 in
-    let j = ref 0 in
-    for i = 0 to arity - 1 do
-      if bnd.(i) then begin
-        cols.(!j) <- i;
-        key.(!j) <- vals.(i);
-        incr j
-      end
-    done;
-    let ix = ensure_index ps cols in
-    match visk with
-    | Cur -> (
-      match Tup_tbl.find_opt ix.ix_buckets key with
-      | Some b -> Tup_tbl.iter (fun tup () -> with_match mt env args tup k) b
-      | None -> ())
-    | Old ->
-      let d = ps.ps_delta in
-      (match Tup_tbl.find_opt ix.ix_buckets key with
-      | Some b ->
-        Tup_tbl.iter
-          (fun tup () -> if not (Tup_tbl.mem d.d_ins tup) then with_match mt env args tup k)
-          b
-      | None -> ());
-      let ov = overlay ps cols in
-      (match Tup_tbl.find_opt ov key with
-      | Some b -> Tup_tbl.iter (fun tup () -> with_match mt env args tup k) b
-      | None -> ())
-  end
-
-let rec eval_elems mt cr env elems ~vis_of ~emit =
-  match elems with
-  | [] -> emit ()
-  | O_atom i :: rest ->
-    let ca = cr.cr_atoms.(i) in
-    let ps = get_pred mt ca.ca_pred in
-    iter_match mt ps (vis_of i) env ca.ca_args (fun () ->
-        eval_elems mt cr env rest ~vis_of ~emit)
-  | O_neg a :: rest ->
-    let tup = Array.of_list (List.map (term_value mt env) a.Ast.args) in
-    let ps = get_pred mt a.Ast.pred in
-    if not (mem_vis ps Cur tup) then eval_elems mt cr env rest ~vis_of ~emit
-  | O_filter (op, lhs, rhs) :: rest -> (
-    match (expr_value mt env lhs, expr_value mt env rhs) with
-    | x, y -> if Physical.eval_cmp op x y then eval_elems mt cr env rest ~vis_of ~emit
-    | exception Division_by_zero -> ())
-  | O_assign (x, e) :: rest -> (
-    match expr_value mt env e with
-    | v ->
-      Hashtbl.add env x v;
-      eval_elems mt cr env rest ~vis_of ~emit;
-      Hashtbl.remove env x
-    | exception Division_by_zero -> ())
-
 (* --- counting strata --- *)
 
-let counting_pass mt cs =
-  let env : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  Array.iter
-    (fun cr ->
-      Array.iteri
-        (fun i ca ->
-          let d = (get_pred mt ca.ca_pred).ps_delta in
-          if Tup_tbl.length d.d_ins > 0 || Tup_tbl.length d.d_del > 0 then begin
-            let order = get_order mt cr i in
-            let vis_of j = if j < i then Cur else Old in
-            let run_delta tbl sign =
-              Tup_tbl.iter
-                (fun tup () ->
-                  with_match mt env ca.ca_args tup (fun () ->
-                      eval_elems mt cr env order ~vis_of ~emit:(fun () ->
-                          emit_counting mt cr env sign)))
-                tbl
-            in
-            run_delta d.d_del (-1);
-            run_delta d.d_ins 1
-          end)
-        cr.cr_atoms)
-    cs.cs_rules
+(* One buffered round of rule [cr]'s kernel [mk] over [arena], each
+   emitted head adjusting its derivation count (or aggregate support)
+   by [sign]. *)
+let count_round mt cr mk ~arena ~sign =
+  set_emits mk (push_emit mt);
+  let hps = get_pred mt cr.cr_head in
+  run_round mt mk ~arena ~morsel:default_morsel ~apply:(fun (tuple, contrib) ->
+      match (hps.ps_body, cr.cr_agg) with
+      | Pplain counts, None -> plain_add mt hps counts tuple sign
+      | Pagg a, Some _ -> agg_support_add mt hps a tuple contrib sign
+      | _ -> invalid_arg "Maintain: aggregate/plain mismatch")
 
-(* Compiled/parallel counting: one buffered round per (rule, delta
-   atom, sign).  Within a round every application carries the same
-   sign, and same-sign support updates commute (counts never cross the
-   zero boundary out of order: deletions run first, exactly as the
-   interpreter schedules them), so the morsel execution order cannot
-   change the resulting state. *)
-let counting_pass_par mt cs =
+(* One buffered round per (rule, delta atom, sign).  Within a round
+   every application carries the same sign, and same-sign support
+   updates commute (deletions run first, so counts never cross the zero
+   boundary out of order), so the morsel execution order cannot change
+   the resulting state. *)
+let counting_pass mt cs =
   Array.iter
     (fun cr ->
       Array.iteri
         (fun i ca ->
           let dps = get_pred mt ca.ca_pred in
           let d = dps.ps_delta in
-          if Tup_tbl.length d.d_ins > 0 || Tup_tbl.length d.d_del > 0 then begin
-            let mk = get_kernel mt cs cr (kcount i) in
-            set_emits mk (push_emit mt);
-            let hps = get_pred mt cr.cr_head in
-            let apply sign (tuple, contrib) =
-              match (hps.ps_body, cr.cr_agg) with
-              | Pplain counts, None -> plain_add mt hps counts tuple sign
-              | Pagg a, Some _ -> agg_support_add mt hps a tuple contrib sign
-              | _ -> invalid_arg "Maintain: aggregate/plain mismatch"
-            in
-            let run tbl sign =
-              if Tup_tbl.length tbl > 0 then
-                run_round mt mk
-                  ~arena:(arena_of_tbl mt tbl ~arity:dps.ps_arity)
-                  ~morsel:default_morsel ~apply:(apply sign)
-            in
-            run d.d_del (-1);
-            run d.d_ins 1
-          end)
+          let run tbl sign =
+            if Tup_tbl.length tbl > 0 then
+              count_round mt cr (get_kernel mt cs cr (kcount i))
+                ~arena:(arena_of_tbl mt tbl ~arity:dps.ps_arity)
+                ~sign
+          in
+          run d.d_del (-1);
+          run d.d_ins 1)
         cr.cr_atoms)
     cs.cs_rules
 
 (* --- recursive plain strata (DRed) --- *)
-
-(* Binds [tup] against the rule head, extending [env]; false when the
-   head cannot produce this tuple (constant clash or aggregate). *)
-let bind_head mt cr env tup =
-  try
-    List.iteri
-      (fun i (arg : Ast.head_arg) ->
-        match arg with
-        | Ast.Plain (Ast.Var v) -> (
-          match Hashtbl.find_opt env v with
-          | Some b -> if b <> tup.(i) then raise Exit
-          | None -> Hashtbl.add env v tup.(i))
-        | Ast.Plain t -> if term_value mt env t <> tup.(i) then raise Exit
-        | Ast.Agg _ -> raise Exit)
-      cr.cr_rule.Ast.head_args;
-    true
-  with Exit -> false
-
-(* Head-bound goal check: does any rule for [tup]'s predicate still
-   derive it from the current (post-delete) state? *)
-let rederive_check mt cr tup =
-  let env : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  bind_head mt cr env tup
-  &&
-  let order = get_order mt cr (-2) in
-  match eval_elems mt cr env order ~vis_of:(fun _ -> Cur) ~emit:(fun () -> raise Found) with
-  | () -> false
-  | exception Found -> true
 
 (* Derivation ranks for a DRed stratum: rank(t) = 1 + max rank over the
    same-stratum atoms of some derivation (0 when a rule without
@@ -1263,19 +1034,13 @@ let rederive_check mt cr tup =
    of the adopted fixpoint.  The overdelete phase counts surviving
    rank-decreasing derivations; soundness needs only well-foundedness,
    so approximate or drifting ranks merely make the counts more
-   conservative, never wrong. *)
+   conservative, never wrong.  Runs inline on the coordinator: every
+   emit ranks its head at once, and later emits of the same scan read
+   that rank. *)
 let build_ranks mt cs =
   let stratum = cs.cs_stratum in
   let in_stratum p = List.mem p stratum.Analysis.preds in
-  let env : (string, int) Hashtbl.t = Hashtbl.create 32 in
   let frontier = Vec.create () in
-  let try_rank p tup r =
-    let ps = get_pred mt p in
-    if mem_cur ps tup && not (Tup_tbl.mem ps.ps_ranks tup) then begin
-      Tup_tbl.replace ps.ps_ranks tup r;
-      Vec.push frontier (p, tup)
-    end
-  in
   (* A derivation is usable once every same-stratum atom is ranked; an
      instantiation blocked on an unranked atom re-emerges when that
      atom's own frontier entry is processed.  The same enumeration
@@ -1289,67 +1054,93 @@ let build_ranks mt cs =
      tuple to several same-stratum atoms are never counted: once that
      tuple dies the survivors cannot re-enumerate them to decrement.
      [i] is the frontier atom position, [-1] in the base pass. *)
-  let emit cr i () =
-    let n = Array.length cr.cr_atoms in
-    let tups = Array.make n [||] in
-    let ok = ref true and r = ref 0 and best = ref (-1) and best_r = ref (-1) in
-    Array.iteri
-      (fun j ca ->
-        if !ok && in_stratum ca.ca_pred then begin
-          let t = atom_tuple mt env ca in
-          tups.(j) <- t;
-          match Tup_tbl.find_opt (get_pred mt ca.ca_pred).ps_ranks t with
-          | Some x ->
-            if x >= !r then r := x + 1;
-            if x > !best_r || (x = !best_r && j > !best) then begin
-              best_r := x;
-              best := j
-            end
-          | None -> ok := false
-        end)
-      cr.cr_atoms;
-    if !ok then begin
-      let h = head_tuple mt cr env in
-      try_rank cr.cr_head h !r;
-      if !best = i then begin
-        let dup = ref false in
-        Array.iteri
-          (fun j ca ->
-            if in_stratum ca.ca_pred then
-              for k = j + 1 to n - 1 do
-                if cr.cr_atoms.(k).ca_pred = ca.ca_pred && tups.(j) = tups.(k) then dup := true
+  let rank_emit cr i mi =
+    let head_ps = get_pred mt cr.cr_head in
+    let h = Maintain_kernel.head mi.mi_pipe in
+    let atoms = mi.mi_atoms in
+    fun () ->
+      let ok = ref true and r = ref 0 and best = ref (-1) and best_r = ref (-1) in
+      Array.iter
+        (fun (j, ps, buf, fill) ->
+          if !ok then begin
+            fill ();
+            match Tup_tbl.find_opt ps.ps_ranks buf with
+            | Some x ->
+              if x >= !r then r := x + 1;
+              if x > !best_r || (x = !best_r && j > !best) then begin
+                best_r := x;
+                best := j
+              end
+            | None -> ok := false
+          end)
+        atoms;
+      if !ok then begin
+        (* a head ranked here keys its support entry with the same copy *)
+        let key =
+          if mem_cur head_ps h && not (Tup_tbl.mem head_ps.ps_ranks h) then begin
+            let h = Array.copy h in
+            Tup_tbl.replace head_ps.ps_ranks h !r;
+            Vec.push frontier (cr.cr_head, h);
+            h
+          end
+          else h
+        in
+        if !best = i then begin
+          let dup = ref false in
+          Array.iteri
+            (fun a (_, pa, ba, _) ->
+              for b = a + 1 to Array.length atoms - 1 do
+                let _, pb, bb, _ = atoms.(b) in
+                if pa == pb && ba = bb then dup := true
               done)
-          cr.cr_atoms;
-        if not !dup then
-          let ps = get_pred mt cr.cr_head in
-          match Tup_tbl.find_opt ps.ps_ranks h with
-          | Some hr when hr = !r ->
-            Tup_tbl.replace ps.ps_supports h
-              (1 + Option.value ~default:0 (Tup_tbl.find_opt ps.ps_supports h))
-          | _ -> ()
+            atoms;
+          if not !dup then
+            match Tup_tbl.find_opt head_ps.ps_ranks h with
+            | Some hr when hr = !r ->
+              let s = Option.value ~default:0 (Tup_tbl.find_opt head_ps.ps_supports h) in
+              Tup_tbl.replace head_ps.ps_supports
+                (if key == h then Array.copy h else key)
+                (s + 1)
+            | _ -> ()
+        end
       end
-    end
+  in
+  let pipes = ref [] in
+  let pipe cr mk i =
+    let mi = mk.mk_insts.(0) in
+    Maintain_kernel.set_emit mi.mi_pipe (rank_emit cr i mi);
+    pipes := mi.mi_pipe :: !pipes;
+    mi.mi_pipe
   in
   Array.iter
     (fun cr ->
       if Array.for_all (fun ca -> not (in_stratum ca.ca_pred)) cr.cr_atoms then
-        eval_elems mt cr env (get_order mt cr (-1)) ~vis_of:(fun _ -> Cur) ~emit:(emit cr (-1)))
+        ignore (Maintain_kernel.run_row (pipe cr (full_kernel mt cs cr) (-1)) [||] 0))
     cs.cs_rules;
+  (* the pipelines a frontier tuple of each predicate feeds, in rule
+     then body-position order *)
+  let feeds =
+    List.map
+      (fun p ->
+        let acc = ref [] in
+        Array.iter
+          (fun cr ->
+            Array.iteri
+              (fun i ca ->
+                if ca.ca_pred = p then acc := pipe cr (get_kernel mt cs cr (kprop i)) i :: !acc)
+              cr.cr_atoms)
+          cs.cs_rules;
+        (p, List.rev !acc))
+      stratum.Analysis.preds
+  in
   let cursor = ref 0 in
   while !cursor < Vec.length frontier do
     let p, tup = Vec.get frontier !cursor in
     incr cursor;
-    Array.iter
-      (fun cr ->
-        Array.iteri
-          (fun i ca ->
-            if ca.ca_pred = p then
-              with_match mt env ca.ca_args tup (fun () ->
-                  eval_elems mt cr env (get_order mt cr i) ~vis_of:(fun _ -> Cur)
-                    ~emit:(emit cr i)))
-          cr.cr_atoms)
-      cs.cs_rules
+    List.iter (fun pipe -> ignore (Maintain_kernel.run_row pipe tup 0)) (List.assoc p feeds)
   done;
+  (* the cached kernels must not keep the frontier alive *)
+  List.iter (fun pipe -> Maintain_kernel.set_emit pipe ignore) !pipes;
   List.iter
     (fun p ->
       let ps = get_pred mt p in
@@ -1357,9 +1148,8 @@ let build_ranks mt cs =
       mt.rank_counter <- m + 1)
     stratum.Analysis.preds
 
-(* Phase 2 of DRed, shared by the interpreted and compiled paths:
-   physically remove the dead set from stores, ranks, supports and
-   indexes. *)
+(* Phase 2 of DRed: physically remove the dead set from stores, ranks,
+   supports and indexes. *)
 let dred_remove_dead mt dsets =
   List.iter
     (fun (p, ds) ->
@@ -1381,216 +1171,108 @@ let dred_remove_dead mt dsets =
       mt.cur_overdeleted <- mt.cur_overdeleted + Tup_tbl.length ds)
     dsets
 
-let dred_pass mt cs =
+(* Groups the worklist entries [from, upto) by predicate, keeping
+   their order within each predicate. *)
+let segments worklist ~from ~upto =
+  let by_pred = Hashtbl.create 4 in
+  for k = from to upto - 1 do
+    let p, x = Vec.get worklist k in
+    let l =
+      match Hashtbl.find_opt by_pred p with
+      | Some l -> l
+      | None ->
+        let l = Vec.create () in
+        Hashtbl.add by_pred p l;
+        l
+    in
+    Vec.push l x
+  done;
+  by_pred
+
+(* Semi-naive insert propagation, shared by the DRed and monotone
+   aggregate passes: seed rounds over the lower-stratum insertions, then
+   the worklist [prop] drained in per-predicate segments, one round per
+   (rule, body atom of that predicate).  [insert p tup] applies one
+   derived head and pushes [(p, tup)] onto [prop] when it changed the
+   visible state. *)
+let propagate_inserts mt cs prop ~insert =
   let stratum = cs.cs_stratum in
   let in_stratum p = List.mem p stratum.Analysis.preds in
-  let env : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  let dsets = List.map (fun p -> (p, Tup_tbl.create 64)) stratum.Analysis.preds in
-  let dset p = List.assoc p dsets in
-  (* phases 1 and 2: support-counted overdeletion.  Instead of the
-     classic DRed closure — overdelete everything the dead tuples ever
-     helped derive, then rederive most of it back — each death
-     decrements the rank-decreasing support counts of the derivations
-     it kills, and a tuple dies only when its count reaches zero, i.e.
-     when no surviving well-founded derivation is left.  On densely
-     supported fixpoints (transitive closure over one big SCC is the
-     canonical case) the cascade stops at roughly the true deleted
-     delta instead of unravelling the whole stratum.  A zero count is
-     still only a *candidate* death: phase 3 rederives any tuple that
-     survives via a rank-increasing derivation, so conservative counts
-     cost time, never correctness. *)
-  let dead = Vec.create () in
-  let kill p tup =
-    let ds = dset p in
-    if not (Tup_tbl.mem ds tup) then begin
-      let r =
-        match Tup_tbl.find_opt (get_pred mt p).ps_ranks tup with
-        | Some r -> r
-        | None -> 0
-      in
-      Tup_tbl.add ds tup ();
-      Vec.push dead (p, tup, r)
-    end
+  let round cr i arena =
+    let mk = get_kernel mt cs cr (kprop i) in
+    set_emits mk (push_emit mt);
+    run_round mt mk ~arena ~morsel:default_morsel ~apply:(fun (h, _) -> insert cr.cr_head h)
   in
-  let rank_of p tup = Tup_tbl.find_opt (get_pred mt p).ps_ranks tup in
-  (* Decrement the head's support for the instantiation bound in [env],
-     provided the count could have included it: a rank-decreasing
-     derivation of a still-live head.  [delta_rank] carries the dying
-     delta atom's rank (None for a lower-stratum delta, which the rank
-     condition ignores).  The stratum stays physically untouched for
-     the whole cascade, so a derivation with several dying atoms is
-     re-enumerated — and decremented — once per death; counted once,
-     decremented possibly more, the bound only drops, which stays
-     sound. *)
-  let decrement cr i delta_rank =
-    let head_ps = get_pred mt cr.cr_head in
-    let h = head_tuple mt cr env in
-    if mem_cur head_ps h && not (Tup_tbl.mem (dset cr.cr_head) h) then
-      match Tup_tbl.find_opt head_ps.ps_ranks h with
-      | None -> ()
-      | Some hr ->
-        let ok = ref (match delta_rank with Some r -> r < hr | None -> true) in
-        Array.iteri
-          (fun j ca ->
-            if !ok && j <> i && in_stratum ca.ca_pred then
-              match rank_of ca.ca_pred (atom_tuple mt env ca) with
-              | Some r -> if r >= hr then ok := false
-              | None -> ok := false)
-          cr.cr_atoms;
-        if !ok then begin
-          let s =
-            match Tup_tbl.find_opt head_ps.ps_supports h with
-            | Some s -> s
-            | None -> 0
-          in
-          if s <= 1 then kill cr.cr_head h
-          else Tup_tbl.replace head_ps.ps_supports h (s - 1)
-        end
-  in
-  (* seed: derivations lost to lower-stratum deletions — lower atoms
-     read Old, same-stratum atoms the physically untouched pre-batch
-     fixpoint *)
   Array.iter
     (fun cr ->
       Array.iteri
         (fun i ca ->
           if not (in_stratum ca.ca_pred) then begin
-            let d = (get_pred mt ca.ca_pred).ps_delta in
-            if Tup_tbl.length d.d_del > 0 then begin
-              let order = get_order mt cr i in
-              let vis_of j = if in_stratum cr.cr_atoms.(j).ca_pred then Cur else Old in
-              Tup_tbl.iter
-                (fun tup () ->
-                  with_match mt env ca.ca_args tup (fun () ->
-                      eval_elems mt cr env order ~vis_of ~emit:(fun () -> decrement cr i None)))
-                d.d_del
-            end
-          end)
-        cr.cr_atoms)
-    cs.cs_rules;
-  (* cascade: deaths propagate by decrement; lower relations read their
-     new fixpoint (derivations through same-batch lower insertions were
-     never counted, so decrementing or skipping them is equally sound) *)
-  let cursor = ref 0 in
-  while !cursor < Vec.length dead do
-    let p, tup, r = Vec.get dead !cursor in
-    incr cursor;
-    Array.iter
-      (fun cr ->
-        Array.iteri
-          (fun i ca ->
-            if ca.ca_pred = p then
-              with_match mt env ca.ca_args tup (fun () ->
-                  eval_elems mt cr env (get_order mt cr i) ~vis_of:(fun _ -> Cur)
-                    ~emit:(fun () -> decrement cr i (Some r))))
-          cr.cr_atoms)
-      cs.cs_rules
-  done;
-  (* phase 2: physically remove the dead set *)
-  dred_remove_dead mt dsets;
-  (* phases 3 and 4: goal-directed rederivation of the overdeleted
-     tuples, then worklist insert propagation — rederived tuples and
-     lower-stratum insertions enter the same semi-naive frontier.
-     Emissions are buffered per evaluation so no table is mutated while
-     one of its buckets is being iterated. *)
-  let prop = Vec.create () in
-  let buffer = Vec.create () in
-  let try_insert p tup =
-    let ps = get_pred mt p in
-    let counts =
-      match ps.ps_body with
-      | Pplain c -> c
-      | Pagg _ -> assert false
-    in
-    if not (Tup_tbl.mem counts tup) then begin
-      Tup_tbl.replace counts tup 1;
-      (* any fresh well-founded rank keeps future counts sound; the
-         monotone counter also orders same-batch inserts by derivation.
-         One support is a lower bound — further derivations discovered
-         later go uncounted, which only risks a premature candidate. *)
-      Tup_tbl.replace ps.ps_ranks tup mt.rank_counter;
-      Tup_tbl.replace ps.ps_supports tup 1;
-      mt.rank_counter <- mt.rank_counter + 1;
-      visible_insert mt ps tup;
-      if Tup_tbl.mem (dset p) tup then mt.cur_rederived <- mt.cur_rederived + 1;
-      Vec.push prop (p, tup)
-    end
-  in
-  let flush_buffer () =
-    Vec.iter (fun (p, h) -> try_insert p h) buffer;
-    Vec.clear buffer
-  in
-  List.iter
-    (fun (p, ds) ->
-      let rules_for =
-        List.filter (fun cr -> cr.cr_head = p) (Array.to_list cs.cs_rules)
-      in
-      Tup_tbl.iter
-        (fun tup () ->
-          if List.exists (fun cr -> rederive_check mt cr tup) rules_for then
-            Vec.push buffer (p, tup))
-        ds;
-      flush_buffer ())
-    dsets;
-  Array.iter
-    (fun cr ->
-      Array.iteri
-        (fun i ca ->
-          if not (in_stratum ca.ca_pred) then begin
-            let d = (get_pred mt ca.ca_pred).ps_delta in
-            if Tup_tbl.length d.d_ins > 0 then begin
-              let order = get_order mt cr i in
-              Tup_tbl.iter
-                (fun tup () ->
-                  with_match mt env ca.ca_args tup (fun () ->
-                      eval_elems mt cr env order ~vis_of:(fun _ -> Cur) ~emit:(fun () ->
-                          Vec.push buffer (cr.cr_head, head_tuple mt cr env))))
-                d.d_ins;
-              flush_buffer ()
-            end
+            let dps = get_pred mt ca.ca_pred in
+            let d = dps.ps_delta in
+            if Tup_tbl.length d.d_ins > 0 then
+              round cr i (arena_of_tbl mt d.d_ins ~arity:dps.ps_arity)
           end)
         cr.cr_atoms)
     cs.cs_rules;
   let cursor = ref 0 in
   while !cursor < Vec.length prop do
-    let p, tup = Vec.get prop !cursor in
-    incr cursor;
-    Array.iter
-      (fun cr ->
-        Array.iteri
-          (fun i ca ->
-            if ca.ca_pred = p then begin
-              let order = get_order mt cr i in
-              with_match mt env ca.ca_args tup (fun () ->
-                  eval_elems mt cr env order ~vis_of:(fun _ -> Cur) ~emit:(fun () ->
-                      Vec.push buffer (cr.cr_head, head_tuple mt cr env)));
-              flush_buffer ()
-            end)
-          cr.cr_atoms)
-      cs.cs_rules
+    let upto = Vec.length prop in
+    let by_pred = segments prop ~from:!cursor ~upto in
+    cursor := upto;
+    List.iter
+      (fun p ->
+        match Hashtbl.find_opt by_pred p with
+        | None -> ()
+        | Some entries ->
+          let arena = scratch_arena mt ~arity:(get_pred mt p).ps_arity in
+          Vec.iter (fun tup -> ignore (Arena.push arena tup)) entries;
+          Array.iter
+            (fun cr -> Array.iteri (fun i ca -> if ca.ca_pred = p then round cr i arena) cr.cr_atoms)
+            cs.cs_rules)
+      stratum.Analysis.preds
   done
 
-(* Compiled/parallel DRed.  Same four phases as [dred_pass], with the
-   per-tuple interpreter loops replaced by buffered morsel rounds:
+(* DRed in four phases, each a sequence of buffered kernel rounds:
 
-   - seed and cascade rounds evaluate the decrement body through a
-     compiled kernel whose emit replays the rank conditions worker-side
-     (sound: ranks and current-visibility are frozen until phase 2,
-     and supports — which do change — are only read at apply time);
-     the dead-set dedup and the support counter itself stay on the
-     sequential apply side, so a head killed early in a round's apply
-     order absorbs no further decrements, exactly as the interpreter;
-   - the cascade drains the dead list in segments, one scan arena per
-     predicate with the dying tuple's rank as a trailing column;
-   - rederivation runs one existence round per (predicate, rule) over
-     the candidate set, with insertions flushed per predicate in dsets
-     order — the interpreter's flush points;
-   - insert propagation seeds from the lower-stratum d_ins sets and
-     drains the worklist in per-predicate segments.  Tuples are made
-     visible before they enter the worklist, so any derivation needing
-     two same-segment tuples is found from either scan side; inserts
-     are idempotent, which makes the round order immaterial. *)
-let dred_pass_par mt cs =
+   - phase 1, support-counted overdeletion.  Instead of the classic
+     DRed closure — overdelete everything the dead tuples ever helped
+     derive, then rederive most of it back — each death decrements the
+     rank-decreasing support counts of the derivations it kills, and a
+     tuple dies only when its count reaches zero, i.e. when no
+     surviving well-founded derivation is left.  On densely supported
+     fixpoints (transitive closure over one big SCC is the canonical
+     case) the cascade stops at roughly the true deleted delta instead
+     of unravelling the whole stratum.  Seed rounds (derivations lost
+     to lower-stratum deletions: lower atoms read Old, same-stratum
+     atoms the physically untouched pre-batch fixpoint) and cascade
+     rounds evaluate the decrement body through a kernel whose emit
+     replays the rank conditions worker-side (sound: ranks and
+     current-visibility are frozen until phase 2, and supports — which
+     do change — are only read at apply time); the dead-set dedup and
+     the support counter itself stay on the sequential apply side, so
+     a head killed early in a round's apply order absorbs no further
+     decrements.  The stratum stays physically untouched for the whole
+     cascade, so a derivation with several dying atoms is
+     re-enumerated — and decremented — once per death; counted once,
+     decremented possibly more, the bound only drops, which stays
+     sound.  The cascade drains the dead list in segments, one scan
+     arena per predicate with the dying tuple's rank as a trailing
+     column; lower relations read their new fixpoint (derivations
+     through same-batch lower insertions were never counted, so
+     decrementing or skipping them is equally sound);
+   - phase 2 physically removes the dead set;
+   - phase 3, rederivation: a zero count is only a candidate death,
+     so one existence round per (predicate, rule) over the candidate
+     set restores any tuple that survives via a rank-increasing
+     derivation, with insertions flushed per predicate in dsets order
+     — conservative counts cost time, never correctness;
+   - phase 4, insert propagation, seeds from the lower-stratum d_ins
+     sets and drains the worklist in per-predicate segments.  Tuples
+     are made visible before they enter the worklist, so any derivation
+     needing two same-segment tuples is found from either scan side;
+     inserts are idempotent, which makes the round order immaterial. *)
+let dred_pass mt cs =
   let stratum = cs.cs_stratum in
   let in_stratum p = List.mem p stratum.Analysis.preds in
   let dsets = List.map (fun p -> (p, Tup_tbl.create 64)) stratum.Analysis.preds in
@@ -1605,7 +1287,7 @@ let dred_pass_par mt cs =
         | None -> 0
       in
       Tup_tbl.add ds tup ();
-      Vec.push dead (p, tup, r)
+      Vec.push dead (p, (tup, r))
     end
   in
   let apply_decrement cr (h, _) =
@@ -1615,7 +1297,12 @@ let dred_pass_par mt cs =
       if s <= 1 then kill cr.cr_head h else Tup_tbl.replace head_ps.ps_supports h (s - 1)
     end
   in
-  let decrement_emit mk cr w mi =
+  (* the emit of rule [cr] scanning body atom [i]: the head's support
+     could have counted this instantiation only if it is rank-decreasing
+     — the scan atom's rank comes from its trailing column (cascade) or
+     is unconstrained (a lower-stratum seed), every other same-stratum
+     atom's from its rank table *)
+  let decrement_emit mk cr i w mi =
     let head_ps = get_pred mt cr.cr_head in
     let buf = mt.m_bufs.(w) in
     let h = Maintain_kernel.head mi.mi_pipe in
@@ -1629,10 +1316,10 @@ let dred_pass_par mt cs =
           if rank_reg < 0 || regs.(rank_reg) < hr then begin
             let ok = ref true in
             Array.iter
-              (fun (aps, _abuf, fill) ->
-                if !ok then begin
+              (fun (j, aps, abuf, fill) ->
+                if !ok && j <> i then begin
                   fill ();
-                  match Tup_tbl.find_opt aps.ps_ranks _abuf with
+                  match Tup_tbl.find_opt aps.ps_ranks abuf with
                   | Some r -> if r >= hr then ok := false
                   | None -> ok := false
                 end)
@@ -1650,7 +1337,7 @@ let dred_pass_par mt cs =
             let d = dps.ps_delta in
             if Tup_tbl.length d.d_del > 0 then begin
               let mk = get_kernel mt cs cr (kseed i) in
-              set_emits mk (decrement_emit mk cr);
+              set_emits mk (decrement_emit mk cr i);
               run_round mt mk
                 ~arena:(arena_of_tbl mt d.d_del ~arity:dps.ps_arity)
                 ~morsel:default_morsel ~apply:(apply_decrement cr)
@@ -1662,19 +1349,7 @@ let dred_pass_par mt cs =
   let cursor = ref 0 in
   while !cursor < Vec.length dead do
     let upto = Vec.length dead in
-    let by_pred : (string, (Tuple.t * int) Vec.t) Hashtbl.t = Hashtbl.create 4 in
-    for k = !cursor to upto - 1 do
-      let p, tup, r = Vec.get dead k in
-      let l =
-        match Hashtbl.find_opt by_pred p with
-        | Some l -> l
-        | None ->
-          let l = Vec.create () in
-          Hashtbl.add by_pred p l;
-          l
-      in
-      Vec.push l (tup, r)
-    done;
+    let by_pred = segments dead ~from:!cursor ~upto in
     cursor := upto;
     List.iter
       (fun p ->
@@ -1696,7 +1371,7 @@ let dred_pass_par mt cs =
                 (fun i ca ->
                   if ca.ca_pred = p then begin
                     let mk = get_kernel mt cs cr (kcasc i) in
-                    set_emits mk (decrement_emit mk cr);
+                    set_emits mk (decrement_emit mk cr i);
                     run_round mt mk ~arena ~morsel:default_morsel
                       ~apply:(apply_decrement cr)
                   end)
@@ -1717,6 +1392,10 @@ let dred_pass_par mt cs =
     in
     if not (Tup_tbl.mem counts tup) then begin
       Tup_tbl.replace counts tup 1;
+      (* any fresh well-founded rank keeps future counts sound; the
+         monotone counter also orders same-batch inserts by derivation.
+         One support is a lower bound — further derivations discovered
+         later go uncounted, which only risks a premature candidate. *)
       Tup_tbl.replace ps.ps_ranks tup mt.rank_counter;
       Tup_tbl.replace ps.ps_supports tup 1;
       mt.rank_counter <- mt.rank_counter + 1;
@@ -1759,153 +1438,15 @@ let dred_pass_par mt cs =
         Vec.iter (fun tup -> try_insert p tup) matched
       end)
     dsets;
-  Array.iter
-    (fun cr ->
-      Array.iteri
-        (fun i ca ->
-          if not (in_stratum ca.ca_pred) then begin
-            let dps = get_pred mt ca.ca_pred in
-            let d = dps.ps_delta in
-            if Tup_tbl.length d.d_ins > 0 then begin
-              let mk = get_kernel mt cs cr (kprop i) in
-              set_emits mk (push_emit mt);
-              run_round mt mk
-                ~arena:(arena_of_tbl mt d.d_ins ~arity:dps.ps_arity)
-                ~morsel:default_morsel
-                ~apply:(fun (h, _) -> try_insert cr.cr_head h)
-            end
-          end)
-        cr.cr_atoms)
-    cs.cs_rules;
-  let cursor = ref 0 in
-  while !cursor < Vec.length prop do
-    let upto = Vec.length prop in
-    let by_pred : (string, Tuple.t Vec.t) Hashtbl.t = Hashtbl.create 4 in
-    for k = !cursor to upto - 1 do
-      let p, tup = Vec.get prop k in
-      let l =
-        match Hashtbl.find_opt by_pred p with
-        | Some l -> l
-        | None ->
-          let l = Vec.create () in
-          Hashtbl.add by_pred p l;
-          l
-      in
-      Vec.push l tup
-    done;
-    cursor := upto;
-    List.iter
-      (fun p ->
-        match Hashtbl.find_opt by_pred p with
-        | None -> ()
-        | Some entries ->
-          let arena = scratch_arena mt ~arity:(get_pred mt p).ps_arity in
-          Vec.iter (fun tup -> ignore (Arena.push arena tup)) entries;
-          Array.iter
-            (fun cr ->
-              Array.iteri
-                (fun i ca ->
-                  if ca.ca_pred = p then begin
-                    let mk = get_kernel mt cs cr (kprop i) in
-                    set_emits mk (push_emit mt);
-                    run_round mt mk ~arena ~morsel:default_morsel
-                      ~apply:(fun (h, _) -> try_insert cr.cr_head h)
-                  end)
-                cr.cr_atoms)
-            cs.cs_rules)
-      stratum.Analysis.preds
-  done
+  propagate_inserts mt cs prop ~insert:try_insert
 
 (* --- recursive min/max aggregate strata: monotone insert propagation --- *)
 
+(* Monotone insert propagation with [merge] as the apply.  Merging
+   keeps the best value per group and any improvement re-enters the
+   worklist, so the segment rounds reach the same monotone fixpoint in
+   any order. *)
 let aggrec_insert_pass mt cs =
-  let stratum = cs.cs_stratum in
-  let in_stratum p = List.mem p stratum.Analysis.preds in
-  let env : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  let prop = Vec.create () in
-  let buffer = Vec.create () in
-  let merge p tup =
-    let ps = get_pred mt p in
-    match ps.ps_body with
-    | Pplain counts ->
-      if not (Tup_tbl.mem counts tup) then begin
-        Tup_tbl.replace counts tup 1;
-        visible_insert mt ps tup;
-        Vec.push prop (p, tup)
-      end
-    | Pagg a -> (
-      let g = group_of a tup in
-      let v = tup.(a.a_pos) in
-      let improves =
-        match Tup_tbl.find_opt a.a_best g with
-        | None -> true
-        | Some cur -> (
-          match a.a_kind with
-          | Ast.Min -> v < cur
-          | Ast.Max -> v > cur
-          | Ast.Count | Ast.Sum -> invalid_arg "Maintain: non-monotone aggregate insert")
-      in
-      if improves then begin
-        (match Tup_tbl.find_opt a.a_best g with
-        | Some cur ->
-          Tup_tbl.remove a.a_best g;
-          visible_remove mt ps (assemble a g cur)
-        | None -> ());
-        Tup_tbl.replace a.a_best g v;
-        visible_insert mt ps tup;
-        Vec.push prop (p, tup)
-      end)
-  in
-  let flush_buffer () =
-    Vec.iter (fun (p, h) -> merge p h) buffer;
-    Vec.clear buffer
-  in
-  Array.iter
-    (fun cr ->
-      Array.iteri
-        (fun i ca ->
-          if not (in_stratum ca.ca_pred) then begin
-            let d = (get_pred mt ca.ca_pred).ps_delta in
-            if Tup_tbl.length d.d_ins > 0 then begin
-              let order = get_order mt cr i in
-              Tup_tbl.iter
-                (fun tup () ->
-                  with_match mt env ca.ca_args tup (fun () ->
-                      eval_elems mt cr env order ~vis_of:(fun _ -> Cur) ~emit:(fun () ->
-                          Vec.push buffer (cr.cr_head, head_tuple mt cr env))))
-                d.d_ins;
-              flush_buffer ()
-            end
-          end)
-        cr.cr_atoms)
-    cs.cs_rules;
-  let cursor = ref 0 in
-  while !cursor < Vec.length prop do
-    let p, tup = Vec.get prop !cursor in
-    incr cursor;
-    Array.iter
-      (fun cr ->
-        Array.iteri
-          (fun i ca ->
-            if ca.ca_pred = p then begin
-              let order = get_order mt cr i in
-              with_match mt env ca.ca_args tup (fun () ->
-                  eval_elems mt cr env order ~vis_of:(fun _ -> Cur) ~emit:(fun () ->
-                      Vec.push buffer (cr.cr_head, head_tuple mt cr env)));
-              flush_buffer ()
-            end)
-          cr.cr_atoms)
-      cs.cs_rules
-  done
-
-(* Compiled/parallel monotone insert propagation: the same seed +
-   worklist shape as the DRed insert phases, with [merge] as the apply.
-   Merging keeps the best value per group whatever the order, and any
-   improvement re-enters the worklist, so segment rounds reach the same
-   monotone fixpoint as the per-tuple interpreter. *)
-let aggrec_insert_pass_par mt cs =
-  let stratum = cs.cs_stratum in
-  let in_stratum p = List.mem p stratum.Analysis.preds in
   let prop = Vec.create () in
   let merge p tup =
     let ps = get_pred mt p in
@@ -1939,62 +1480,7 @@ let aggrec_insert_pass_par mt cs =
         Vec.push prop (p, tup)
       end)
   in
-  Array.iter
-    (fun cr ->
-      Array.iteri
-        (fun i ca ->
-          if not (in_stratum ca.ca_pred) then begin
-            let dps = get_pred mt ca.ca_pred in
-            let d = dps.ps_delta in
-            if Tup_tbl.length d.d_ins > 0 then begin
-              let mk = get_kernel mt cs cr (kprop i) in
-              set_emits mk (push_emit mt);
-              run_round mt mk
-                ~arena:(arena_of_tbl mt d.d_ins ~arity:dps.ps_arity)
-                ~morsel:default_morsel
-                ~apply:(fun (h, _) -> merge cr.cr_head h)
-            end
-          end)
-        cr.cr_atoms)
-    cs.cs_rules;
-  let cursor = ref 0 in
-  while !cursor < Vec.length prop do
-    let upto = Vec.length prop in
-    let by_pred : (string, Tuple.t Vec.t) Hashtbl.t = Hashtbl.create 4 in
-    for k = !cursor to upto - 1 do
-      let p, tup = Vec.get prop k in
-      let l =
-        match Hashtbl.find_opt by_pred p with
-        | Some l -> l
-        | None ->
-          let l = Vec.create () in
-          Hashtbl.add by_pred p l;
-          l
-      in
-      Vec.push l tup
-    done;
-    cursor := upto;
-    List.iter
-      (fun p ->
-        match Hashtbl.find_opt by_pred p with
-        | None -> ()
-        | Some entries ->
-          let arena = scratch_arena mt ~arity:(get_pred mt p).ps_arity in
-          Vec.iter (fun tup -> ignore (Arena.push arena tup)) entries;
-          Array.iter
-            (fun cr ->
-              Array.iteri
-                (fun i ca ->
-                  if ca.ca_pred = p then begin
-                    let mk = get_kernel mt cs cr (kprop i) in
-                    set_emits mk (push_emit mt);
-                    run_round mt mk ~arena ~morsel:default_morsel
-                      ~apply:(fun (h, _) -> merge cr.cr_head h)
-                  end)
-                cr.cr_atoms)
-            cs.cs_rules)
-      stratum.Analysis.preds
-  done
+  propagate_inserts mt cs prop ~insert:merge
 
 (* --- stratum recompute through the parallel engine --- *)
 
@@ -2076,7 +1562,7 @@ let recompute mt cs =
       coord = Coord.default_config;
     }
   in
-  let result = Parallel.run ?runtime:mt.runtime sub ~edb ~config in
+  let result = Parallel.run ~runtime:mt.runtime sub ~edb ~config in
   List.iter
     (fun p ->
       let ps = get_pred mt p in
@@ -2143,24 +1629,19 @@ let arity_of info p =
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Maintain: unknown arity for %s" p)
 
-let create ~plan ~config ?runtime ~catalog () =
+let create ~plan ~config ~runtime ~catalog =
   if config.Parallel.max_iterations > 0 then
     invalid_arg "Maintain: bounded-iteration programs cannot be incrementally maintained";
-  (match runtime with
-  | Some rt when rt.Parallel.rt_workers <> config.Parallel.workers ->
-    invalid_arg "Maintain: runtime/config worker mismatch"
-  | _ -> ());
+  if runtime.Parallel.rt_workers <> config.Parallel.workers then
+    invalid_arg "Maintain: runtime/config worker mismatch";
   if config.Parallel.maintain_workers < 0 then
     invalid_arg "Maintain: maintain_workers must be >= 0";
   let m_workers =
-    match runtime with
-    | None -> 1
-    | Some _ ->
-      let req =
-        if config.Parallel.maintain_workers = 0 then config.Parallel.workers
-        else config.Parallel.maintain_workers
-      in
-      max 1 (min req config.Parallel.workers)
+    let req =
+      if config.Parallel.maintain_workers = 0 then config.Parallel.workers
+      else config.Parallel.maintain_workers
+    in
+    max 1 (min req config.Parallel.workers)
   in
   let mt =
     {
@@ -2275,16 +1756,13 @@ let create ~plan ~config ?runtime ~catalog () =
         in
         (match mode with
         | M_counting ->
-          (* rebuild the support from scratch (one pass: the bodies are
-             all lower-stratum), then verify the visible set reproduces
-             the engine's materialization exactly *)
-          let env : (string, int) Hashtbl.t = Hashtbl.create 32 in
-          Array.iter
-            (fun cr ->
-              let order = get_order mt cr (-1) in
-              eval_elems mt cr env order ~vis_of:(fun _ -> Cur) ~emit:(fun () ->
-                  emit_counting mt cr env 1))
-            cs.cs_rules;
+          (* rebuild the support from scratch (one +1 round per rule
+             over a unit scan: the bodies are all lower-stratum), then
+             verify the visible set reproduces the engine's
+             materialization exactly *)
+          let arena = scratch_arena mt ~arity:0 in
+          ignore (Arena.push arena [||]);
+          Array.iter (fun cr -> count_round mt cr (full_kernel mt cs cr) ~arena ~sign:1) cs.cs_rules;
           List.iter
             (fun p ->
               let ps = get_pred mt p in
@@ -2304,8 +1782,8 @@ let create ~plan ~config ?runtime ~catalog () =
               if not ok then
                 invalid_arg
                   (Printf.sprintf
-                     "Maintain: support interpreter diverged from the engine on %s (engine %d \
-                      tuples, interpreter %d)"
+                     "Maintain: support build diverged from the engine on %s (engine %d \
+                      tuples, maintained %d)"
                      p rel_len vis_len))
             st.Analysis.preds
         | M_dred | M_aggrec | M_subrun ->
@@ -2326,6 +1804,9 @@ let create ~plan ~config ?runtime ~catalog () =
           if mode = M_dred then build_ranks mt cs);
         cs)
       info.Analysis.strata;
+  (* the unit-scan support rounds buffered whole relations inline;
+     batches start again from a small buffer *)
+  mt.m_bufs.(0) <- Vec.create ();
   mt.recording <- true;
   mt
 
@@ -2394,13 +1875,10 @@ let apply mt updates =
             Tup_tbl.length d.d_ins > 0 || Tup_tbl.length d.d_del > 0)
           cs.cs_body_preds
       in
-      if changed then begin
-        (* maintain_workers = 1 (or no runtime) is the ablation: the
-           interpreted per-tuple path, bit-for-bit the PR 9 behavior *)
-        let par = mt.m_workers > 1 in
+      if changed then
         match cs.cs_mode with
-        | M_counting -> if par then counting_pass_par mt cs else counting_pass mt cs
-        | M_dred -> if par then dred_pass_par mt cs else dred_pass mt cs
+        | M_counting -> counting_pass mt cs
+        | M_dred -> dred_pass mt cs
         | M_subrun -> recompute mt cs
         | M_aggrec ->
           let has_del =
@@ -2408,10 +1886,7 @@ let apply mt updates =
               (fun p -> Tup_tbl.length (get_pred mt p).ps_delta.d_del > 0)
               cs.cs_body_preds
           in
-          if cs.cs_insert_ok && not has_del then
-            if par then aggrec_insert_pass_par mt cs else aggrec_insert_pass mt cs
-          else recompute mt cs
-      end)
+          if cs.cs_insert_ok && not has_del then aggrec_insert_pass mt cs else recompute mt cs)
     mt.strata;
   let changed = ref [] in
   let deltas = ref [] in
@@ -2454,10 +1929,8 @@ let apply mt updates =
       br_changed = List.sort compare !changed;
       br_deltas = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !deltas;
       br_workers =
-        (if mt.m_workers > 1 then
-           List.init mt.m_workers (fun w ->
-               (mt.m_wjoin.(w), mt.m_wmorsels.(w), mt.m_wsteals.(w), mt.m_wstolen.(w)))
-         else []);
+        List.init mt.m_workers (fun w ->
+            (mt.m_wjoin.(w), mt.m_wmorsels.(w), mt.m_wsteals.(w), mt.m_wstolen.(w)));
     }
   in
   Hashtbl.iter

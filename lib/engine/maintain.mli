@@ -21,16 +21,15 @@
     engine's own materialization at {!create} time, and the differential
     suite checks {!apply} against a cold naive-oracle recompute.
 
-    With a resident {!Parallel.runtime} and
-    [config.maintain_workers <> 1], the delta joins of every pass
-    compile to monomorphic {!Maintain_kernel} pipelines (registers,
-    {!Kernel} binder/checker/filler closures) and scans above a small
-    threshold execute as steal-enabled morsel rounds on the resident
-    pool: workers run the kernels read-only against the frozen state
-    and buffer their emissions, which the coordinator applies
-    sequentially after the round barrier — the fixpoints are identical
-    to the interpreted path, which [maintain_workers = 1] preserves
-    verbatim as the ablation baseline.
+    Every rule body — the support and rank builds of {!create} as well
+    as the delta joins of {!apply} — is evaluated by a monomorphic
+    {!Maintain_kernel} pipeline (registers, {!Kernel}
+    binder/checker/filler closures).  With [maintain_workers = 1], or
+    for scans below a small threshold, the kernels run inline on the
+    coordinator; larger scans execute as steal-enabled morsel rounds on
+    the resident pool, where workers run the kernels read-only against
+    the frozen state and buffer their emissions, which the coordinator
+    applies sequentially after the round barrier.
 
     Not thread-safe: callers serialize {!apply}, and must not read
     through {!visible} concurrently with it (the {!Dcdatalog.Session}
@@ -61,27 +60,28 @@ type batch_report = {
           immutable and remain valid across later batches. *)
   br_workers : (float * int * int * int) list;
       (** per maintenance worker: (join seconds, morsels executed,
-          steals, tuples stolen).  Empty on the sequential interpreted
-          path ([maintain_workers = 1] or no runtime); when parallelism
-          is armed it always has [maintain_workers] entries — all zero
-          if every round stayed below the inline threshold. *)
+          steals, tuples stolen) of the pool rounds, always one entry
+          per effective maintenance worker — all zero if every round
+          ran inline. *)
 }
 
 val create :
   plan:Dcd_planner.Physical.t ->
   config:Parallel.config ->
-  ?runtime:Parallel.runtime ->
+  runtime:Parallel.runtime ->
   catalog:Catalog.t ->
-  unit ->
   t
-(** Builds the maintenance state from a finished run's catalog.  The
-    counting strata rebuild their support from scratch and verify the
-    result against the catalog tuple-for-tuple; the other strata adopt
-    the engine fixpoint as-is.
+(** Builds the maintenance state from a finished run's catalog, on the
+    resident [runtime] the run used.  The counting strata rebuild their
+    support from scratch with compiled kernels and verify the result
+    against the catalog tuple-for-tuple; the other strata adopt the
+    engine fixpoint as-is, and DRed strata label it with derivation
+    ranks and rank-decreasing support counts.  All of this runs inline
+    on the calling domain.
     @raise Invalid_argument if [config.max_iterations > 0] (a bounded
     fixpoint is not a model and cannot be maintained), if the runtime's
-    worker count disagrees with [config.workers], or if the counting
-    interpreter diverges from the engine's materialization. *)
+    worker count disagrees with [config.workers], or if the rebuilt
+    counting support diverges from the engine's materialization. *)
 
 val validate : t -> update list -> unit
 (** The validation prefix of {!apply} alone: raises [Invalid_argument]

@@ -1,13 +1,9 @@
-(** Compiled delta-rule pipelines for incremental maintenance.
-
-    {!Maintain}'s interpreted evaluator walks an ordered body with a
-    string-keyed environment and a closure per element — ~10× the
-    per-emit constants of the engine's compiled kernels.  This module
-    closes that gap for the maintenance phases: a [spec] is the same
-    register machine {!Dcd_planner.Physical} compiles rules into, but
-    with each body atom's iteration abstracted behind a closure the
-    maintenance state supplies (its hash stores carry per-batch
-    Old/Cur visibility the engine's relations know nothing about).
+(** Compiled rule pipelines for incremental maintenance: the only way
+    {!Maintain} evaluates a rule body.  A [spec] is the same register
+    machine {!Dcd_planner.Physical} compiles rules into, but with each
+    body atom's iteration abstracted behind a closure the maintenance
+    state supplies (its hash stores carry per-batch Old/Cur visibility
+    the engine's relations know nothing about).
     Binds, residual checks and key/head fills execute through the exact
     {!Kernel} monomorphic binder/checker/filler closures the one-shot
     engine uses.
@@ -61,7 +57,7 @@ type instance
 val instantiate : spec -> instance
 (** Fresh register file and buffers; emit is initially a no-op.
     Division by zero inside a filter or assignment rejects the binding,
-    exactly as the interpreted path does. *)
+    exactly as the one-shot engine and the naive oracle do. *)
 
 val regs : instance -> int array
 (** The live register file — for phase-specific emit closures that need

@@ -15,10 +15,6 @@ type exchange = Exchange.kind =
   | Spsc_exchange
   | Locked_exchange
 
-type merge_path =
-  | Batch_sorted
-  | Per_tuple
-
 type config = {
   workers : int;
   strategy : Coord.t;
@@ -29,7 +25,6 @@ type config = {
   batch_tuples : int;
   steal : bool;
   morsel_tuples : int;
-  merge : merge_path;
   coord : Coord.config;
   fault : Fault.spec option;
   checkpoint_every : int;
@@ -48,7 +43,6 @@ let default_config =
     batch_tuples = 0;
     steal = true;
     morsel_tuples = 2048;
-    merge = Batch_sorted;
     coord = Coord.default_config;
     fault = None;
     checkpoint_every = 0;
@@ -178,8 +172,7 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
     else config.store_opts
   in
   let shared =
-    Worker.make_shared ~exch ~token ~fault ~max_iterations:config.max_iterations ~steal
-      ~merge_sorted:(config.merge = Batch_sorted) ~ckpt
+    Worker.make_shared ~exch ~token ~fault ~max_iterations:config.max_iterations ~steal ~ckpt
   in
   let stores =
     Array.init n (fun _ ->

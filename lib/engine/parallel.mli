@@ -38,17 +38,6 @@ type exchange = Exchange.kind =
   | Spsc_exchange
   | Locked_exchange
 
-(** How drained candidates are folded into the recursive stores.
-    [Batch_sorted] (the default) stages a drain's candidates into a
-    per-store run, sorts it, self-dedups, and walks the B⁺-tree
-    co-sequentially — one descent per leaf segment
-    ({!Rec_store.merge_run}).  [Per_tuple] is the historical path — one
-    index descent per drained tuple — kept as an escape hatch and for
-    differential testing.  Fixpoints are identical for both. *)
-type merge_path =
-  | Batch_sorted
-  | Per_tuple
-
 type config = {
   workers : int;
   strategy : Coord.t;
@@ -76,8 +65,6 @@ type config = {
       (** scan tuples per morsel (default 2048).  Scans of at most
           twice this size run unsplit — too small to be worth the
           publish/claim traffic. *)
-  merge : merge_path;
-      (** delta-merge path (default [Batch_sorted]). *)
   coord : Coord.config;
       (** run guard: wall-clock timeout, caller-owned cancel token, and
           the stall watchdog.  All off by default; when off, the only
@@ -102,9 +89,9 @@ type config = {
       (** workers for incremental-maintenance delta joins ({!Maintain}):
           large seed scans and cascade sweeps dispatch onto the resident
           pool as steal-enabled morsel rounds.  [0] (the default) means
-          "same as [workers]"; [1] forces the sequential interpreted
-          path (the ablation baseline); values above [workers] are
-          clamped.  Ignored by {!run} itself. *)
+          "same as [workers]"; [1] runs every maintenance kernel inline
+          on the coordinator; values above [workers] are clamped.
+          Ignored by {!run} itself. *)
 }
 
 val default_config : config

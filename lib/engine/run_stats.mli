@@ -23,16 +23,14 @@ type worker = {
           termination means nothing was left in flight, stolen
           emissions included (asserted by the stress suite) *)
   mutable merge_time : float;
-      (** seconds in [drain_and_merge] — inbox drain plus the store
-          merge, whichever merge path is active *)
+      (** seconds in [drain_and_merge] — inbox drain plus the sorted
+          store merge *)
   mutable merged_tuples : int;
-      (** candidates handed to the authoritative index: unique run
-          candidates under the batch-sorted path, every drained record
-          under the per-tuple path *)
+      (** candidates handed to the authoritative index: the unique
+          candidates of each sorted run *)
   mutable dup_dropped : int;
-      (** candidates dropped by the batch path's run self-dedup and
-          contributor absorption before reaching the index (0 under the
-          per-tuple path — its duplicates cost a full descent each) *)
+      (** candidates dropped by the run self-dedup and contributor
+          absorption before reaching the index *)
   mutable cache_hits : int; (** existence-cache hits (§6.2.2), per stratum *)
   mutable cache_misses : int;
   mutable steals : int; (** morsels stolen from other workers *)

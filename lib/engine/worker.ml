@@ -82,13 +82,9 @@ type shared = {
   nonempty : bool Atomic.t array;
   mutable inject : Fault.site -> worker:int -> unit;
   max_iterations : int;
-  (* batch-sorted merge path: drains stage candidates into per-store
-     runs, folded by one sorted index walk at the end of the drain,
-     instead of one descent per tuple *)
-  merge_batch_sorted : bool;
 }
 
-let make_shared ~exch ~token ~fault ~max_iterations ~steal ~merge_sorted ~ckpt =
+let make_shared ~exch ~token ~fault ~max_iterations ~steal ~ckpt =
   let n = Exchange.workers exch in
   let sh =
     {
@@ -104,7 +100,6 @@ let make_shared ~exch ~token ~fault ~max_iterations ~steal ~merge_sorted ~ckpt =
       nonempty = Array.init n (fun _ -> Atomic.make false);
       inject = (fun _site ~worker:_ -> ());
       max_iterations;
-      merge_batch_sorted = merge_sorted;
     }
   in
   (* Fault injection: [inject] stays the no-op closure when disabled, so
@@ -317,21 +312,9 @@ let push_delta w cid (fresh : Tuple.t) =
       Hashtbl.add groups group (Arena.length w.deltas.(cid));
       ignore (Arena.push w.deltas.(cid) fresh))
 
-let merge_batch w (b : Exchange.batch) =
-  w.sh.inject Fault.Merge ~worker:w.me;
-  w.sh.heartbeats.(w.me) <- w.sh.heartbeats.(w.me) + 1;
-  let store = w.stores.(b.bcopy) in
-  w.ws.merged_tuples <- w.ws.merged_tuples + Frame.count b.bframe;
-  (* records are folded in straight from the packed frame: absorbed
-     candidates never exist as heap objects on the consumer side *)
-  Frame.iter b.bframe (fun data ~toff ~clen ~coff ->
-      match Rec_store.merge_slice store ~data ~off:toff ~cdata:data ~coff ~clen with
-      | Some fresh -> push_delta w b.bcopy fresh
-      | None -> ())
-
-(* Batch-sorted alternative: the drain only *stages* candidates into the
-   store's scratch run (the existence cache still filters here); the
-   sorted fold into the index happens once per drain in
+(* The drain only *stages* candidates into the store's scratch run,
+   straight from the packed frame (the existence cache still filters
+   here); the sorted fold into the index happens once per drain in
    [drain_and_merge], after the termination counters are updated. *)
 let stage_batch w (b : Exchange.batch) =
   w.sh.inject Fault.Merge ~worker:w.me;
@@ -418,7 +401,7 @@ let create ~shared:sh ~scratch:sc ~stratum:sx ~me ~stores:all_stores ~ws =
       last_cut = 0;
     }
   in
-  w.on_batch <- (if sh.merge_batch_sorted then stage_batch w else merge_batch w);
+  w.on_batch <- stage_batch w;
   w
 
 let clear_deltas w =
@@ -451,20 +434,18 @@ let drain_and_merge w =
     Termination.set_active (Exchange.term w.sh.exch) ~worker:w.me true;
     Termination.consumed (Exchange.term w.sh.exch) ~worker:w.me total;
     w.ws.tuples_drained <- w.ws.tuples_drained + total;
-    if w.sh.merge_batch_sorted then begin
-      (* Fold every staged run now, with this worker already visibly
-         active for the drained tuples — safe, because only the worker
-         itself ever clears its own active flag.  One sorted pass per
-         store replaces one index descent per drained tuple. *)
-      let stores = w.stores in
-      for cid = 0 to Array.length stores - 1 do
-        if Rec_store.staged stores.(cid) > 0 then begin
-          let merged, dups = Rec_store.merge_run stores.(cid) ~on_fresh:(push_delta w cid) in
-          w.ws.merged_tuples <- w.ws.merged_tuples + merged;
-          w.ws.dup_dropped <- w.ws.dup_dropped + dups
-        end
-      done
-    end;
+    (* Fold every staged run now, with this worker already visibly
+       active for the drained tuples — safe, because only the worker
+       itself ever clears its own active flag.  One sorted pass per
+       store replaces one index descent per drained tuple. *)
+    let stores = w.stores in
+    for cid = 0 to Array.length stores - 1 do
+      if Rec_store.staged stores.(cid) > 0 then begin
+        let merged, dups = Rec_store.merge_run stores.(cid) ~on_fresh:(push_delta w cid) in
+        w.ws.merged_tuples <- w.ws.merged_tuples + merged;
+        w.ws.dup_dropped <- w.ws.dup_dropped + dups
+      end
+    done;
     w.ws.merge_time <- w.ws.merge_time +. (Clock.now () -. t0)
   end;
   total

@@ -43,9 +43,6 @@ type shared = {
   nonempty : bool Atomic.t array; (** per-worker votes of the Global barrier round *)
   mutable inject : Dcd_concurrent.Fault.site -> worker:int -> unit;
   max_iterations : int;
-  merge_batch_sorted : bool;
-      (** batch-sorted merge path on: drains stage candidates into
-          per-store runs, folded in one sorted index walk per drain *)
 }
 
 val make_shared :
@@ -54,7 +51,6 @@ val make_shared :
   fault:Dcd_concurrent.Fault.t option ->
   max_iterations:int ->
   steal:Steal.t ->
-  merge_sorted:bool ->
   ckpt:Checkpoint.t option ->
   shared
 

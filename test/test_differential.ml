@@ -52,14 +52,12 @@ let config_gen =
     in
     let* optimized = bool in
     let* steal = bool in
-    let* batch_merge = bool in
     return
       {
         D.default_config with
         workers;
         strategy;
         steal;
-        merge = (if batch_merge then D.Parallel.Batch_sorted else D.Parallel.Per_tuple);
         store_opts = (if optimized then D.Rec_store.default_opts else D.Rec_store.unoptimized_opts);
       })
 
@@ -161,12 +159,10 @@ let prop_pagerank =
         else true
       end)
 
-(* Exhaustive grid for the merge-path acceptance criterion: on a fixed
-   graph, TC/CC/SG under batch-sorted AND per-tuple merging must return
-   output identical to the naive oracle for every strategy x steal x
-   worker-count combination — the fixpoint must not depend on how deltas
-   are folded into the stores. *)
-let test_merge_path_grid () =
+(* Exhaustive grid: on a fixed graph, TC/CC/SG must return output
+   identical to the naive oracle for every strategy x steal x
+   worker-count combination. *)
+let test_exhaustive_grid () =
   let rng = Dcd_util.Rng.create 17 in
   let edges = List.init 60 (fun _ -> (Dcd_util.Rng.int rng 18, Dcd_util.Rng.int rng 18)) in
   let arc = List.map (fun (a, b) -> [| a; b |]) edges in
@@ -179,27 +175,18 @@ let test_merge_path_grid () =
   List.iter
     (fun (out, src, edb) ->
       List.iter
-        (fun merge ->
+        (fun strategy ->
           List.iter
-            (fun strategy ->
+            (fun steal ->
               List.iter
-                (fun steal ->
-                  List.iter
-                    (fun workers ->
-                      let config =
-                        { D.default_config with workers; strategy; steal; merge }
-                      in
-                      if not (agree ~outputs:[ out ] src edb config) then
-                        Alcotest.failf "%s: engine != naive (merge=%s %s steal=%b workers=%d)"
-                          out
-                          (match merge with
-                          | D.Parallel.Batch_sorted -> "batch"
-                          | D.Parallel.Per_tuple -> "per-tuple")
-                          (D.Coord.to_string strategy) steal workers)
-                    [ 1; 4 ])
-                [ false; true ])
-            [ D.Coord.Global; D.Coord.Ssp 2; D.Coord.dws ])
-        [ D.Parallel.Batch_sorted; D.Parallel.Per_tuple ])
+                (fun workers ->
+                  let config = { D.default_config with workers; strategy; steal } in
+                  if not (agree ~outputs:[ out ] src edb config) then
+                    Alcotest.failf "%s: engine != naive (%s steal=%b workers=%d)" out
+                      (D.Coord.to_string strategy) steal workers)
+                [ 1; 4 ])
+            [ false; true ])
+        [ D.Coord.Global; D.Coord.Ssp 2; D.Coord.dws ])
     queries
 
 let () =
@@ -211,6 +198,9 @@ let () =
             prop_tc; prop_cc; prop_sssp; prop_apsp; prop_sg; prop_attend; prop_delivery;
             prop_pagerank;
           ] );
-      ( "merge-path grid",
-        [ Alcotest.test_case "tc/cc/sg: batch = per-tuple = naive" `Quick test_merge_path_grid ] );
+      ( "exhaustive grid",
+        [
+          Alcotest.test_case "tc/cc/sg: strategy x steal x workers = naive" `Quick
+            test_exhaustive_grid;
+        ] );
     ]

@@ -1,8 +1,8 @@
 (* Parallel incremental maintenance (compiled kernels + pool-resident
    delta joins + writer coalescing): differential grids that pit the
-   parallel maintenance path against both the sequential interpreted
-   path (maintain_workers = 1, the ablation baseline) and a cold
-   naive-oracle recompute; a concurrency property for writer
+   parallel maintenance rounds against both the same kernels run inline
+   (maintain_workers = 1) and a cold naive-oracle recompute; the DRed
+   brake's overdeletion counts; a concurrency property for writer
    coalescing; and the poisoned-session regression. *)
 
 module D = Dcdatalog
@@ -59,9 +59,9 @@ let gen_batches rng ~preds ~nodes ~batches ~ops =
             D.Maintain.Insert (pred, t)
           end))
 
-(* One cell: the parallel session and the sequential ablation session
-   apply the same schedule; after every batch both fixpoints must agree
-   with each other and with the oracle's cold recompute. *)
+(* One cell: the parallel session and the inline (maintain_workers = 1)
+   session apply the same schedule; after every batch both fixpoints
+   must agree with each other and with the oracle's cold recompute. *)
 let run_cell ~src ~outputs ~initial ~batches ~config =
   let prepared = prepare src in
   let edb () = List.map (fun (n, rows) -> (n, D.Vec.of_list rows)) initial in
@@ -153,6 +153,52 @@ let reachstats_grid () =
     [ ("arc", mk_edges rng 40 80); ("src", [ [| 0 |]; [| 3 |] ]) ]
     [ ("arc", 2); ("src", 1) ]
     227 ()
+
+(* --- the DRed brake --- *)
+
+(* Oracle grids see only that the fixpoint came out right, not how much
+   DRed overdeleted on the way.  On TC over the complete digraph on 10
+   vertices every closure tuple keeps rank-decreasing support after a
+   couple of arc deletions, so the support counts must stop the cascade
+   at the tuples whose own base derivation died — each is overdeleted
+   and rederived, and nothing else moves.  Deleting all of vertex 5's
+   out-arcs next kills its ten closure tuples and overdeletes two more
+   that rederive. *)
+let test_dred_brake () =
+  let vertices = List.init 10 Fun.id in
+  let arcs =
+    List.concat_map
+      (fun i -> List.filter_map (fun j -> if i <> j then Some [| i; j |] else None) vertices)
+      vertices
+  in
+  let prepared = prepare D.Queries.tc.source in
+  List.iter
+    (fun (workers, mw) ->
+      let s =
+        D.open_session prepared
+          ~edb:[ ("arc", D.Vec.of_list arcs) ]
+          ~config:{ D.default_config with workers; maintain_workers = mw }
+          ()
+      in
+      let check what expected (r : D.Maintain.batch_report) =
+        Alcotest.(check (triple int int int))
+          (Printf.sprintf "%s: overdeleted, rederived, derived deleted at (%d,%d)" what workers
+             mw)
+          expected
+          (r.D.Maintain.br_overdeleted, r.D.Maintain.br_rederived,
+           r.D.Maintain.br_derived_deleted)
+      in
+      check "arc(0,1), arc(2,3)" (2, 2, 0)
+        (D.Session.apply_batch s
+           [ D.Maintain.Delete ("arc", [| 0; 1 |]); D.Maintain.Delete ("arc", [| 2; 3 |]) ]);
+      check "vertex 5's out-arcs" (12, 2, 10)
+        (D.Session.apply_batch s
+           (List.filter_map
+              (fun j -> if j <> 5 then Some (D.Maintain.Delete ("arc", [| 5; j |])) else None)
+              vertices));
+      Alcotest.(check int) "tc size" 90 (snd (D.Session.count s "tc"));
+      D.Session.close s)
+    [ (1, 1); (2, 2); (4, 4) ]
 
 (* --- writer coalescing: concurrent callers = serialized application --- *)
 
@@ -279,6 +325,8 @@ let () =
           Alcotest.test_case "cc grid" `Slow cc_grid;
           Alcotest.test_case "reachstats grid" `Slow reachstats_grid;
         ] );
+      ( "dred brake",
+        [ Alcotest.test_case "complete digraph overdeletion counts" `Quick test_dred_brake ] );
       ("writer coalescing", [ QCheck_alcotest.to_alcotest prop_coalesced_callers ]);
       ( "poisoning",
         [ Alcotest.test_case "original error re-raised" `Quick test_poison_original_error ] );

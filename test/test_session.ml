@@ -221,6 +221,24 @@ let reachstats_diff () =
     [ ("arc", 2); ("src", 1) ]
     107 ()
 
+(* Body-less rules in maintained strata: [reach(0).] is a unit-scan
+   rule in a DRed stratum, [seed(7).] one in a counting stratum. *)
+let bodyless_diff () =
+  let src =
+    "reach(0).\n\
+     reach(Y) <- reach(X), arc(X, Y).\n\
+     seed(7).\n\
+     small(X) <- reach(X), X < 3.\n\
+     small(X) <- seed(X)."
+  in
+  let arcs = [ [| 0; 1 |]; [| 1; 2 |]; [| 2; 5 |] ] in
+  let s = D.open_session (prepare src) ~edb:[ ("arc", D.Vec.of_list arcs) ] () in
+  Alcotest.(check (pair int int))
+    "reach {0,1,2,5}, small {0,1,2,7} at open" (4, 4)
+    (snd (D.Session.count s "reach"), snd (D.Session.count s "small"));
+  D.Session.close s;
+  diff_case "bodyless" src [ "reach"; "small" ] [ ("arc", arcs) ] [ ("arc", 2) ] 113 ()
+
 (* QCheck: random schedules, random configs, TC only (the cheap cell) *)
 let prop_random_schedule =
   QCheck.Test.make ~name:"random schedule: incremental = cold oracle" ~count:25
@@ -260,6 +278,7 @@ let () =
           Alcotest.test_case "non-linear tc grid" `Slow ntc_diff;
           Alcotest.test_case "cc grid" `Slow cc_diff;
           Alcotest.test_case "reachstats grid" `Slow reachstats_diff;
+          Alcotest.test_case "body-less rules grid" `Slow bodyless_diff;
           QCheck_alcotest.to_alcotest prop_random_schedule;
         ] );
     ]
