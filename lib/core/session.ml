@@ -236,6 +236,8 @@ let publish_round t report ~t0 ~coalesced =
   m.Run_stats.deleted <- m.Run_stats.deleted + report.Maintain.br_derived_deleted;
   m.Run_stats.overdeleted <- m.Run_stats.overdeleted + report.Maintain.br_overdeleted;
   m.Run_stats.rederived <- m.Run_stats.rederived + report.Maintain.br_rederived;
+  m.Run_stats.restored <- m.Run_stats.restored + report.Maintain.br_restored;
+  m.Run_stats.recounted <- m.Run_stats.recounted + report.Maintain.br_recounted;
   m.Run_stats.recomputed_strata <-
     m.Run_stats.recomputed_strata + report.Maintain.br_recomputed_strata;
   m.Run_stats.coalesced <- m.Run_stats.coalesced + coalesced;
@@ -392,6 +394,9 @@ let scan t ?deadline ?(prefix = [||]) name =
       if !n land 255 = 0 then check_deadline deadline;
       out := Array.copy tup :: !out);
   (ver, List.sort Tuple.compare !out)
+
+let check_invariants t =
+  Mutex.protect t.write_mutex (fun () -> Maintain.check_invariants t.maintain)
 
 let predicates t = Maintain.predicates t.maintain
 

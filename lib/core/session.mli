@@ -83,6 +83,11 @@ val snapshot : t -> int * (string * Dcd_storage.Relation.t) list
 (** The raw published snapshot.  The relations are immutable; callers
     may read them at leisure, even across later batches. *)
 
+val check_invariants : t -> (unit, string) result
+(** {!Dcd_engine.Maintain.check_invariants} on the maintained state,
+    serialized with writes.  For tests: it enumerates every derivation
+    of the recursive strata. *)
+
 val predicates : t -> string list
 
 val is_base : t -> string -> bool

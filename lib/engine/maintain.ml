@@ -60,6 +60,8 @@ type batch_report = {
   br_derived_deleted : int;
   br_overdeleted : int;
   br_rederived : int;
+  br_restored : int;
+  br_recounted : int;
   br_recomputed_strata : int;
   br_changed : (string * int * int) list;
   br_deltas : (string * Dcd_storage.Tuple.t list * Dcd_storage.Tuple.t list) list;
@@ -115,14 +117,18 @@ type pred_state = {
          tuple, grounding the rank-decreasing support counts that brake
          the overdeletion cascade *)
   ps_supports : int Tup_tbl.t;
-      (* DRed strata only: a lower bound on the number of surviving
-         rank-decreasing derivations of each visible tuple (exact after
-         [build_ranks]; deletions decrement, insertions start at 1).  A
-         positive count proves the tuple derivable in the new fixpoint,
-         so only zero-count tuples join the overdeletion frontier.
-         Lower-bound discipline keeps this sound: decrements may
-         over-fire and increments under-fire — a premature zero only
-         costs a rederivation check, never a wrong fixpoint. *)
+      (* DRed strata only: a lower bound on the number of current
+         rank-decreasing derivations of each visible tuple — those whose
+         same-stratum atoms all rank below it.  Exact after
+         [build_ranks] and for every tuple a DRed pass rederives (it is
+         recounted at the end of the pass); deletions decrement, fresh
+         insertions start at 1, and a derivation that gets back all its
+         atoms by rederivation gives its surviving head one count back.
+         A positive count proves the tuple derivable in the new
+         fixpoint, so only zero-count tuples join the overdeletion
+         frontier.  Lower-bound discipline keeps this sound: decrements
+         may over-fire and increments under-fire — a premature zero
+         only costs a rederivation check, never a wrong fixpoint. *)
 }
 
 (* --- compiled delta kernels --- *)
@@ -215,6 +221,8 @@ type t = {
          next value so later tuples always outrank their supports *)
   mutable cur_overdeleted : int;
   mutable cur_rederived : int;
+  mutable cur_restored : int;
+  mutable cur_recounted : int;
   mutable cur_recomputed : int;
 }
 
@@ -603,10 +611,11 @@ let get_order mt cr key =
 
 (* Phase keys for the per-rule kernel cache.  For delta/scan atom [i]:
    counting uses [4i] (positions < i New, > i Old), DRed seeding
-   [4i+1] (same-stratum Cur, lower Old), the DRed cascade [4i+2] (all
-   Cur, a trailing rank column on the scan row) and insert propagation
-   and rank labelling [4i+3] (all Cur); [-2] is the head-bound
-   rederivation probe. *)
+   [4i+1] (same-stratum Cur, lower Old), the DRed cascade and the
+   insert-propagation worklist [4i+2] (all Cur, a trailing int column
+   on the scan row: the dying tuple's rank, the worklist entry's tag),
+   and lower-stratum insert seeds and rank labelling [4i+3] (all Cur);
+   [-2] is the head-bound probe (rederivation, support recount). *)
 let kcount i = 4 * i
 let kseed i = (4 * i) + 1
 let kcasc i = (4 * i) + 2
@@ -986,7 +995,19 @@ let scratch_arena mt ~arity =
 
 let arena_of_tbl mt tbl ~arity =
   let a = scratch_arena mt ~arity in
-  Tup_tbl.iter (fun tup () -> ignore (Arena.push a tup)) tbl;
+  Tup_tbl.iter (fun tup _ -> ignore (Arena.push a tup)) tbl;
+  a
+
+(* An arena of [arity]-tuples, each row extended by a trailing int
+   column: what the [kcasc] kernels and the head-bound DRed probes
+   scan. *)
+let tagged_arena mt ~arity iter =
+  let a = scratch_arena mt ~arity:(arity + 1) in
+  let row = Array.make (arity + 1) 0 in
+  iter (fun tup tag ->
+      Array.blit tup 0 row 0 arity;
+      row.(arity) <- tag;
+      ignore (Arena.push a row));
   a
 
 (* --- counting strata --- *)
@@ -1027,6 +1048,42 @@ let counting_pass mt cs =
     cs.cs_rules
 
 (* --- recursive plain strata (DRed) --- *)
+
+(* Rank tests over the same-stratum atoms of the instantiation a kernel
+   instance is emitting, read through their fillers.  [ranks_below]:
+   every atom except body position [skip] is ranked strictly below
+   [limit]. *)
+let rec ranks_below_from atoms skip limit k =
+  k >= Array.length atoms
+  ||
+  let j, ps, buf, fill = atoms.(k) in
+  (j = skip
+  ||
+  (fill ();
+   match Tup_tbl.find_opt ps.ps_ranks buf with
+   | Some r -> r < limit
+   | None -> false))
+  && ranks_below_from atoms skip limit (k + 1)
+
+let ranks_below atoms ~skip ~limit = ranks_below_from atoms skip limit 0
+
+(* Whether one tuple fills two same-stratum positions.  Support counts
+   never include such instantiations. *)
+let dup_atoms atoms =
+  let n = Array.length atoms in
+  n > 1
+  && begin
+       Array.iter (fun (_, _, _, fill) -> fill ()) atoms;
+       let dup = ref false in
+       for a = 0 to n - 1 do
+         let _, pa, ba, _ = atoms.(a) in
+         for b = a + 1 to n - 1 do
+           let _, pb, bb, _ = atoms.(b) in
+           if pa == pb && Tuple.equal ba bb then dup := true
+         done
+       done;
+       !dup
+     end
 
 (* Derivation ranks for a DRed stratum: rank(t) = 1 + max rank over the
    same-stratum atoms of some derivation (0 when a rule without
@@ -1085,24 +1142,12 @@ let build_ranks mt cs =
           end
           else h
         in
-        if !best = i then begin
-          let dup = ref false in
-          Array.iteri
-            (fun a (_, pa, ba, _) ->
-              for b = a + 1 to Array.length atoms - 1 do
-                let _, pb, bb, _ = atoms.(b) in
-                if pa == pb && ba = bb then dup := true
-              done)
-            atoms;
-          if not !dup then
-            match Tup_tbl.find_opt head_ps.ps_ranks h with
-            | Some hr when hr = !r ->
-              let s = Option.value ~default:0 (Tup_tbl.find_opt head_ps.ps_supports h) in
-              Tup_tbl.replace head_ps.ps_supports
-                (if key == h then Array.copy h else key)
-                (s + 1)
-            | _ -> ()
-        end
+        if !best = i && not (dup_atoms atoms) then
+          match Tup_tbl.find_opt head_ps.ps_ranks h with
+          | Some hr when hr = !r ->
+            let s = Option.value ~default:0 (Tup_tbl.find_opt head_ps.ps_supports h) in
+            Tup_tbl.replace head_ps.ps_supports (if key == h then Array.copy h else key) (s + 1)
+          | _ -> ()
       end
   in
   let pipes = ref [] in
@@ -1160,7 +1205,7 @@ let dred_remove_dead mt dsets =
         | Pagg _ -> invalid_arg "Maintain: aggregate in DRed stratum"
       in
       Tup_tbl.iter
-        (fun tup () ->
+        (fun tup _ ->
           if Tup_tbl.mem counts tup then begin
             Tup_tbl.remove counts tup;
             Tup_tbl.remove ps.ps_ranks tup;
@@ -1190,18 +1235,21 @@ let segments worklist ~from ~upto =
   by_pred
 
 (* Semi-naive insert propagation, shared by the DRed and monotone
-   aggregate passes: seed rounds over the lower-stratum insertions, then
-   the worklist [prop] drained in per-predicate segments, one round per
-   (rule, body atom of that predicate).  [insert p tup] applies one
-   derived head and pushes [(p, tup)] onto [prop] when it changed the
-   visible state. *)
-let propagate_inserts mt cs prop ~insert =
+   aggregate passes: seed rounds over the lower-stratum insertions
+   ([kprop] kernels), then the worklist [prop] drained in per-predicate
+   segments, one round per (rule, body atom of that predicate).  A
+   worklist entry [(p, (tup, tag))] carries an int tag that its segment
+   arena appends as a trailing column, which the [kcasc] kernels scan
+   into their rank register.  [emit mk cr i] makes each worker's emit
+   for a round of [cr] scanning body atom [i]; [apply cr] applies one
+   buffered emission and pushes onto [prop] whatever became visible. *)
+let propagate_inserts mt cs prop ~emit ~apply =
   let stratum = cs.cs_stratum in
   let in_stratum p = List.mem p stratum.Analysis.preds in
-  let round cr i arena =
-    let mk = get_kernel mt cs cr (kprop i) in
-    set_emits mk (push_emit mt);
-    run_round mt mk ~arena ~morsel:default_morsel ~apply:(fun (h, _) -> insert cr.cr_head h)
+  let round key cr i arena =
+    let mk = get_kernel mt cs cr key in
+    set_emits mk (emit mk cr i);
+    run_round mt mk ~arena ~morsel:default_morsel ~apply:(apply cr)
   in
   Array.iter
     (fun cr ->
@@ -1211,7 +1259,7 @@ let propagate_inserts mt cs prop ~insert =
             let dps = get_pred mt ca.ca_pred in
             let d = dps.ps_delta in
             if Tup_tbl.length d.d_ins > 0 then
-              round cr i (arena_of_tbl mt d.d_ins ~arity:dps.ps_arity)
+              round (kprop i) cr i (arena_of_tbl mt d.d_ins ~arity:dps.ps_arity)
           end)
         cr.cr_atoms)
     cs.cs_rules;
@@ -1225,15 +1273,49 @@ let propagate_inserts mt cs prop ~insert =
         match Hashtbl.find_opt by_pred p with
         | None -> ()
         | Some entries ->
-          let arena = scratch_arena mt ~arity:(get_pred mt p).ps_arity in
-          Vec.iter (fun tup -> ignore (Arena.push arena tup)) entries;
+          let arena =
+            tagged_arena mt ~arity:(get_pred mt p).ps_arity (fun push ->
+                Vec.iter (fun (tup, tag) -> push tup tag) entries)
+          in
           Array.iter
-            (fun cr -> Array.iteri (fun i ca -> if ca.ca_pred = p then round cr i arena) cr.cr_atoms)
+            (fun cr ->
+              Array.iteri
+                (fun i ca -> if ca.ca_pred = p then round (kcasc i) cr i arena)
+                cr.cr_atoms)
             cs.cs_rules)
       stratum.Analysis.preds
   done
 
-(* DRed in four phases, each a sequence of buffered kernel rounds:
+(* The contrib slot of DRed's rederivation and propagation emissions
+   carries one of these tags (the head rides in the head slot). *)
+let tag_fresh = [||] (* make visible; a dead head takes a fresh rank *)
+
+let tag_keep = [| 0 |] (* make visible; a dead head keeps its old rank *)
+let tag_restore = [| 1 |] (* give a surviving head one support back *)
+
+(* Head-bound probe rounds over rows [tuple, rank]: per row the rank is
+   published in [limit.(w)] and [hits.(w)] reset for the emit, and
+   [result ~stopped hits] decides what, if anything, the row buffers
+   alongside a copy of its tuple. *)
+let probe_morsel mt ~limit ~hits ~result mi w a ~first ~len =
+  let data = Arena.data a in
+  let k = Arena.arity a in
+  let buf = mt.m_bufs.(w) in
+  for s = first to first + len - 1 do
+    let off = s * k in
+    limit.(w) <- data.(off + k - 1);
+    hits.(w) <- 0;
+    let stopped = Maintain_kernel.run_row mi.mi_pipe data off in
+    match result ~stopped hits.(w) with
+    | Some c -> Vec.push buf (Array.sub data off (k - 1), c)
+    | None -> ()
+  done
+
+let add_support ps tup n =
+  let s = Option.value ~default:0 (Tup_tbl.find_opt ps.ps_supports tup) in
+  Tup_tbl.replace ps.ps_supports tup (s + n)
+
+(* DRed in five phases, each a sequence of buffered kernel rounds:
 
    - phase 1, support-counted overdeletion.  Instead of the classic
      DRed closure — overdelete everything the dead tuples ever helped
@@ -1260,18 +1342,36 @@ let propagate_inserts mt cs prop ~insert =
      arena per predicate with the dying tuple's rank as a trailing
      column; lower relations read their new fixpoint (derivations
      through same-batch lower insertions were never counted, so
-     decrementing or skipping them is equally sound);
+     decrementing or skipping them is equally sound).  The dead set
+     remembers each tuple's old rank;
    - phase 2 physically removes the dead set;
    - phase 3, rederivation: a zero count is only a candidate death,
-     so one existence round per (predicate, rule) over the candidate
-     set restores any tuple that survives via a rank-increasing
+     so one head-bound probe round per (predicate, rule) over the
+     candidate set restores any tuple that survives via some current
      derivation, with insertions flushed per predicate in dsets order
-     — conservative counts cost time, never correctness;
+     — conservative counts cost time, never correctness.  A candidate
+     with a derivation whose same-stratum atoms all rank below its old
+     rank keeps that rank, otherwise it takes a fresh one, so no rank
+     ever drops;
    - phase 4, insert propagation, seeds from the lower-stratum d_ins
      sets and drains the worklist in per-predicate segments.  Tuples
      are made visible before they enter the worklist, so any derivation
      needing two same-segment tuples is found from either scan side;
-     inserts are idempotent, which makes the round order immaterial. *)
+     inserts are idempotent, which makes the round order immaterial.
+     A dead head derived here keeps its old rank when the deriving
+     instantiation ranks below it.  Scanning a tuple that came back at
+     its old rank (the worklist tag; -1 for everything else, which no
+     surviving head outranks) gives one support back to the head of
+     each instantiation that is rank-decreasing, binds no tuple twice
+     and has the scanned atom as its greatest (rank, body position)
+     rederived atom — once per instantiation, and only to heads
+     neither dead nor fresh this batch.  After phase 1 a surviving
+     head's count covers at most its derivations that lost no atom,
+     and their ranks are unchanged; every restored instantiation holds
+     a dead atom, so it is none of those, and the count stays a lower
+     bound;
+   - phase 5 recounts every rederived tuple's support exactly, one
+     head-bound probe round per (predicate, rule). *)
 let dred_pass mt cs =
   let stratum = cs.cs_stratum in
   let in_stratum p = List.mem p stratum.Analysis.preds in
@@ -1286,7 +1386,7 @@ let dred_pass mt cs =
         | Some r -> r
         | None -> 0
       in
-      Tup_tbl.add ds tup ();
+      Tup_tbl.add ds tup r;
       Vec.push dead (p, (tup, r))
     end
   in
@@ -1313,19 +1413,10 @@ let dred_pass mt cs =
         match Tup_tbl.find_opt head_ps.ps_ranks h with
         | None -> ()
         | Some hr ->
-          if rank_reg < 0 || regs.(rank_reg) < hr then begin
-            let ok = ref true in
-            Array.iter
-              (fun (j, aps, abuf, fill) ->
-                if !ok && j <> i then begin
-                  fill ();
-                  match Tup_tbl.find_opt aps.ps_ranks abuf with
-                  | Some r -> if r >= hr then ok := false
-                  | None -> ok := false
-                end)
-              mi.mi_atoms;
-            if !ok then Vec.push buf (Array.copy h, [||])
-          end
+          if
+            (rank_reg < 0 || regs.(rank_reg) < hr)
+            && ranks_below mi.mi_atoms ~skip:i ~limit:hr
+          then Vec.push buf (Array.copy h, [||])
   in
   (* phase 1a: derivations lost to lower-stratum deletions *)
   Array.iter
@@ -1356,15 +1447,10 @@ let dred_pass mt cs =
         match Hashtbl.find_opt by_pred p with
         | None -> ()
         | Some entries ->
-          let arity = (get_pred mt p).ps_arity in
-          let arena = scratch_arena mt ~arity:(arity + 1) in
-          let row = Array.make (arity + 1) 0 in
-          Vec.iter
-            (fun (tup, r) ->
-              Array.blit tup 0 row 0 arity;
-              row.(arity) <- r;
-              ignore (Arena.push arena row))
-            entries;
+          let arena =
+            tagged_arena mt ~arity:(get_pred mt p).ps_arity (fun push ->
+                Vec.iter (fun (tup, r) -> push tup r) entries)
+          in
           Array.iter
             (fun cr ->
               Array.iteri
@@ -1381,9 +1467,9 @@ let dred_pass mt cs =
   done;
   (* phase 2: physically remove the dead set *)
   dred_remove_dead mt dsets;
-  (* phases 3 and 4: rederive, then worklist insert propagation *)
+  (* phases 3 to 5: rederive, worklist insert propagation, recount *)
   let prop = Vec.create () in
-  let try_insert p tup =
+  let insert p tup ~keep =
     let ps = get_pred mt p in
     let counts =
       match ps.ps_body with
@@ -1392,53 +1478,143 @@ let dred_pass mt cs =
     in
     if not (Tup_tbl.mem counts tup) then begin
       Tup_tbl.replace counts tup 1;
-      (* any fresh well-founded rank keeps future counts sound; the
-         monotone counter also orders same-batch inserts by derivation.
-         One support is a lower bound — further derivations discovered
-         later go uncounted, which only risks a premature candidate. *)
-      Tup_tbl.replace ps.ps_ranks tup mt.rank_counter;
+      let old = Tup_tbl.find_opt (dset p) tup in
+      let tag =
+        match old with
+        | Some r when keep ->
+          Tup_tbl.replace ps.ps_ranks tup r;
+          r
+        | _ ->
+          (* the monotone counter orders same-batch inserts by
+             derivation, above every rank a surviving tuple holds *)
+          Tup_tbl.replace ps.ps_ranks tup mt.rank_counter;
+          mt.rank_counter <- mt.rank_counter + 1;
+          -1
+      in
+      (* one support is a lower bound for a fresh insert; a rederived
+         tuple is recounted in phase 5 *)
       Tup_tbl.replace ps.ps_supports tup 1;
-      mt.rank_counter <- mt.rank_counter + 1;
       visible_insert mt ps tup;
-      if Tup_tbl.mem (dset p) tup then mt.cur_rederived <- mt.cur_rederived + 1;
-      Vec.push prop (p, tup)
+      if old <> None then mt.cur_rederived <- mt.cur_rederived + 1;
+      Vec.push prop (p, (tup, tag))
     end
   in
+  (* per-worker slots the head-bound probe morsels share with their emits *)
+  let limit = Array.make mt.m_workers 0 and hits = Array.make mt.m_workers 0 in
+  let probe_rounds p ds ~emit ~result ~apply =
+    let arena =
+      tagged_arena mt ~arity:(get_pred mt p).ps_arity (fun push -> Tup_tbl.iter push ds)
+    in
+    Array.iter
+      (fun cr ->
+        if cr.cr_head = p then begin
+          let mk = get_kernel mt cs cr krederive in
+          set_emits mk emit;
+          run_round mt mk ~arena ~morsel:(probe_morsel mt ~limit ~hits ~result) ~apply
+        end)
+      cs.cs_rules
+  in
+  (* phase 3: the probe stops at the first derivation ranked below the
+     old rank, after counting every other one it passed *)
   List.iter
     (fun (p, ds) ->
       if Tup_tbl.length ds > 0 then begin
-        let ps = get_pred mt p in
-        let arena = arena_of_tbl mt ds ~arity:ps.ps_arity in
-        let seen = Tup_tbl.create 64 in
+        let keep = Tup_tbl.create 64 in
         let matched = Vec.create () in
-        Array.iter
-          (fun cr ->
-            if cr.cr_head = p then begin
-              let mk = get_kernel mt cs cr krederive in
-              set_emits mk (fun _w _mi () -> raise Maintain_kernel.Stop);
-              let morsel mi w a ~first ~len =
-                let data = Arena.data a in
-                let k = Arena.arity a in
-                let buf = mt.m_bufs.(w) in
-                for s = first to first + len - 1 do
-                  if Maintain_kernel.run_row mi.mi_pipe data (s * k) then begin
-                    let tup = Array.make k 0 in
-                    Array.blit data (s * k) tup 0 k;
-                    Vec.push buf (tup, [||])
-                  end
-                done
-              in
-              run_round mt mk ~arena ~morsel ~apply:(fun (tup, _) ->
-                  if not (Tup_tbl.mem seen tup) then begin
-                    Tup_tbl.add seen tup ();
-                    Vec.push matched tup
-                  end)
-            end)
-          cs.cs_rules;
-        Vec.iter (fun tup -> try_insert p tup) matched
+        probe_rounds p ds
+          ~emit:(fun w mi () ->
+            hits.(w) <- hits.(w) + 1;
+            if ranks_below mi.mi_atoms ~skip:(-1) ~limit:limit.(w) then
+              raise Maintain_kernel.Stop)
+          ~result:(fun ~stopped n ->
+            if stopped then Some tag_keep else if n > 0 then Some tag_fresh else None)
+          ~apply:(fun (tup, tag) ->
+            match Tup_tbl.find_opt keep tup with
+            | None ->
+              Tup_tbl.add keep tup (tag == tag_keep);
+              Vec.push matched tup
+            | Some false when tag == tag_keep -> Tup_tbl.replace keep tup true
+            | Some _ -> ());
+        Vec.iter (fun tup -> insert p tup ~keep:(Tup_tbl.find keep tup)) matched
       end)
     dsets;
-  propagate_inserts mt cs prop ~insert:try_insert
+  (* phase 4: a visible head can only take a restore, an invisible one
+     is an insert whose tag says whether a dead head keeps its rank *)
+  let prop_emit mk cr i w mi =
+    let head_ps = get_pred mt cr.cr_head in
+    let hdset = dset cr.cr_head in
+    let buf = mt.m_bufs.(w) in
+    let h = Maintain_kernel.head mi.mi_pipe in
+    let regs = Maintain_kernel.regs mi.mi_pipe in
+    let rank_reg = mk.mk_rank_reg in
+    let atoms = mi.mi_atoms in
+    let adsets = Array.map (fun (_, ps, _, _) -> dset ps.ps_name) atoms in
+    (* every other rederived atom is below the scanned one, ranked [sr],
+       in (rank, body position) order; the atoms are filled and ranked *)
+    let rec greatest sr k =
+      k >= Array.length atoms
+      ||
+      let j, ps, buf, _ = atoms.(k) in
+      (j = i
+      || (not (Tup_tbl.mem adsets.(k) buf))
+      ||
+      let r = Tup_tbl.find ps.ps_ranks buf in
+      r < sr || (r = sr && j < i))
+      && greatest sr (k + 1)
+    in
+    fun () ->
+      let sr = if rank_reg < 0 then -1 else regs.(rank_reg) in
+      if mem_cur head_ps h then begin
+        if sr >= 0 && (not (Tup_tbl.mem hdset h)) && not (Tup_tbl.mem head_ps.ps_delta.d_ins h)
+        then
+          match Tup_tbl.find_opt head_ps.ps_ranks h with
+          | Some hr
+            when sr < hr
+                 && ranks_below atoms ~skip:i ~limit:hr
+                 && (not (dup_atoms atoms))
+                 && greatest sr 0 ->
+            Vec.push buf (Array.copy h, tag_restore)
+          | _ -> ()
+      end
+      else
+        let keep =
+          match Tup_tbl.find_opt hdset h with
+          | Some old ->
+            (rank_reg < 0 || (sr >= 0 && sr < old)) && ranks_below atoms ~skip:i ~limit:old
+          | None -> false
+        in
+        Vec.push buf (Array.copy h, if keep then tag_keep else tag_fresh)
+  in
+  propagate_inserts mt cs prop ~emit:prop_emit ~apply:(fun cr (h, tag) ->
+      if tag == tag_restore then begin
+        add_support (get_pred mt cr.cr_head) h 1;
+        mt.cur_restored <- mt.cur_restored + 1
+      end
+      else insert cr.cr_head h ~keep:(tag == tag_keep));
+  (* phase 5: exact support recount of the rederived tuples, at their
+     final ranks *)
+  List.iter
+    (fun (p, ds) ->
+      let ps = get_pred mt p in
+      let back = Tup_tbl.create 64 in
+      Tup_tbl.iter
+        (fun tup _ ->
+          match Tup_tbl.find_opt ps.ps_ranks tup with
+          | Some r ->
+            Tup_tbl.remove ps.ps_supports tup;
+            Tup_tbl.add back tup r
+          | None -> ())
+        ds;
+      if Tup_tbl.length back > 0 then begin
+        mt.cur_recounted <- mt.cur_recounted + Tup_tbl.length back;
+        probe_rounds p back
+          ~emit:(fun w mi () ->
+            if ranks_below mi.mi_atoms ~skip:(-1) ~limit:limit.(w) && not (dup_atoms mi.mi_atoms)
+            then hits.(w) <- hits.(w) + 1)
+          ~result:(fun ~stopped:_ n -> if n > 0 then Some [| n |] else None)
+          ~apply:(fun (tup, c) -> add_support ps tup c.(0))
+      end)
+    dsets
 
 (* --- recursive min/max aggregate strata: monotone insert propagation --- *)
 
@@ -1455,7 +1631,7 @@ let aggrec_insert_pass mt cs =
       if not (Tup_tbl.mem counts tup) then begin
         Tup_tbl.replace counts tup 1;
         visible_insert mt ps tup;
-        Vec.push prop (p, tup)
+        Vec.push prop (p, (tup, -1))
       end
     | Pagg a -> (
       let g = group_of a tup in
@@ -1477,10 +1653,12 @@ let aggrec_insert_pass mt cs =
         | None -> ());
         Tup_tbl.replace a.a_best g v;
         visible_insert mt ps tup;
-        Vec.push prop (p, tup)
+        Vec.push prop (p, (tup, -1))
       end)
   in
-  propagate_inserts mt cs prop ~insert:merge
+  propagate_inserts mt cs prop
+    ~emit:(fun _mk _cr _i -> push_emit mt)
+    ~apply:(fun cr (h, _) -> merge cr.cr_head h)
 
 (* --- stratum recompute through the parallel engine --- *)
 
@@ -1672,6 +1850,8 @@ let create ~plan ~config ~runtime ~catalog =
       rank_counter = 1;
       cur_overdeleted = 0;
       cur_rederived = 0;
+      cur_restored = 0;
+      cur_recounted = 0;
       cur_recomputed = 0;
     }
   in
@@ -1842,6 +2022,8 @@ let apply mt updates =
   let norm = validate_norm mt updates in
   mt.cur_overdeleted <- 0;
   mt.cur_rederived <- 0;
+  mt.cur_restored <- 0;
+  mt.cur_recounted <- 0;
   mt.cur_recomputed <- 0;
   Array.fill mt.m_wjoin 0 mt.m_workers 0.;
   Array.fill mt.m_wmorsels 0 mt.m_workers 0;
@@ -1925,6 +2107,8 @@ let apply mt updates =
       br_derived_deleted = !der_d;
       br_overdeleted = mt.cur_overdeleted;
       br_rederived = mt.cur_rederived;
+      br_restored = mt.cur_restored;
+      br_recounted = mt.cur_recounted;
       br_recomputed_strata = mt.cur_recomputed;
       br_changed = List.sort compare !changed;
       br_deltas = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !deltas;
@@ -1941,6 +2125,69 @@ let apply mt updates =
       d.d_overlays <- [])
     mt.preds;
   report
+
+(* --- invariant check --- *)
+
+(* Counts every rank-decreasing derivation of every visible DRed tuple
+   through the head-bound probe kernels, inline on instance 0. *)
+let check_invariants mt =
+  let exception Broken of string in
+  let broken fmt = Printf.ksprintf (fun s -> raise (Broken s)) fmt in
+  let check cs p =
+    let ps = get_pred mt p in
+    let counts =
+      match ps.ps_body with
+      | Pplain c -> c
+      | Pagg _ -> broken "aggregate %s in a DRed stratum" p
+    in
+    let stray what tbl =
+      Tup_tbl.iter
+        (fun tup _ ->
+          if not (Tup_tbl.mem counts tup) then
+            broken "%s%s has a %s but is not visible" p (Tuple.to_string tup) what)
+        tbl
+    in
+    stray "rank" ps.ps_ranks;
+    stray "support" ps.ps_supports;
+    let derivations = Tup_tbl.create (Tup_tbl.length counts) in
+    let limit = ref 0 and n = ref 0 in
+    Array.iter
+      (fun cr ->
+        if cr.cr_head = p then begin
+          let mi = (get_kernel mt cs cr krederive).mk_insts.(0) in
+          Maintain_kernel.set_emit mi.mi_pipe (fun () ->
+              if ranks_below mi.mi_atoms ~skip:(-1) ~limit:!limit then incr n);
+          Tup_tbl.iter
+            (fun tup _ ->
+              match Tup_tbl.find_opt ps.ps_ranks tup with
+              | None -> broken "%s%s is visible without a rank" p (Tuple.to_string tup)
+              | Some r ->
+                limit := r;
+                n := 0;
+                ignore (Maintain_kernel.run_row mi.mi_pipe tup 0);
+                let d = Option.value ~default:0 (Tup_tbl.find_opt derivations tup) in
+                Tup_tbl.replace derivations tup (d + !n))
+            counts;
+          Maintain_kernel.set_emit mi.mi_pipe ignore
+        end)
+      cs.cs_rules;
+    Tup_tbl.iter
+      (fun tup _ ->
+        let d = Option.value ~default:0 (Tup_tbl.find_opt derivations tup) in
+        let s = Option.value ~default:0 (Tup_tbl.find_opt ps.ps_supports tup) in
+        if d = 0 then broken "%s%s has no rank-decreasing derivation" p (Tuple.to_string tup)
+        else if s > d then
+          broken "%s%s has support %d but only %d rank-decreasing derivations" p
+            (Tuple.to_string tup) s d)
+      counts
+  in
+  match
+    List.iter
+      (fun cs -> if cs.cs_mode = M_dred then List.iter (check cs) cs.cs_stratum.Analysis.preds)
+      mt.strata
+  with
+  | () -> Ok ()
+  | exception Broken msg -> Error ("Maintain: " ^ msg)
 
 (* --- read access for the session layer --- *)
 

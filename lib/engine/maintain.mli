@@ -10,7 +10,12 @@
       (counting / GMS) and per-group aggregate support, updated by
       signed delta rules with mixed old/new visibility;
     - recursive plain strata run DRed (overdelete w.r.t. the old
-      database, goal-directed rederive, semi-naive insert propagation);
+      database, goal-directed rederive, semi-naive insert propagation),
+      braked by rank-decreasing support counts that stay stable across
+      batches: a rederived tuple keeps its rank when a current
+      derivation ranks below it and has its support recounted exactly,
+      and a derivation whose dead atoms all came back gives its
+      surviving head the count its death took;
     - recursive min/max-aggregate strata propagate inserts monotonically
       and recompute on deletions;
     - strata with negation or recursive count/sum recompute through
@@ -51,6 +56,10 @@ type batch_report = {
   br_derived_deleted : int;
   br_overdeleted : int;  (** DRed overdeletion marks physically removed *)
   br_rederived : int;  (** overdeleted tuples that rederived *)
+  br_restored : int;
+      (** DRed supports given back to surviving tuples by derivations
+          whose atoms all came back *)
+  br_recounted : int;  (** rederived tuples whose support was recounted exactly *)
   br_recomputed_strata : int;  (** strata that fell back to a sub-run *)
   br_changed : (string * int * int) list;
   br_deltas : (string * Dcd_storage.Tuple.t list * Dcd_storage.Tuple.t list) list;
@@ -99,6 +108,18 @@ val apply : t -> update list -> batch_report
     target, arity mismatch) leaves the state untouched; any other escape
     (e.g. {!Engine_error.Error} from a recompute sub-run) may leave the
     state torn and must be treated as fatal to this [t]. *)
+
+val check_invariants : t -> (unit, string) result
+(** Checks the DRed support invariant on every recursive plain stratum:
+    each visible tuple has a rank and at least one current
+    rank-decreasing derivation (every same-stratum atom ranked strictly
+    below it; derivations binding one tuple to two such atoms count
+    too), and its support count is at most the number of them.  The
+    fixpoint can stay right while an over-counting support breaks
+    this, so it is what the differential tests assert after every
+    batch.  Enumerates every derivation of every DRed tuple inline:
+    a test and debugging aid, not for serving paths.  Must not run
+    concurrently with {!apply}. *)
 
 val visible : t -> string -> (Dcd_storage.Tuple.t -> unit) -> unit
 (** Iterates the current visible tuples of a predicate. *)

@@ -50,6 +50,8 @@ type maintenance = {
   mutable deleted : int;
   mutable overdeleted : int;
   mutable rederived : int;
+  mutable restored : int;
+  mutable recounted : int;
   mutable recomputed_strata : int;
   mutable maintain_s : float;
   mutable coalesced : int;
@@ -88,6 +90,8 @@ let create () =
         deleted = 0;
         overdeleted = 0;
         rederived = 0;
+        restored = 0;
+        recounted = 0;
         recomputed_strata = 0;
         maintain_s = 0.;
         coalesced = 0;
@@ -211,9 +215,9 @@ let pp fmt t =
   if m.batches > 0 then begin
     Format.fprintf fmt
       "  maintenance: %d batches in %.3fs, base +%d/-%d, derived +%d/-%d, %d overdeleted, %d \
-       rederived, %d strata recomputed@."
+       rederived, %d restored, %d recounted, %d strata recomputed@."
       m.batches m.maintain_s m.base_inserted m.base_deleted m.inserted m.deleted m.overdeleted
-      m.rederived m.recomputed_strata;
+      m.rederived m.restored m.recounted m.recomputed_strata;
     if m.coalesced > 0 then
       Format.fprintf fmt "    coalesced: %d caller batches merged into shared rounds@."
         m.coalesced;

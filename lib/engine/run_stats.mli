@@ -90,6 +90,10 @@ type maintenance = {
   mutable deleted : int; (** derived tuples that became invisible *)
   mutable overdeleted : int; (** DRed overdeletion marks removed *)
   mutable rederived : int; (** overdeleted tuples that rederived *)
+  mutable restored : int;
+      (** DRed supports given back to surviving tuples by derivations
+          whose atoms all came back *)
+  mutable recounted : int; (** rederived tuples whose support was recounted exactly *)
   mutable recomputed_strata : int; (** stratum fallback recomputes *)
   mutable maintain_s : float; (** seconds inside {!Maintain.apply} *)
   mutable coalesced : int;

@@ -1,9 +1,11 @@
 (* Parallel incremental maintenance (compiled kernels + pool-resident
    delta joins + writer coalescing): differential grids that pit the
    parallel maintenance rounds against both the same kernels run inline
-   (maintain_workers = 1) and a cold naive-oracle recompute; the DRed
-   brake's overdeletion counts; a concurrency property for writer
-   coalescing; and the poisoned-session regression. *)
+   (maintain_workers = 1) and a cold naive-oracle recompute, with the
+   DRed support invariant checked after every batch; the DRed brake's
+   overdeletion counts and their stability over a long churn session;
+   a concurrency property for writer coalescing; and the
+   poisoned-session regression. *)
 
 module D = Dcdatalog
 module Fault = Dcd_concurrent.Fault
@@ -61,7 +63,8 @@ let gen_batches rng ~preds ~nodes ~batches ~ops =
 
 (* One cell: the parallel session and the inline (maintain_workers = 1)
    session apply the same schedule; after every batch both fixpoints
-   must agree with each other and with the oracle's cold recompute. *)
+   must agree with each other and with the oracle's cold recompute, and
+   both sessions must keep the DRed support invariant. *)
 let run_cell ~src ~outputs ~initial ~batches ~config =
   let prepared = prepare src in
   let edb () = List.map (fun (n, rows) -> (n, D.Vec.of_list rows)) initial in
@@ -89,7 +92,17 @@ let run_cell ~src ~outputs ~initial ~batches ~config =
         ignore (D.Session.apply_batch seq batch);
         let got_par = session_fixpoint par outputs in
         let got_seq = session_fixpoint seq outputs in
-        if got_par <> got_seq then
+        let broken =
+          List.find_map
+            (fun (what, s) ->
+              match D.Session.check_invariants s with
+              | Ok () -> None
+              | Error e -> Some (what ^ ": " ^ e))
+            [ ("parallel", par); ("sequential", seq) ]
+        in
+        if broken <> None then
+          fail := Some (Printf.sprintf "batch %d: %s" bi (Option.get broken))
+        else if got_par <> got_seq then
           fail := Some (Printf.sprintf "batch %d: parallel diverged from sequential" bi)
         else begin
           let cur_base =
@@ -161,9 +174,11 @@ let reachstats_grid () =
    vertices every closure tuple keeps rank-decreasing support after a
    couple of arc deletions, so the support counts must stop the cascade
    at the tuples whose own base derivation died — each is overdeleted
-   and rederived, and nothing else moves.  Deleting all of vertex 5's
-   out-arcs next kills its ten closure tuples and overdeletes two more
-   that rederive. *)
+   and rederived, and nothing else moves.  The two rederived tuples,
+   tc(0,1) and tc(2,3), come back with their support recounted exactly
+   (eight derivations each), so deleting all of vertex 5's out-arcs
+   next costs them one support each and overdeletes exactly the ten
+   closure tuples that really die, with nothing to rederive. *)
 let test_dred_brake () =
   let vertices = List.init 10 Fun.id in
   let arcs =
@@ -191,12 +206,87 @@ let test_dred_brake () =
       check "arc(0,1), arc(2,3)" (2, 2, 0)
         (D.Session.apply_batch s
            [ D.Maintain.Delete ("arc", [| 0; 1 |]); D.Maintain.Delete ("arc", [| 2; 3 |]) ]);
-      check "vertex 5's out-arcs" (12, 2, 10)
+      check "vertex 5's out-arcs" (10, 0, 10)
         (D.Session.apply_batch s
            (List.filter_map
               (fun j -> if j <> 5 then Some (D.Maintain.Delete ("arc", [| 5; j |])) else None)
               vertices));
       Alcotest.(check int) "tc size" 90 (snd (D.Session.count s "tc"));
+      D.Session.close s)
+    [ (1, 1); (2, 2); (4, 4) ]
+
+(* --- churn stability: the brake must not wear off with session age --- *)
+
+(* A long session of small mixed batches.  Every batch's useful delta is
+   about the same size, so overdeletion per batch must stay about flat
+   too: supports that decayed with every rederivation would make the
+   last batches overdelete several times what the first ones did.  The
+   schedule is fixed; only fresh-rank order may differ across cells, so
+   each cell is held to the ratio, not to identical counts. *)
+let churn_schedule () =
+  let rng = Dcd_util.Rng.create 67 in
+  let vertices = 128 and universe = 1200 and present = 600 and k = 4 in
+  let seen = Hashtbl.create universe in
+  let arcs = ref [] in
+  while Hashtbl.length seen < universe do
+    let a = Dcd_util.Rng.int rng vertices and b = Dcd_util.Rng.int rng vertices in
+    if a <> b && not (Hashtbl.mem seen (a, b)) then begin
+      Hashtbl.add seen (a, b) ();
+      arcs := [| a; b |] :: !arcs
+    end
+  done;
+  let arcs = Array.of_list !arcs in
+  let on = Array.sub arcs 0 present and off = Array.sub arcs present (universe - present) in
+  let initial = Array.to_list on in
+  (* moves [k] distinct random picks to the tail of [pool] and returns them *)
+  let pick pool =
+    let n = Array.length pool in
+    List.init k (fun j ->
+        let i = Dcd_util.Rng.int rng (n - j) in
+        let t = pool.(i) in
+        pool.(i) <- pool.(n - 1 - j);
+        pool.(n - 1 - j) <- t;
+        t)
+  in
+  let batches =
+    List.init 40 (fun _ ->
+        let dels = pick on and ins = pick off in
+        List.iteri
+          (fun j (d, i) ->
+            on.(present - 1 - j) <- i;
+            off.(universe - present - 1 - j) <- d)
+          (List.combine dels ins);
+        List.map (fun t -> D.Maintain.Delete ("arc", t)) dels
+        @ List.map (fun t -> D.Maintain.Insert ("arc", t)) ins)
+  in
+  (initial, batches, Array.to_list on)
+
+let test_churn_stability () =
+  let initial, batches, final = churn_schedule () in
+  let prepared = prepare D.Queries.tc.source in
+  let want = oracle_fixpoint D.Queries.tc.source [ ("arc", final) ] [ "tc" ] in
+  let sum l = List.fold_left ( + ) 0 l in
+  List.iter
+    (fun (workers, mw) ->
+      let s =
+        D.open_session prepared
+          ~edb:[ ("arc", D.Vec.of_list initial) ]
+          ~config:{ D.default_config with workers; maintain_workers = mw }
+          ()
+      in
+      let od =
+        List.map (fun b -> (D.Session.apply_batch s b).D.Maintain.br_overdeleted) batches
+      in
+      let first = sum (List.filteri (fun i _ -> i < 10) od)
+      and last = sum (List.filteri (fun i _ -> i >= 30) od) in
+      if last > 2 * first then
+        Alcotest.failf "overdeletion grew %d -> %d over the session at (%d,%d)" first last workers
+          mw;
+      (match D.Session.check_invariants s with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "support invariant at (%d,%d): %s" workers mw e);
+      if session_fixpoint s [ "tc" ] <> want then
+        Alcotest.failf "tc differs from the oracle at (%d,%d)" workers mw;
       D.Session.close s)
     [ (1, 1); (2, 2); (4, 4) ]
 
@@ -326,7 +416,11 @@ let () =
           Alcotest.test_case "reachstats grid" `Slow reachstats_grid;
         ] );
       ( "dred brake",
-        [ Alcotest.test_case "complete digraph overdeletion counts" `Quick test_dred_brake ] );
+        [
+          Alcotest.test_case "complete digraph overdeletion counts" `Quick test_dred_brake;
+          Alcotest.test_case "overdeletion stays flat over a churn session" `Quick
+            test_churn_stability;
+        ] );
       ("writer coalescing", [ QCheck_alcotest.to_alcotest prop_coalesced_callers ]);
       ( "poisoning",
         [ Alcotest.test_case "original error re-raised" `Quick test_poison_original_error ] );

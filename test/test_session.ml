@@ -102,7 +102,8 @@ let test_prefix_scan () =
 
 (* One schedule cell: open a session on the initial base state, then
    apply [batches]; after every batch the session fixpoint must equal
-   the naive oracle's cold recompute of the current base state. *)
+   the naive oracle's cold recompute of the current base state, and the
+   maintained DRed supports must keep their invariant. *)
 let run_schedule ~src ~params:_ ~outputs ~initial ~batches ~config =
   let prepared = prepare src in
   let edb = List.map (fun (n, rows) -> (n, D.Vec.of_list rows)) initial in
@@ -138,6 +139,12 @@ let run_schedule ~src ~params:_ ~outputs ~initial ~batches ~config =
           ok := false;
           fail := Printf.sprintf "batch %d diverged" bi
         end
+        else
+          match D.Session.check_invariants s with
+          | Ok () -> ()
+          | Error e ->
+            ok := false;
+            fail := Printf.sprintf "batch %d: %s" bi e
       end)
     batches;
   D.Session.close s;
