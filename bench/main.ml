@@ -1834,6 +1834,9 @@ let serve_bench () =
   end;
   let m = (D.Session.stats session).D.Run_stats.maintenance in
   D.Session.close session;
+  let words_per_tuple =
+    float_of_int m.D.Run_stats.words /. float_of_int (max 1 m.D.Run_stats.resident_tuples)
+  in
   let speedup = full /. Float.max 1e-9 incr in
   let t =
     Report.create
@@ -1848,8 +1851,8 @@ let serve_bench () =
   Report.add_row t
     [ Printf.sprintf "incremental (%d del, %d ins)" n_del (batch_n - n_del);
       Report.cell_time incr; Printf.sprintf "%.3f" incr_sd; Report.cell_speedup speedup;
-      Printf.sprintf "%d overdeleted, %d rederived across %d batches" m.D.Run_stats.overdeleted
-        m.D.Run_stats.rederived m.D.Run_stats.batches ];
+      Printf.sprintf "%d overdeleted, %d rederived across %d batches; %.1f words/resident tuple"
+        m.D.Run_stats.overdeleted m.D.Run_stats.rederived m.D.Run_stats.batches words_per_tuple ];
   Report.print t;
   Printf.printf "maintained fixpoint == cold recompute (%d tuples); incremental speedup %.1fx\n"
     (List.length cold) speedup;
@@ -1859,11 +1862,13 @@ let serve_bench () =
        \    \"tuples\": %d, \"batch\": %d, \"deletes\": %d, \"inserts\": %d,\n\
        \    \"incr_s\": %.6f, \"incr_mean_s\": %.6f, \"incr_stddev_s\": %.6f,\n\
        \    \"full_s\": %.6f, \"full_mean_s\": %.6f, \"full_stddev_s\": %.6f,\n\
-       \    \"speedup\": %.2f, \"overdeleted\": %d, \"rederived\": %d}"
+       \    \"speedup\": %.2f, \"overdeleted\": %d, \"rederived\": %d,\n\
+       \    \"state_words\": %d, \"resident_tuples\": %d, \"words_per_tuple\": %.2f}"
        dataset !bench_workers reps
        (Domain.recommended_domain_count ())
        (List.length cold) batch_n n_del (batch_n - n_del) incr incr_mean incr_sd full full_mean
-       full_sd speedup m.D.Run_stats.overdeleted m.D.Run_stats.rederived);
+       full_sd speedup m.D.Run_stats.overdeleted m.D.Run_stats.rederived m.D.Run_stats.words
+       m.D.Run_stats.resident_tuples words_per_tuple);
   let cores = Domain.recommended_domain_count () in
   if cores >= 2 then begin
     if speedup < 5.0 then begin

@@ -104,6 +104,11 @@ let check_deadline = function
     raise (Engine_error.Error (Engine_error.Cancelled Cancel.Deadline))
   | _ -> ()
 
+(* the maintenance state's footprint, as of the last open or batch *)
+let record_footprint (m : Run_stats.maintenance) maintain =
+  m.Run_stats.words <- Maintain.words maintain;
+  m.Run_stats.resident_tuples <- Maintain.resident_tuples maintain
+
 let open_session ~plan ~edb ?(config = Parallel.default_config) () =
   let runtime = Parallel.create_runtime ~workers:config.Parallel.workers in
   match
@@ -126,6 +131,7 @@ let open_session ~plan ~edb ?(config = Parallel.default_config) () =
             (p, view_of_rel (Relation.create ~name:p ~arity:(Maintain.arity maintain p) ())))
         (Maintain.predicates maintain)
     in
+    record_footprint result.Parallel.stats.Run_stats.maintenance maintain;
     {
       plan;
       config;
@@ -169,7 +175,7 @@ let publish_round t report ~t0 ~coalesced =
         ~size_hint:(max 16 (Maintain.visible_count t.maintain name))
         ~name ~arity ()
     in
-    Maintain.visible t.maintain name (fun tup -> ignore (Relation.add nr tup));
+    Maintain.visible t.maintain name (fun data off -> ignore (Relation.add_slice nr data off));
     if List.mem name wanted then
       ignore (Relation.ensure_sorted_index nr ~cols:(Array.init arity Fun.id));
     view_of_rel nr
@@ -249,7 +255,8 @@ let publish_round t report ~t0 ~coalesced =
       mw.Run_stats.mw_steals <- mw.Run_stats.mw_steals + st;
       mw.Run_stats.mw_stolen <- mw.Run_stats.mw_stolen + tu)
     report.Maintain.br_workers;
-  m.Run_stats.maintain_s <- m.Run_stats.maintain_s +. (Clock.now () -. t0)
+  m.Run_stats.maintain_s <- m.Run_stats.maintain_s +. (Clock.now () -. t0);
+  record_footprint m t.maintain
 
 (* Runs one merged maintenance round for every waiter queued so far.
    Caller has claimed [q_flushing] and holds neither mutex.  Every

@@ -1,9 +1,9 @@
 (* Incremental maintenance of a materialized fixpoint under batched
    base-relation updates.
 
-   The maintenance state mirrors the engine's catalog as hash-table
-   stores with per-tuple support, processed stratum by stratum in the
-   same bottom-up order the engine evaluated them:
+   The maintenance state mirrors the engine's catalog on flat
+   {!Tuple_table}s, processed stratum by stratum in the same bottom-up
+   order the engine evaluated them:
 
    - non-recursive strata use counting (Gupta–Mumick–Subrahmanian):
      per-tuple derivation counts, updated by signed delta rules where
@@ -22,32 +22,34 @@
      through the parallel engine itself ({!Parallel.run} on the resident
      {!Parallel.runtime} pool), then diff against the previous state.
 
+   Each predicate keeps every visible tuple in one slot of its table,
+   whose extra columns carry the derivation count (counting strata) or
+   the DRed rank and support (DRed strata).  Keyed indexes are per-key
+   chains of those slots ([chains]); aggregate supports are slots of
+   their own, chained per group.  The per-batch delta sets, their
+   delete overlays, the DRed dead sets and the insert worklists are
+   flat tables too, so every kernel round scans its rows in place.
+
    Every rule body, at [create] as well as in [apply], is evaluated by a
    compiled {!Maintain_kernel} pipeline; a round runs inline on the
-   coordinator or as a morsel round on the pool ([run_round]).
+   coordinator or as a morsel round on the pool ([run_round]), and
+   buffers its emissions as flat rows.
 
    The old (pre-batch) state of a finished lower stratum is
    reconstructed per predicate as [(current \ d_ins) ∪ d_del] from the
-   per-batch delta recorder, with lazily built overlay indexes over the
-   delete set for keyed lookups. *)
+   per-batch delta tables, with lazily built overlay chains over the
+   delete table for keyed lookups. *)
 
 open Dcd_planner
 module Ast = Dcd_datalog.Ast
 module Analysis = Dcd_datalog.Analysis
 module Tuple = Dcd_storage.Tuple
+module Tuple_table = Dcd_storage.Tuple_table
 module Relation = Dcd_storage.Relation
 module Vec = Dcd_util.Vec
-module Arena = Dcd_storage.Arena
 module Clock = Dcd_util.Clock
 module Fault = Dcd_concurrent.Fault
 module Domain_pool = Dcd_concurrent.Domain_pool
-
-module Tup_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
 
 type update =
   | Insert of string * Tuple.t
@@ -72,63 +74,95 @@ type batch_report = {
 
 (* --- state --- *)
 
-(* Counting support for an aggregated head in a non-recursive stratum:
-   enough to recompute the group's visible value after any mix of
-   derivation gains and losses. *)
-type agg_support =
-  | Sminmax of (int, int) Hashtbl.t (* value -> derivation count *)
-  | Scount of int Tup_tbl.t (* contributor -> derivation count *)
-  | Ssum of (int, int) Hashtbl.t Tup_tbl.t (* contributor -> value -> count *)
+(* Per-key chains over the slots of one table: [ch_keys] maps each
+   projected key to the first slot and the length of its chain, and
+   the link columns thread the member slots in both directions, so a
+   member unlinks in O(1).  A key leaves [ch_keys] as soon as its chain
+   empties.  Unlinked chains keep the lengths alone. *)
+type chains = {
+  ch_cols : int array; (* member columns forming the key *)
+  ch_keys : Tuple_table.t; (* key -> [head; len] *)
+  ch_kbuf : int array; (* projection scratch, coordinator only *)
+  ch_linked : bool;
+  mutable ch_next : int array; (* member slot -> next member, -1 ends *)
+  mutable ch_prev : int array; (* member slot -> previous member, -1 heads *)
+}
 
-type apred = {
+(* extra columns of a chain key *)
+let c_head = 0
+let c_len = 1
+
+(* Extra columns of a predicate's visible table: the derivation count
+   in counting strata, the DRed rank and support in DRed strata (other
+   tables hold sets: a visible tuple has count 1). *)
+let c_count = 0
+let c_rank = 0
+
+(* A lower bound on the number of current rank-decreasing derivations
+   of each visible tuple — those whose same-stratum atoms all rank
+   below it.  Exact after [build_ranks] and for every tuple a DRed pass
+   rederives (it is recounted at the end of the pass); deletions
+   decrement, fresh insertions start at 1, and a derivation that gets
+   back all its atoms by rederivation gives its surviving head one
+   count back.  A positive count proves the tuple derivable in the new
+   fixpoint, so only zero-count tuples join the overdeletion frontier.
+   Lower-bound discipline keeps this sound: decrements may over-fire
+   and increments under-fire — a premature zero only costs a
+   rederivation check, never a wrong fixpoint.  The rank is a
+   well-founded derivation rank grounding these counts; -1 marks a
+   tuple [build_ranks] has not reached yet. *)
+let c_support = 1
+
+(* extra columns of a DRed dead table: the rank the tuple died with,
+   and how phase 3 matched it (0 none, [tag_fresh], [tag_keep]) *)
+let c_old_rank = 0
+let c_match = 1
+
+(* extra column of an insert worklist: the rank a rederived tuple came
+   back at, -1 for everything else *)
+let c_tag = 0
+
+(* extra column of an aggregate support slot: its derivation count *)
+let c_derivs = 0
+
+(* Counting support for an aggregated head in a non-recursive stratum:
+   one slot per group ++ contributor (count), group ++ contributor ++
+   value (sum) or group ++ value (min, max), chained per group —
+   enough to recompute the group's visible value after any mix of
+   derivation gains and losses.  Count groups need only their chain
+   lengths, so their chains stay unlinked. *)
+type support = {
+  su_tbl : Tuple_table.t; (* extra column: derivation count *)
+  su_groups : chains; (* per group, over su_tbl *)
+  su_width : int; (* contributor ints in a count/sum key *)
+  su_tagged : bool; (* rules disagree on the width: keys carry it *)
+  su_key : int array; (* key scratch *)
+}
+
+type agg = {
   a_pos : int;
   a_kind : Ast.agg_kind;
-  a_best : int Tup_tbl.t; (* group -> visible aggregate value *)
-  a_support : agg_support Tup_tbl.t option; (* counting strata only *)
+  a_group : chains; (* the visible tuple of each group, one of ps_indexes *)
+  a_gkey : int array; (* group scratch *)
+  a_row : int array; (* assembled-tuple scratch *)
+  a_support : support option; (* counting strata only *)
 }
 
-type pbody =
-  | Pplain of int Tup_tbl.t (* tuple -> derivation count (sets: 1) *)
-  | Pagg of apred
-
-type index = {
-  ix_cols : int array;
-  ix_buckets : unit Tup_tbl.t Tup_tbl.t; (* projected key -> visible tuples *)
-}
-
-(* Per-batch net change recorder.  Invariants after cancellation:
-   d_del ∩ visible = ∅ and d_ins ⊆ visible, so the old state is exactly
-   (visible \ d_ins) ∪ d_del. *)
-type delta = {
-  d_ins : unit Tup_tbl.t;
-  d_del : unit Tup_tbl.t;
-  mutable d_overlays : (int array * unit Tup_tbl.t Tup_tbl.t) list;
-      (* lazy keyed indexes over d_del, for Old-visibility lookups *)
-}
-
+(* Per-batch net changes live in [ps_ins]/[ps_del].  Invariants after
+   cancellation: del ∩ visible = ∅ and ins ⊆ visible, so the old state
+   is exactly (visible \ ins) ∪ del. *)
 type pred_state = {
   ps_name : string;
   ps_arity : int;
-  ps_body : pbody;
-  mutable ps_indexes : index list;
-  ps_delta : delta;
-  ps_ranks : int Tup_tbl.t;
-      (* DRed strata only: a well-founded derivation rank per visible
-         tuple, grounding the rank-decreasing support counts that brake
-         the overdeletion cascade *)
-  ps_supports : int Tup_tbl.t;
-      (* DRed strata only: a lower bound on the number of current
-         rank-decreasing derivations of each visible tuple — those whose
-         same-stratum atoms all rank below it.  Exact after
-         [build_ranks] and for every tuple a DRed pass rederives (it is
-         recounted at the end of the pass); deletions decrement, fresh
-         insertions start at 1, and a derivation that gets back all its
-         atoms by rederivation gives its surviving head one count back.
-         A positive count proves the tuple derivable in the new
-         fixpoint, so only zero-count tuples join the overdeletion
-         frontier.  Lower-bound discipline keeps this sound: decrements
-         may over-fire and increments under-fire — a premature zero
-         only costs a rederivation check, never a wrong fixpoint. *)
+  ps_tbl : Tuple_table.t; (* visible tuples *)
+  ps_agg : agg option;
+  mutable ps_indexes : chains list; (* over ps_tbl slots *)
+  ps_ins : Tuple_table.t;
+  ps_del : Tuple_table.t;
+  mutable ps_overlays : chains list;
+      (* lazy keyed chains over ps_del, for Old-visibility lookups *)
+  ps_dead : Tuple_table.t; (* DRed: the running pass's dead set *)
+  ps_prop : Tuple_table.t; (* the running pass's insert worklist *)
 }
 
 (* --- compiled delta kernels --- *)
@@ -195,6 +229,14 @@ type cstratum = {
   mutable cs_sub : Physical.t option; (* cached recompute sub-plan *)
 }
 
+(* A worker's emission buffer: flat rows of head ++ contributors ++ one
+   int tag (probe rounds buffer (slot, value) pairs instead), drained
+   by the coordinator after the round's barrier. *)
+type ebuf = {
+  mutable e_data : int array;
+  mutable e_len : int; (* ints used *)
+}
+
 type t = {
   plan : Physical.t;
   config : Parallel.config;
@@ -206,10 +248,7 @@ type t = {
          clamped to [1, workers], 0 meaning "same as workers" *)
   m_steal : Steal.t option; (* morsel board for parallel rounds (m_workers > 1) *)
   m_fault : Fault.t option; (* injection schedule for the Maintain site *)
-  m_bufs : (Tuple.t * Tuple.t) Vec.t array;
-      (* per-worker (head, contrib) emission buffers, drained
-         sequentially by the coordinator after each round's barrier *)
-  m_arenas : (int, Arena.t) Hashtbl.t; (* scratch scan arenas by arity *)
+  m_bufs : ebuf array;
   m_wjoin : float array; (* per-batch, per-worker round-execution seconds *)
   m_wmorsels : int array;
   m_wsteals : int array;
@@ -242,236 +281,319 @@ let sym_value mt s =
   | Some v -> v
   | None -> Dcd_util.Symbol.intern mt.plan.Physical.symbols s
 
-let group_of a tup =
-  let arity = Array.length tup in
-  let g = Array.make (arity - 1) 0 in
-  let gi = ref 0 in
-  for c = 0 to arity - 1 do
-    if c <> a.a_pos then begin
-      g.(!gi) <- tup.(c);
-      incr gi
-    end
-  done;
-  g
-
-let assemble a group v =
-  let arity = Array.length group + 1 in
-  let tup = Array.make arity 0 in
-  let gi = ref 0 in
-  for c = 0 to arity - 1 do
-    if c = a.a_pos then tup.(c) <- v
-    else begin
-      tup.(c) <- group.(!gi);
-      incr gi
-    end
-  done;
-  tup
-
 let cols_equal a b = Array.length a = Array.length b && Array.for_all2 ( = ) a b
+
+(* The group columns of an aggregated predicate: every column but the
+   aggregate's. *)
+let group_cols arity pos = Array.of_list (List.filter (( <> ) pos) (List.init arity Fun.id))
+
+(* [a_row] := the group in [a_gkey] with [v] at the aggregate position *)
+let assemble a v =
+  let gi = ref 0 in
+  for c = 0 to Array.length a.a_row - 1 do
+    if c = a.a_pos then a.a_row.(c) <- v
+    else begin
+      a.a_row.(c) <- a.a_gkey.(!gi);
+      incr gi
+    end
+  done
+
+(* a table sized for [n] tuples plus headroom for a session's churn *)
+let presized n = n + (n / 8) + 16
+
+(* --- chains --- *)
+
+let make_chains ~cols ~linked ~cap =
+  {
+    ch_cols = Array.copy cols;
+    ch_keys = Tuple_table.create ~extra:2 ~arity:(Array.length cols) ();
+    ch_kbuf = Array.make (Array.length cols) 0;
+    ch_linked = linked;
+    ch_next = (if linked then Array.make cap (-1) else [||]);
+    ch_prev = (if linked then Array.make cap (-1) else [||]);
+  }
+
+(* Grows the link columns to cover a member table of capacity [cap]. *)
+let chain_fit ch cap =
+  if ch.ch_linked && Array.length ch.ch_next < cap then begin
+    let grow a =
+      let a' = Array.make cap (-1) in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    ch.ch_next <- grow ch.ch_next;
+    ch.ch_prev <- grow ch.ch_prev
+  end
+
+let project ch (data : int array) off =
+  let cols = ch.ch_cols and k = ch.ch_kbuf in
+  for i = 0 to Array.length cols - 1 do
+    k.(i) <- data.(off + cols.(i))
+  done
+
+(* Links member slot [s], whose row is at [data.(off ..)]. *)
+let chain_add ch data off s =
+  project ch data off;
+  let keys = ch.ch_keys in
+  let ks = Tuple_table.add_slice keys ch.ch_kbuf 0 in
+  let n = Tuple_table.get keys ks c_len in
+  if ch.ch_linked then begin
+    let h = if n = 0 then -1 else Tuple_table.get keys ks c_head in
+    ch.ch_next.(s) <- h;
+    ch.ch_prev.(s) <- -1;
+    if h >= 0 then ch.ch_prev.(h) <- s;
+    Tuple_table.set keys ks c_head s
+  end;
+  Tuple_table.set keys ks c_len (n + 1)
+
+let chain_remove ch data off s =
+  project ch data off;
+  let keys = ch.ch_keys in
+  let ks = Tuple_table.find_slice keys ch.ch_kbuf 0 in
+  if ks < 0 then invalid_arg "Maintain: unlinking a member from a missing chain";
+  if ch.ch_linked then begin
+    let p = ch.ch_prev.(s) and nx = ch.ch_next.(s) in
+    if p >= 0 then ch.ch_next.(p) <- nx else Tuple_table.set keys ks c_head nx;
+    if nx >= 0 then ch.ch_prev.(nx) <- p
+  end;
+  let n = Tuple_table.get keys ks c_len - 1 in
+  if n = 0 then Tuple_table.remove_slot keys ks else Tuple_table.set keys ks c_len n
+
+(* the first member of the chain under the filled [key], -1 if none *)
+let chain_head ch key =
+  let ks = Tuple_table.find_slice ch.ch_keys key 0 in
+  if ks < 0 then -1 else Tuple_table.get ch.ch_keys ks c_head
+
+let chain_words ch =
+  Tuple_table.words ch.ch_keys + Array.length ch.ch_next + Array.length ch.ch_prev
 
 (* --- visibility --- *)
 
-let iter_vis_cur ps f =
-  match ps.ps_body with
-  | Pplain counts -> Tup_tbl.iter (fun tup _ -> f tup) counts
-  | Pagg a -> Tup_tbl.iter (fun g v -> f (assemble a g v)) a.a_best
+let visible_count_ps ps = Tuple_table.length ps.ps_tbl
 
-let mem_cur ps tup =
-  match ps.ps_body with
-  | Pplain counts -> Tup_tbl.mem counts tup
-  | Pagg a -> (
-    let g = group_of a tup in
-    match Tup_tbl.find_opt a.a_best g with
-    | Some v -> v = tup.(a.a_pos)
-    | None -> false)
+let mem_cur ps data off = Tuple_table.find_slice ps.ps_tbl data off >= 0
 
-let mem_vis ps visk tup =
+let mem_vis ps visk data off =
   match visk with
-  | Cur -> mem_cur ps tup
+  | Cur -> mem_cur ps data off
   | Old ->
-    let d = ps.ps_delta in
-    (mem_cur ps tup && not (Tup_tbl.mem d.d_ins tup)) || Tup_tbl.mem d.d_del tup
+    (mem_cur ps data off && not (Tuple_table.mem_slice ps.ps_ins data off))
+    || Tuple_table.mem_slice ps.ps_del data off
 
 let iter_vis ps visk f =
   match visk with
-  | Cur -> iter_vis_cur ps f
+  | Cur -> Tuple_table.iter_slices ps.ps_tbl f
   | Old ->
-    let d = ps.ps_delta in
-    iter_vis_cur ps (fun tup -> if not (Tup_tbl.mem d.d_ins tup) then f tup);
-    Tup_tbl.iter (fun tup () -> f tup) d.d_del
+    Tuple_table.iter_slices ps.ps_tbl (fun data off ->
+        if not (Tuple_table.mem_slice ps.ps_ins data off) then f data off);
+    Tuple_table.iter_slices ps.ps_del f
 
-let visible_count_ps ps =
-  match ps.ps_body with
-  | Pplain counts -> Tup_tbl.length counts
-  | Pagg a -> Tup_tbl.length a.a_best
+(* the rank of a visible tuple, -1 if invisible or not ranked yet *)
+let rank_of ps data off =
+  let s = Tuple_table.find_slice ps.ps_tbl data off in
+  if s < 0 then -1 else Tuple_table.get ps.ps_tbl s c_rank
 
 (* --- indexes and delta recording --- *)
 
-let bucket_add buckets key tup =
-  let b =
-    match Tup_tbl.find_opt buckets key with
-    | Some b -> b
-    | None ->
-      let b = Tup_tbl.create 4 in
-      Tup_tbl.add buckets key b;
-      b
-  in
-  Tup_tbl.replace b tup ()
-
 let ensure_index ps cols =
-  match List.find_opt (fun ix -> cols_equal ix.ix_cols cols) ps.ps_indexes with
+  match List.find_opt (fun ix -> cols_equal ix.ch_cols cols) ps.ps_indexes with
   | Some ix -> ix
   | None ->
-    let ix = { ix_cols = Array.copy cols; ix_buckets = Tup_tbl.create 64 } in
-    iter_vis_cur ps (fun tup -> bucket_add ix.ix_buckets (Tuple.project tup ix.ix_cols) tup);
+    let tbl = ps.ps_tbl in
+    let ix = make_chains ~cols ~linked:true ~cap:(Tuple_table.capacity tbl) in
+    let data = Tuple_table.data tbl in
+    Tuple_table.iter tbl (fun s -> chain_add ix data (Tuple_table.offset tbl s) s);
     ps.ps_indexes <- ix :: ps.ps_indexes;
     ix
 
 let overlay ps cols =
-  let d = ps.ps_delta in
-  match List.find_opt (fun (c, _) -> cols_equal c cols) d.d_overlays with
-  | Some (_, tbl) -> tbl
+  match List.find_opt (fun ov -> cols_equal ov.ch_cols cols) ps.ps_overlays with
+  | Some ov -> ov
   | None ->
-    let tbl = Tup_tbl.create 16 in
-    Tup_tbl.iter (fun tup () -> bucket_add tbl (Tuple.project tup cols) tup) d.d_del;
-    d.d_overlays <- (Array.copy cols, tbl) :: d.d_overlays;
-    tbl
+    let del = ps.ps_del in
+    let ov = make_chains ~cols ~linked:true ~cap:(Tuple_table.capacity del) in
+    let data = Tuple_table.data del in
+    Tuple_table.iter del (fun s -> chain_add ov data (Tuple_table.offset del s) s);
+    ps.ps_overlays <- ov :: ps.ps_overlays;
+    ov
 
-let record_ins ps tup =
-  let d = ps.ps_delta in
-  if Tup_tbl.mem d.d_del tup then begin
-    Tup_tbl.remove d.d_del tup;
-    d.d_overlays <- []
-  end
-  else if not (Tup_tbl.mem d.d_ins tup) then Tup_tbl.add d.d_ins tup ()
+let record_ins ps data off =
+  if Tuple_table.remove_slice ps.ps_del data off >= 0 then ps.ps_overlays <- []
+  else ignore (Tuple_table.add_slice ps.ps_ins data off)
 
-let record_del ps tup =
-  let d = ps.ps_delta in
-  if Tup_tbl.mem d.d_ins tup then Tup_tbl.remove d.d_ins tup
-  else if not (Tup_tbl.mem d.d_del tup) then begin
-    Tup_tbl.add d.d_del tup ();
-    d.d_overlays <- []
+let record_del ps data off =
+  if Tuple_table.remove_slice ps.ps_ins data off < 0 then begin
+    ignore (Tuple_table.add_slice ps.ps_del data off);
+    ps.ps_overlays <- []
   end
 
-(* The single entry points for a visibility flip: maintain every built
-   index and (once serving) the per-batch delta recorder.  Callers own
-   the support tables. *)
-let visible_insert mt ps tup =
-  List.iter (fun ix -> bucket_add ix.ix_buckets (Tuple.project tup ix.ix_cols) tup) ps.ps_indexes;
-  if mt.recording then record_ins ps tup
-
-let visible_remove mt ps tup =
+(* The single entry points for a visibility flip: maintain every index
+   and (once serving) the per-batch delta tables.  [visible_add] copies
+   the tuple at [src.(off ..)] into a fresh slot whose extra columns
+   the caller then fills; [visible_remove] frees the slot. *)
+let visible_add mt ps src off =
+  let tbl = ps.ps_tbl in
+  let s = Tuple_table.add_slice tbl src off in
+  let data = Tuple_table.data tbl and o = Tuple_table.offset tbl s in
+  let cap = Tuple_table.capacity tbl in
   List.iter
     (fun ix ->
-      match Tup_tbl.find_opt ix.ix_buckets (Tuple.project tup ix.ix_cols) with
-      | Some b -> Tup_tbl.remove b tup
-      | None -> ())
+      chain_fit ix cap;
+      chain_add ix data o s)
     ps.ps_indexes;
-  if mt.recording then record_del ps tup
+  if mt.recording then record_ins ps data o;
+  s
+
+let visible_remove mt ps s =
+  let tbl = ps.ps_tbl in
+  let data = Tuple_table.data tbl and o = Tuple_table.offset tbl s in
+  List.iter (fun ix -> chain_remove ix data o s) ps.ps_indexes;
+  if mt.recording then record_del ps data o;
+  Tuple_table.remove_slot tbl s
 
 (* --- support updates --- *)
 
-let plain_add mt ps counts tup sign =
-  let cur = Option.value ~default:0 (Tup_tbl.find_opt counts tup) in
+let plain_add mt ps data off sign =
+  let tbl = ps.ps_tbl in
+  let s = Tuple_table.find_slice tbl data off in
+  let cur = if s < 0 then 0 else Tuple_table.get tbl s c_count in
   let nv = cur + sign in
   if nv < 0 then
-    invalid_arg (Printf.sprintf "Maintain: negative support for %s %s" ps.ps_name (Tuple.to_string tup));
-  if nv = 0 then Tup_tbl.remove counts tup else Tup_tbl.replace counts tup nv;
-  if cur = 0 && nv > 0 then visible_insert mt ps tup
-  else if cur > 0 && nv = 0 then visible_remove mt ps tup
+    invalid_arg
+      (Printf.sprintf "Maintain: negative support for %s %s" ps.ps_name
+         (Tuple.to_string (Array.sub data off ps.ps_arity)));
+  if s < 0 then begin
+    if nv > 0 then Tuple_table.set tbl (visible_add mt ps data off) c_count nv
+  end
+  else if nv = 0 then visible_remove mt ps s
+  else Tuple_table.set tbl s c_count nv
 
-let bump_int tbl k sign =
-  let cur = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
-  let nv = cur + sign in
-  if nv < 0 then invalid_arg "Maintain: negative aggregate support";
-  if nv = 0 then Hashtbl.remove tbl k else Hashtbl.replace tbl k nv
-
-let bump_tup tbl k sign =
-  let cur = Option.value ~default:0 (Tup_tbl.find_opt tbl k) in
-  let nv = cur + sign in
-  if nv < 0 then invalid_arg "Maintain: negative aggregate support";
-  if nv = 0 then Tup_tbl.remove tbl k else Tup_tbl.replace tbl k nv
-
-(* Recomputes a group's visible value from its support after an update,
-   flipping the assembled tuple's visibility when it changed.  Sum
-   groups fold each contributor's largest pending value — a contributor
-   carrying several distinct values at once has no engine-defined order,
-   and the initial-build verification rejects programs where this
-   matters. *)
-let refresh_group mt ps a support_tbl group =
-  let newbest =
-    match Tup_tbl.find_opt support_tbl group with
-    | None -> None
-    | Some (Sminmax vt) ->
-      if Hashtbl.length vt = 0 then None
-      else
-        Hashtbl.fold
-          (fun v _ acc ->
-            match acc with
-            | None -> Some v
-            | Some b -> Some (if a.a_kind = Ast.Min then min b v else max b v))
-          vt None
-    | Some (Scount ct) ->
-      let n = Tup_tbl.length ct in
-      if n = 0 then None else Some n
-    | Some (Ssum st) ->
-      if Tup_tbl.length st = 0 then None
-      else
-        Some
-          (Tup_tbl.fold
-             (fun _ vt acc -> acc + Hashtbl.fold (fun v _ m -> max v m) vt min_int)
-             st 0)
-  in
-  if newbest = None then Tup_tbl.remove support_tbl group;
-  let oldbest = Tup_tbl.find_opt a.a_best group in
-  if oldbest <> newbest then begin
-    (match oldbest with
-    | Some v ->
-      Tup_tbl.remove a.a_best group;
-      visible_remove mt ps (assemble a group v)
-    | None -> ());
-    match newbest with
-    | Some v ->
-      Tup_tbl.replace a.a_best group v;
-      visible_insert mt ps (assemble a group v)
-    | None -> ()
+(* Makes [group ++ v] the visible tuple of the group in [a_gkey]
+   ([has]), or leaves the group with none. *)
+let set_group_value mt ps a ~has v =
+  let cur = chain_head a.a_group a.a_gkey in
+  let tbl = ps.ps_tbl in
+  let same = cur >= 0 && has && (Tuple_table.data tbl).(Tuple_table.offset tbl cur + a.a_pos) = v in
+  if not same then begin
+    if cur >= 0 then visible_remove mt ps cur;
+    if has then begin
+      assemble a v;
+      ignore (visible_add mt ps a.a_row 0)
+    end
   end
 
-let agg_support_add mt ps a tuple contrib sign =
-  let group = group_of a tuple in
-  let support_tbl =
+let group_of a (data : int array) off =
+  let gi = ref 0 in
+  for c = 0 to Array.length a.a_row - 1 do
+    if c <> a.a_pos then begin
+      a.a_gkey.(!gi) <- data.(off + c);
+      incr gi
+    end
+  done
+
+(* Σ over the group's contributors of each one's largest value; the
+   chain is sorted by contributor, largest value first. *)
+let sum_group su ks =
+  let t = su.su_tbl in
+  let g = Tuple_table.arity su.su_groups.ch_keys in
+  let cw = Tuple_table.arity t - g - 1 in
+  let slots = Vec.create () in
+  let s = ref (Tuple_table.get su.su_groups.ch_keys ks c_head) in
+  while !s >= 0 do
+    Vec.push slots !s;
+    s := su.su_groups.ch_next.(!s)
+  done;
+  let data = Tuple_table.data t and stride = Tuple_table.stride t in
+  let cmp_contrib a b =
+    let rec go i =
+      if i = cw then 0
+      else
+        let c = compare data.((a * stride) + g + i) data.((b * stride) + g + i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+  in
+  Vec.sort
+    (fun a b ->
+      let c = cmp_contrib a b in
+      if c <> 0 then c else compare data.((b * stride) + g + cw) data.((a * stride) + g + cw))
+    slots;
+  let sum = ref 0 in
+  Vec.iteri
+    (fun i s ->
+      if i = 0 || cmp_contrib (Vec.get slots (i - 1)) s <> 0 then
+        sum := !sum + data.((s * stride) + g + cw))
+    slots;
+  !sum
+
+(* Recomputes the visible value of the group in [a_gkey] from its
+   support after an update.  Sum groups fold each contributor's largest
+   pending value — a contributor carrying several distinct values at
+   once has no engine-defined order, and the initial-build verification
+   rejects programs where this matters. *)
+let refresh_group mt ps a su =
+  let keys = su.su_groups.ch_keys in
+  let ks = Tuple_table.find_slice keys a.a_gkey 0 in
+  let v =
+    if ks < 0 then 0
+    else
+      match a.a_kind with
+      | Ast.Count -> Tuple_table.get keys ks c_len
+      | Ast.Sum -> sum_group su ks
+      | Ast.Min | Ast.Max ->
+        let t = su.su_tbl in
+        let g = Tuple_table.arity keys in
+        let data = Tuple_table.data t and stride = Tuple_table.stride t in
+        let s = ref (Tuple_table.get keys ks c_head) in
+        let best = ref data.((!s * stride) + g) in
+        while !s >= 0 do
+          let x = data.((!s * stride) + g) in
+          if (a.a_kind = Ast.Min && x < !best) || (a.a_kind = Ast.Max && x > !best) then best := x;
+          s := su.su_groups.ch_next.(!s)
+        done;
+        !best
+  in
+  set_group_value mt ps a ~has:(ks >= 0) v
+
+(* One derivation of the head at [data.(off ..)] with its [cw]
+   contributors at [data.(coff ..)] gained ([sign] = 1) or lost. *)
+let agg_support_add mt ps a data off coff cw sign =
+  let su =
     match a.a_support with
-    | Some s -> s
+    | Some su -> su
     | None -> invalid_arg "Maintain: aggregate support missing"
   in
-  let sup =
-    match Tup_tbl.find_opt support_tbl group with
-    | Some s -> s
-    | None ->
-      let s =
-        match a.a_kind with
-        | Ast.Min | Ast.Max -> Sminmax (Hashtbl.create 8)
-        | Ast.Count -> Scount (Tup_tbl.create 8)
-        | Ast.Sum -> Ssum (Tup_tbl.create 8)
-      in
-      Tup_tbl.add support_tbl group s;
-      s
-  in
-  (match sup with
-  | Sminmax vt -> bump_int vt tuple.(a.a_pos) sign
-  | Scount ct -> bump_tup ct contrib sign
-  | Ssum st ->
-    let vt =
-      match Tup_tbl.find_opt st contrib with
-      | Some vt -> vt
-      | None ->
-        let vt = Hashtbl.create 4 in
-        Tup_tbl.add st contrib vt;
-        vt
-    in
-    bump_int vt tuple.(a.a_pos) sign;
-    if Hashtbl.length vt = 0 then Tup_tbl.remove st contrib);
-  refresh_group mt ps a support_tbl group
+  group_of a data off;
+  let k = su.su_key in
+  let g = Array.length a.a_gkey in
+  Array.blit a.a_gkey 0 k 0 g;
+  (match a.a_kind with
+  | Ast.Min | Ast.Max -> k.(g) <- data.(off + a.a_pos)
+  | Ast.Count | Ast.Sum ->
+    let at = if su.su_tagged then (k.(g) <- cw; g + 1) else g in
+    for i = 0 to su.su_width - 1 do
+      k.(at + i) <- (if i < cw then data.(coff + i) else 0)
+    done;
+    if a.a_kind = Ast.Sum then k.(at + su.su_width) <- data.(off + a.a_pos));
+  let t = su.su_tbl in
+  let s = Tuple_table.find_slice t k 0 in
+  let cur = if s < 0 then 0 else Tuple_table.get t s c_derivs in
+  let nv = cur + sign in
+  if nv < 0 then invalid_arg "Maintain: negative aggregate support";
+  if s < 0 then begin
+    if nv > 0 then begin
+      let s = Tuple_table.add_slice t k 0 in
+      Tuple_table.set t s c_derivs nv;
+      chain_fit su.su_groups (Tuple_table.capacity t);
+      chain_add su.su_groups (Tuple_table.data t) (Tuple_table.offset t s) s
+    end
+  end
+  else if nv = 0 then begin
+    chain_remove su.su_groups (Tuple_table.data t) (Tuple_table.offset t s) s;
+    Tuple_table.remove_slot t s
+  end
+  else Tuple_table.set t s c_derivs nv;
+  refresh_group mt ps a su
 
 (* --- rule compilation and greedy ordering --- *)
 
@@ -612,10 +734,11 @@ let get_order mt cr key =
 (* Phase keys for the per-rule kernel cache.  For delta/scan atom [i]:
    counting uses [4i] (positions < i New, > i Old), DRed seeding
    [4i+1] (same-stratum Cur, lower Old), the DRed cascade and the
-   insert-propagation worklist [4i+2] (all Cur, a trailing int column
-   on the scan row: the dying tuple's rank, the worklist entry's tag),
-   and lower-stratum insert seeds and rank labelling [4i+3] (all Cur);
-   [-2] is the head-bound probe (rederivation, support recount). *)
+   insert-propagation worklist [4i+2] (all Cur, the scan row's first
+   extra column in a register: the dying tuple's rank, the worklist
+   entry's tag), and lower-stratum insert seeds and rank labelling
+   [4i+3] (all Cur); [-2] is the head-bound probe (rederivation,
+   support recount). *)
 let kcount i = 4 * i
 let kseed i = (4 * i) + 1
 let kcasc i = (4 * i) + 2
@@ -625,13 +748,14 @@ let krederive = -2
 (* Compiles one cached ordering of [cr] into a {!Maintain_kernel.spec}
    and instantiates it once per maintenance worker.  Variables become
    integer registers; each body atom becomes a membership probe (fully
-   bound), a keyed bucket scan against a persistent [ensure_index]
-   (partially bound, with the per-batch delete overlay layered on for
-   Old visibility) or a full visible scan.  The iteration closures read
-   the maintenance tables but never write them — a parallel round keeps
-   every mutation in the per-worker emission buffers.  [scan] is the
-   row a run feeds in: a body atom, the head (rederivation probes) or
-   the empty tuple of a unit scan (full evaluations). *)
+   bound), a walk of a persistent [ensure_index] chain (partially
+   bound, with the per-batch delete overlay layered on for Old
+   visibility) or a full visible scan, every candidate read in place
+   from its table.  The iteration closures read the maintenance tables
+   but never write them — a parallel round keeps every mutation in the
+   per-worker emission buffers.  [scan] is the row a run feeds in: a
+   body atom, the head (rederivation probes) or the empty tuple of a
+   unit scan (full evaluations). *)
 let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~in_stratum =
   let nregs = ref 0 in
   let vars : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -721,34 +845,44 @@ let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~in_stratum =
           let ksrc = Array.of_list (List.rev !ksrc) in
           if Array.length cols = arity then
             Maintain_kernel.S_mem
-              { sm_key_src = ksrc; sm_mem = (fun key -> mem_vis ps vis key); sm_negated = false }
+              { sm_key_src = ksrc; sm_mem = (fun key -> mem_vis ps vis key 0); sm_negated = false }
           else begin
             let iter =
-              if Array.length cols = 0 then fun _key f -> iter_vis ps vis (fun tup -> f tup 0)
+              if Array.length cols = 0 then fun _key f -> iter_vis ps vis f
               else begin
                 (* built (from the current visible set) at compile time,
-                   then maintained forever by visible_insert/remove —
+                   then maintained forever by visible_add/remove —
                    capturing it here stays correct across batches *)
                 let ix = ensure_index ps cols in
+                let tbl = ps.ps_tbl in
+                let walk key f =
+                  let s = ref (chain_head ix key) in
+                  if !s >= 0 then begin
+                    let data = Tuple_table.data tbl and stride = Tuple_table.stride tbl in
+                    let next = ix.ch_next in
+                    while !s >= 0 do
+                      f data (!s * stride);
+                      s := next.(!s)
+                    done
+                  end
+                in
                 match vis with
-                | Cur ->
-                  fun key f -> (
-                    match Tup_tbl.find_opt ix.ix_buckets key with
-                    | Some b -> Tup_tbl.iter (fun tup () -> f tup 0) b
-                    | None -> ())
+                | Cur -> walk
                 | Old ->
                   prewarm := (fun () -> ignore (overlay ps cols)) :: !prewarm;
-                  let d = ps.ps_delta in
+                  let ins = ps.ps_ins and del = ps.ps_del in
                   fun key f ->
-                    (match Tup_tbl.find_opt ix.ix_buckets key with
-                    | Some b ->
-                      Tup_tbl.iter
-                        (fun tup () -> if not (Tup_tbl.mem d.d_ins tup) then f tup 0)
-                        b
-                    | None -> ());
-                    (match Tup_tbl.find_opt (overlay ps cols) key with
-                    | Some b -> Tup_tbl.iter (fun tup () -> f tup 0) b
-                    | None -> ())
+                    walk key (fun data off ->
+                        if not (Tuple_table.mem_slice ins data off) then f data off);
+                    let ov = overlay ps cols in
+                    let s = ref (chain_head ov key) in
+                    if !s >= 0 then begin
+                      let data = Tuple_table.data del and stride = Tuple_table.stride del in
+                      while !s >= 0 do
+                        f data (!s * stride);
+                        s := ov.ch_next.(!s)
+                      done
+                    end
               end
             in
             Maintain_kernel.S_atom
@@ -763,7 +897,7 @@ let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~in_stratum =
           let ps = get_pred mt a.Ast.pred in
           let ksrc = Array.of_list (List.map src_of a.Ast.args) in
           Maintain_kernel.S_mem
-            { sm_key_src = ksrc; sm_mem = (fun key -> mem_vis ps Cur key); sm_negated = true }
+            { sm_key_src = ksrc; sm_mem = (fun key -> mem_cur ps key 0); sm_negated = true }
         | O_filter (op, lhs, rhs) ->
           let cl = code_of lhs in
           let crr = code_of rhs in
@@ -874,19 +1008,45 @@ let full_kernel mt cs cr =
    on scans of a few hundred tuples and up. *)
 let par_threshold = 256
 
-let default_morsel mi _w arena ~first ~len = Maintain_kernel.run_range mi.mi_pipe arena ~first ~len
+let default_morsel mi _w tbl ~first ~len = Maintain_kernel.run_range mi.mi_pipe tbl ~first ~len
 
 let set_emits mk make =
   Array.iteri (fun w mi -> Maintain_kernel.set_emit mi.mi_pipe (make w mi)) mk.mk_insts
 
-(* The standard emit: buffer a copy of the head (and aggregate
-   contributors, if any) for the post-barrier apply. *)
+let ebuf_room b n =
+  if b.e_len + n > Array.length b.e_data then begin
+    let d = Array.make (max (b.e_len + n) (2 * Array.length b.e_data)) 0 in
+    Array.blit b.e_data 0 d 0 b.e_len;
+    b.e_data <- d
+  end
+
+(* buffers one row: [h] ++ [c] ++ [tag] *)
+let push_row b (h : int array) (c : int array) tag =
+  let hl = Array.length h and cl = Array.length c in
+  ebuf_room b (hl + cl + 1);
+  let d = b.e_data and at = b.e_len in
+  Array.blit h 0 d at hl;
+  Array.blit c 0 d (at + hl) cl;
+  d.(at + hl + cl) <- tag;
+  b.e_len <- at + hl + cl + 1
+
+let push_pair b x v =
+  ebuf_room b 2;
+  b.e_data.(b.e_len) <- x;
+  b.e_data.(b.e_len + 1) <- v;
+  b.e_len <- b.e_len + 2
+
+(* the row width of a kernel's buffered emissions *)
+let row_stride mk =
+  let pipe = mk.mk_insts.(0).mi_pipe in
+  Array.length (Maintain_kernel.head pipe) + Array.length (Maintain_kernel.contrib pipe) + 1
+
+(* The standard emit: buffer the head and its aggregate contributors. *)
 let push_emit mt w mi =
   let buf = mt.m_bufs.(w) in
   let h = Maintain_kernel.head mi.mi_pipe in
   let c = Maintain_kernel.contrib mi.mi_pipe in
-  if Array.length c = 0 then fun () -> Vec.push buf (Array.copy h, [||])
-  else fun () -> Vec.push buf (Array.copy h, Array.copy c)
+  fun () -> push_row buf h c 0
 
 let raise_worker_crash (failures : Domain_pool.failure list) =
   match failures with
@@ -910,40 +1070,42 @@ let raise_worker_crash (failures : Domain_pool.failure list) =
                   rest;
             }))
 
-(* One buffered maintenance round over [arena].  Below the threshold
-   (or with one effective worker) the coordinator runs instance 0
-   inline; above it each pool worker publishes its stripe of the range
-   as morsels on the steal board, drains its own deque LIFO, then
-   claims from loaded peers, executing every morsel through its private
-   kernel instance with all emissions buffered.  The maintenance state
-   is strictly read-only between the prewarm and the barrier, so the
-   concurrent hash-table reads are safe; [apply] then drains the
-   buffers sequentially.  Every pass only uses rounds whose
-   applications commute within the round (signed counting updates of
-   one sign, support decrements, idempotent inserts, monotone merges),
-   so the fixpoint does not depend on which worker ran which morsel;
-   only the order in which fresh ranks are handed out does. *)
-let run_round mt mk ~arena ~morsel ~apply =
-  let n = Arena.length arena in
-  if n > 0 then begin
+(* Executes one buffered maintenance round over the rows [first,
+   first + len) of [src], skipping its freed slots.  Below the
+   threshold (or with one effective worker) the coordinator runs
+   instance 0 inline; above it each pool worker publishes its stripe of
+   the range as morsels on the steal board, drains its own deque LIFO,
+   then claims from loaded peers, executing every morsel through its
+   private kernel instance with all emissions buffered.  The
+   maintenance state is strictly read-only between the prewarm and the
+   barrier, so the concurrent table reads are safe; [apply_buffered]
+   then applies the buffers sequentially.  Every pass only uses rounds
+   whose applications commute within the round (signed counting updates
+   of one sign, support decrements, idempotent inserts, monotone
+   merges), so the fixpoint does not depend on which worker ran which
+   morsel; only the order in which fresh ranks are handed out does. *)
+let execute_round mt mk ~src ~first ~len ~morsel =
+  if len > 0 then begin
     let mw = mt.m_workers in
+    (* a whole table may hold freed slots, a worklist segment never *)
+    let rows = if first = 0 && len = Tuple_table.slots src then Tuple_table.length src else len in
     match mt.m_steal with
-    | Some steal when n >= par_threshold ->
+    | Some steal when rows >= par_threshold ->
       List.iter (fun f -> f ()) mk.mk_prewarm;
       Steal.reset steal;
+      let arena = Tuple_table.arena src in
       let body me =
         if me < mw then begin
           let t0 = Clock.now () in
-          let lo = n * me / mw and hi = n * (me + 1) / mw in
+          let lo = first + (len * me / mw) and hi = first + (len * (me + 1) / mw) in
           if hi > lo then
-            Steal.publish_range steal ~me ~kind:Steal.Delta ~gid:0 ~arena ~first:lo
-              ~len:(hi - lo);
+            Steal.publish_range steal ~me ~kind:Steal.Delta ~gid:0 ~arena ~first:lo ~len:(hi - lo);
           let mi = mk.mk_insts.(me) in
           let exec stolen (m : Steal.morsel) =
             (match mt.m_fault with
             | Some fa -> Fault.hit fa Fault.Maintain ~worker:me
             | None -> ());
-            morsel mi me m.Steal.m_arena ~first:m.Steal.m_first ~len:m.Steal.m_len;
+            morsel mi me src ~first:m.Steal.m_first ~len:m.Steal.m_len;
             Steal.complete steal m;
             mt.m_wmorsels.(me) <- mt.m_wmorsels.(me) + 1;
             if stolen then begin
@@ -970,80 +1132,64 @@ let run_round mt mk ~arena ~morsel ~apply =
       in
       (match Domain_pool.submit mt.runtime.Parallel.rt_pool body with
       | Ok () -> ()
-      | Error failures -> raise_worker_crash failures);
-      for w = 0 to mw - 1 do
-        let buf = mt.m_bufs.(w) in
-        Vec.iter apply buf;
-        Vec.clear buf
-      done
-    | _ ->
-      morsel mk.mk_insts.(0) 0 arena ~first:0 ~len:n;
-      let buf = mt.m_bufs.(0) in
-      Vec.iter apply buf;
-      Vec.clear buf
+      | Error failures -> raise_worker_crash failures)
+    | _ -> morsel mk.mk_insts.(0) 0 src ~first ~len
   end
 
-let scratch_arena mt ~arity =
-  match Hashtbl.find_opt mt.m_arenas arity with
-  | Some a ->
-    Arena.clear a;
-    a
-  | None ->
-    let a = Arena.create ~arity () in
-    Hashtbl.add mt.m_arenas arity a;
-    a
+let buffered_rows mt ~stride = Array.fold_left (fun acc b -> acc + (b.e_len / stride)) 0 mt.m_bufs
 
-let arena_of_tbl mt tbl ~arity =
-  let a = scratch_arena mt ~arity in
-  Tup_tbl.iter (fun tup _ -> ignore (Arena.push a tup)) tbl;
-  a
+(* Feeds every buffered row, worker by worker, to [apply data off]. *)
+let apply_buffered mt ~stride ~apply =
+  Array.iter
+    (fun b ->
+      let d = b.e_data in
+      let off = ref 0 in
+      while !off < b.e_len do
+        apply d !off;
+        off := !off + stride
+      done;
+      b.e_len <- 0)
+    mt.m_bufs
 
-(* An arena of [arity]-tuples, each row extended by a trailing int
-   column: what the [kcasc] kernels and the head-bound DRed probes
-   scan. *)
-let tagged_arena mt ~arity iter =
-  let a = scratch_arena mt ~arity:(arity + 1) in
-  let row = Array.make (arity + 1) 0 in
-  iter (fun tup tag ->
-      Array.blit tup 0 row 0 arity;
-      row.(arity) <- tag;
-      ignore (Arena.push a row));
-  a
+let run_round mt mk ~src ~first ~len ~morsel ~stride ~apply =
+  execute_round mt mk ~src ~first ~len ~morsel;
+  apply_buffered mt ~stride ~apply
 
 (* --- counting strata --- *)
 
-(* One buffered round of rule [cr]'s kernel [mk] over [arena], each
-   emitted head adjusting its derivation count (or aggregate support)
-   by [sign]. *)
-let count_round mt cr mk ~arena ~sign =
-  set_emits mk (push_emit mt);
+(* The apply of a counting round of rule [cr]: each buffered head
+   adjusts its derivation count (or aggregate support) by [sign]. *)
+let count_apply mt cr mk ~sign =
   let hps = get_pred mt cr.cr_head in
-  run_round mt mk ~arena ~morsel:default_morsel ~apply:(fun (tuple, contrib) ->
-      match (hps.ps_body, cr.cr_agg) with
-      | Pplain counts, None -> plain_add mt hps counts tuple sign
-      | Pagg a, Some _ -> agg_support_add mt hps a tuple contrib sign
-      | _ -> invalid_arg "Maintain: aggregate/plain mismatch")
+  match (hps.ps_agg, cr.cr_agg) with
+  | None, None -> fun data off -> plain_add mt hps data off sign
+  | Some a, Some _ ->
+    let h = hps.ps_arity in
+    let cw = Array.length (Maintain_kernel.contrib mk.mk_insts.(0).mi_pipe) in
+    fun data off -> agg_support_add mt hps a data off (off + h) cw sign
+  | _ -> invalid_arg "Maintain: aggregate/plain mismatch"
 
-(* One buffered round per (rule, delta atom, sign).  Within a round
-   every application carries the same sign, and same-sign support
-   updates commute (deletions run first, so counts never cross the zero
-   boundary out of order), so the morsel execution order cannot change
-   the resulting state. *)
+(* One buffered round per (rule, delta atom, sign), scanning the delta
+   table in place.  Within a round every application carries the same
+   sign, and same-sign support updates commute (deletions run first, so
+   counts never cross the zero boundary out of order), so the morsel
+   execution order cannot change the resulting state. *)
 let counting_pass mt cs =
   Array.iter
     (fun cr ->
       Array.iteri
         (fun i ca ->
           let dps = get_pred mt ca.ca_pred in
-          let d = dps.ps_delta in
           let run tbl sign =
-            if Tup_tbl.length tbl > 0 then
-              count_round mt cr (get_kernel mt cs cr (kcount i))
-                ~arena:(arena_of_tbl mt tbl ~arity:dps.ps_arity)
-                ~sign
+            if Tuple_table.length tbl > 0 then begin
+              let mk = get_kernel mt cs cr (kcount i) in
+              set_emits mk (push_emit mt);
+              run_round mt mk ~src:tbl ~first:0 ~len:(Tuple_table.slots tbl)
+                ~morsel:default_morsel ~stride:(row_stride mk) ~apply:(count_apply mt cr mk ~sign)
+            end
           in
-          run d.d_del (-1);
-          run d.d_ins 1)
+          run dps.ps_del (-1);
+          run dps.ps_ins 1)
         cr.cr_atoms)
     cs.cs_rules
 
@@ -1060,9 +1206,8 @@ let rec ranks_below_from atoms skip limit k =
   (j = skip
   ||
   (fill ();
-   match Tup_tbl.find_opt ps.ps_ranks buf with
-   | Some r -> r < limit
-   | None -> false))
+   let r = rank_of ps buf 0 in
+   r >= 0 && r < limit))
   && ranks_below_from atoms skip limit (k + 1)
 
 let ranks_below atoms ~skip ~limit = ranks_below_from atoms skip limit 0
@@ -1113,6 +1258,7 @@ let build_ranks mt cs =
      [i] is the frontier atom position, [-1] in the base pass. *)
   let rank_emit cr i mi =
     let head_ps = get_pred mt cr.cr_head in
+    let tbl = head_ps.ps_tbl in
     let h = Maintain_kernel.head mi.mi_pipe in
     let atoms = mi.mi_atoms in
     fun () ->
@@ -1121,33 +1267,25 @@ let build_ranks mt cs =
         (fun (j, ps, buf, fill) ->
           if !ok then begin
             fill ();
-            match Tup_tbl.find_opt ps.ps_ranks buf with
-            | Some x ->
+            let x = rank_of ps buf 0 in
+            if x < 0 then ok := false
+            else begin
               if x >= !r then r := x + 1;
               if x > !best_r || (x = !best_r && j > !best) then begin
                 best_r := x;
                 best := j
               end
-            | None -> ok := false
+            end
           end)
         atoms;
-      if !ok then begin
-        (* a head ranked here keys its support entry with the same copy *)
-        let key =
-          if mem_cur head_ps h && not (Tup_tbl.mem head_ps.ps_ranks h) then begin
-            let h = Array.copy h in
-            Tup_tbl.replace head_ps.ps_ranks h !r;
-            Vec.push frontier (cr.cr_head, h);
-            h
-          end
-          else h
-        in
-        if !best = i && not (dup_atoms atoms) then
-          match Tup_tbl.find_opt head_ps.ps_ranks h with
-          | Some hr when hr = !r ->
-            let s = Option.value ~default:0 (Tup_tbl.find_opt head_ps.ps_supports h) in
-            Tup_tbl.replace head_ps.ps_supports (if key == h then Array.copy h else key) (s + 1)
-          | _ -> ()
+      let hs = Tuple_table.find_slice tbl h 0 in
+      if !ok && hs >= 0 then begin
+        if Tuple_table.get tbl hs c_rank < 0 then begin
+          Tuple_table.set tbl hs c_rank !r;
+          Vec.push frontier (head_ps, hs)
+        end;
+        if !best = i && Tuple_table.get tbl hs c_rank = !r && not (dup_atoms atoms) then
+          Tuple_table.set tbl hs c_support (Tuple_table.get tbl hs c_support + 1)
       end
   in
   let pipes = ref [] in
@@ -1180,140 +1318,106 @@ let build_ranks mt cs =
   in
   let cursor = ref 0 in
   while !cursor < Vec.length frontier do
-    let p, tup = Vec.get frontier !cursor in
+    let ps, s = Vec.get frontier !cursor in
     incr cursor;
-    List.iter (fun pipe -> ignore (Maintain_kernel.run_row pipe tup 0)) (List.assoc p feeds)
+    let data = Tuple_table.data ps.ps_tbl and off = Tuple_table.offset ps.ps_tbl s in
+    List.iter
+      (fun pipe -> ignore (Maintain_kernel.run_row pipe data off))
+      (List.assoc ps.ps_name feeds)
   done;
   (* the cached kernels must not keep the frontier alive *)
   List.iter (fun pipe -> Maintain_kernel.set_emit pipe ignore) !pipes;
   List.iter
     (fun p ->
-      let ps = get_pred mt p in
-      let m = Tup_tbl.fold (fun _ r acc -> max acc r) ps.ps_ranks mt.rank_counter in
-      mt.rank_counter <- m + 1)
+      let tbl = (get_pred mt p).ps_tbl in
+      Tuple_table.iter tbl (fun s ->
+          mt.rank_counter <- max mt.rank_counter (Tuple_table.get tbl s c_rank + 1)))
     stratum.Analysis.preds
 
-(* Phase 2 of DRed: physically remove the dead set from stores, ranks,
-   supports and indexes. *)
-let dred_remove_dead mt dsets =
+(* Phase 2 of DRed: physically remove the dead set from the tables and
+   indexes. *)
+let dred_remove_dead mt pss =
   List.iter
-    (fun (p, ds) ->
-      let ps = get_pred mt p in
-      let counts =
-        match ps.ps_body with
-        | Pplain c -> c
-        | Pagg _ -> invalid_arg "Maintain: aggregate in DRed stratum"
-      in
-      Tup_tbl.iter
-        (fun tup _ ->
-          if Tup_tbl.mem counts tup then begin
-            Tup_tbl.remove counts tup;
-            Tup_tbl.remove ps.ps_ranks tup;
-            Tup_tbl.remove ps.ps_supports tup;
-            visible_remove mt ps tup
-          end)
-        ds;
-      mt.cur_overdeleted <- mt.cur_overdeleted + Tup_tbl.length ds)
-    dsets
+    (fun ps ->
+      let dead = ps.ps_dead in
+      Tuple_table.iter_slices dead (fun data off ->
+          let s = Tuple_table.find_slice ps.ps_tbl data off in
+          if s >= 0 then visible_remove mt ps s);
+      mt.cur_overdeleted <- mt.cur_overdeleted + Tuple_table.length dead)
+    pss
 
-(* Groups the worklist entries [from, upto) by predicate, keeping
-   their order within each predicate. *)
-let segments worklist ~from ~upto =
-  let by_pred = Hashtbl.create 4 in
-  for k = from to upto - 1 do
-    let p, x = Vec.get worklist k in
-    let l =
-      match Hashtbl.find_opt by_pred p with
-      | Some l -> l
-      | None ->
-        let l = Vec.create () in
-        Hashtbl.add by_pred p l;
-        l
-    in
-    Vec.push l x
-  done;
-  by_pred
+(* Drains per-predicate worklist tables in segments: each pass hands
+   [segment ps ~first ~len] the rows every table gained since the
+   previous pass, predicates in stratum order, until a pass finds
+   nothing new.  The tables only grow while this runs. *)
+let drain_segments pss table segment =
+  let pss = Array.of_list pss in
+  let cur = Array.make (Array.length pss) 0 in
+  let grown () = Array.exists2 (fun ps c -> Tuple_table.slots (table ps) > c) pss cur in
+  while grown () do
+    let upto = Array.map (fun ps -> Tuple_table.slots (table ps)) pss in
+    Array.iteri
+      (fun k ps ->
+        let first = cur.(k) in
+        if upto.(k) > first then begin
+          cur.(k) <- upto.(k);
+          segment ps ~first ~len:(upto.(k) - first)
+        end)
+      pss
+  done
 
 (* Semi-naive insert propagation, shared by the DRed and monotone
    aggregate passes: seed rounds over the lower-stratum insertions
-   ([kprop] kernels), then the worklist [prop] drained in per-predicate
-   segments, one round per (rule, body atom of that predicate).  A
-   worklist entry [(p, (tup, tag))] carries an int tag that its segment
-   arena appends as a trailing column, which the [kcasc] kernels scan
-   into their rank register.  [emit mk cr i] makes each worker's emit
-   for a round of [cr] scanning body atom [i]; [apply cr] applies one
-   buffered emission and pushes onto [prop] whatever became visible. *)
-let propagate_inserts mt cs prop ~emit ~apply =
+   ([kprop] kernels, scanning the delta tables in place), then the
+   per-predicate worklists [ps_prop] drained in segments, one round per
+   (rule, body atom of that predicate).  A worklist row carries an int
+   tag after the tuple, which the [kcasc] kernels scan into their rank
+   register.  [emit mk cr i] makes each worker's emit for a round of
+   [cr] scanning body atom [i]; [apply cr] applies one buffered
+   emission and adds to the worklists whatever became visible. *)
+let propagate_inserts mt cs ~emit ~apply =
   let stratum = cs.cs_stratum in
   let in_stratum p = List.mem p stratum.Analysis.preds in
-  let round key cr i arena =
+  let round key cr i src ~first ~len =
     let mk = get_kernel mt cs cr key in
     set_emits mk (emit mk cr i);
-    run_round mt mk ~arena ~morsel:default_morsel ~apply:(apply cr)
+    run_round mt mk ~src ~first ~len ~morsel:default_morsel ~stride:(row_stride mk)
+      ~apply:(apply cr)
   in
   Array.iter
     (fun cr ->
       Array.iteri
         (fun i ca ->
           if not (in_stratum ca.ca_pred) then begin
-            let dps = get_pred mt ca.ca_pred in
-            let d = dps.ps_delta in
-            if Tup_tbl.length d.d_ins > 0 then
-              round (kprop i) cr i (arena_of_tbl mt d.d_ins ~arity:dps.ps_arity)
+            let ins = (get_pred mt ca.ca_pred).ps_ins in
+            if Tuple_table.length ins > 0 then
+              round (kprop i) cr i ins ~first:0 ~len:(Tuple_table.slots ins)
           end)
         cr.cr_atoms)
     cs.cs_rules;
-  let cursor = ref 0 in
-  while !cursor < Vec.length prop do
-    let upto = Vec.length prop in
-    let by_pred = segments prop ~from:!cursor ~upto in
-    cursor := upto;
-    List.iter
-      (fun p ->
-        match Hashtbl.find_opt by_pred p with
-        | None -> ()
-        | Some entries ->
-          let arena =
-            tagged_arena mt ~arity:(get_pred mt p).ps_arity (fun push ->
-                Vec.iter (fun (tup, tag) -> push tup tag) entries)
-          in
-          Array.iter
-            (fun cr ->
-              Array.iteri
-                (fun i ca -> if ca.ca_pred = p then round (kcasc i) cr i arena)
-                cr.cr_atoms)
-            cs.cs_rules)
-      stratum.Analysis.preds
-  done
+  drain_segments
+    (List.map (get_pred mt) stratum.Analysis.preds)
+    (fun ps -> ps.ps_prop)
+    (fun ps ~first ~len ->
+      Array.iter
+        (fun cr ->
+          Array.iteri
+            (fun i ca ->
+              if ca.ca_pred = ps.ps_name then round (kcasc i) cr i ps.ps_prop ~first ~len)
+            cr.cr_atoms)
+        cs.cs_rules)
 
-(* The contrib slot of DRed's rederivation and propagation emissions
-   carries one of these tags (the head rides in the head slot). *)
-let tag_fresh = [||] (* make visible; a dead head takes a fresh rank *)
+(* Adds a tuple that just became visible to its predicate's worklist. *)
+let push_prop ps (data : int array) off tag =
+  let p = ps.ps_prop in
+  Tuple_table.set p (Tuple_table.add_slice p data off) c_tag tag
 
-let tag_keep = [| 0 |] (* make visible; a dead head keeps its old rank *)
-let tag_restore = [| 1 |] (* give a surviving head one support back *)
+(* The tag of DRed's rederivation and propagation emissions (the head
+   rides in front of it). *)
+let tag_fresh = 1 (* make visible; a dead head takes a fresh rank *)
 
-(* Head-bound probe rounds over rows [tuple, rank]: per row the rank is
-   published in [limit.(w)] and [hits.(w)] reset for the emit, and
-   [result ~stopped hits] decides what, if anything, the row buffers
-   alongside a copy of its tuple. *)
-let probe_morsel mt ~limit ~hits ~result mi w a ~first ~len =
-  let data = Arena.data a in
-  let k = Arena.arity a in
-  let buf = mt.m_bufs.(w) in
-  for s = first to first + len - 1 do
-    let off = s * k in
-    limit.(w) <- data.(off + k - 1);
-    hits.(w) <- 0;
-    let stopped = Maintain_kernel.run_row mi.mi_pipe data off in
-    match result ~stopped hits.(w) with
-    | Some c -> Vec.push buf (Array.sub data off (k - 1), c)
-    | None -> ()
-  done
-
-let add_support ps tup n =
-  let s = Option.value ~default:0 (Tup_tbl.find_opt ps.ps_supports tup) in
-  Tup_tbl.replace ps.ps_supports tup (s + n)
+let tag_keep = 2 (* make visible; a dead head keeps its old rank *)
+let tag_restore = 3 (* give a surviving head one support back *)
 
 (* DRed in five phases, each a sequence of buffered kernel rounds:
 
@@ -1338,70 +1442,66 @@ let add_support ps tup n =
      cascade, so a derivation with several dying atoms is
      re-enumerated — and decremented — once per death; counted once,
      decremented possibly more, the bound only drops, which stays
-     sound.  The cascade drains the dead list in segments, one scan
-     arena per predicate with the dying tuple's rank as a trailing
-     column; lower relations read their new fixpoint (derivations
-     through same-batch lower insertions were never counted, so
-     decrementing or skipping them is equally sound).  The dead set
-     remembers each tuple's old rank;
+     sound.  The cascade drains the dead tables in segments, scanning
+     their rows — the tuple, then the rank it died with — in place;
+     lower relations read their new fixpoint (derivations through
+     same-batch lower insertions were never counted, so decrementing
+     or skipping them is equally sound);
    - phase 2 physically removes the dead set;
    - phase 3, rederivation: a zero count is only a candidate death,
      so one head-bound probe round per (predicate, rule) over the
-     candidate set restores any tuple that survives via some current
-     derivation, with insertions flushed per predicate in dsets order
-     — conservative counts cost time, never correctness.  A candidate
-     with a derivation whose same-stratum atoms all rank below its old
-     rank keeps that rank, otherwise it takes a fresh one, so no rank
-     ever drops;
-   - phase 4, insert propagation, seeds from the lower-stratum d_ins
-     sets and drains the worklist in per-predicate segments.  Tuples
-     are made visible before they enter the worklist, so any derivation
-     needing two same-segment tuples is found from either scan side;
-     inserts are idempotent, which makes the round order immaterial.
-     A dead head derived here keeps its old rank when the deriving
-     instantiation ranks below it.  Scanning a tuple that came back at
-     its old rank (the worklist tag; -1 for everything else, which no
-     surviving head outranks) gives one support back to the head of
-     each instantiation that is rank-decreasing, binds no tuple twice
-     and has the scanned atom as its greatest (rank, body position)
-     rederived atom — once per instantiation, and only to heads
-     neither dead nor fresh this batch.  After phase 1 a surviving
-     head's count covers at most its derivations that lost no atom,
-     and their ranks are unchanged; every restored instantiation holds
-     a dead atom, so it is none of those, and the count stays a lower
-     bound;
+     dead table restores any tuple that survives via some current
+     derivation, with insertions flushed per predicate in first-match
+     order — conservative counts cost time, never correctness.  A
+     candidate with a derivation whose same-stratum atoms all rank
+     below its old rank keeps that rank, otherwise it takes a fresh
+     one, so no rank ever drops;
+   - phase 4, insert propagation, seeds from the lower-stratum
+     insertions and drains the worklists in per-predicate segments.
+     Tuples are made visible before they enter the worklist, so any
+     derivation needing two same-segment tuples is found from either
+     scan side; inserts are idempotent, which makes the round order
+     immaterial.  A dead head derived here keeps its old rank when the
+     deriving instantiation ranks below it.  Scanning a tuple that came
+     back at its old rank (the worklist tag; -1 for everything else,
+     which no surviving head outranks) gives one support back to the
+     head of each instantiation that is rank-decreasing, binds no tuple
+     twice and has the scanned atom as its greatest (rank, body
+     position) rederived atom — once per instantiation, and only to
+     heads neither dead nor fresh this batch.  After phase 1 a
+     surviving head's count covers at most its derivations that lost
+     no atom, and their ranks are unchanged; every restored
+     instantiation holds a dead atom, so it is none of those, and the
+     count stays a lower bound;
    - phase 5 recounts every rederived tuple's support exactly, one
      head-bound probe round per (predicate, rule). *)
 let dred_pass mt cs =
   let stratum = cs.cs_stratum in
   let in_stratum p = List.mem p stratum.Analysis.preds in
-  let dsets = List.map (fun p -> (p, Tup_tbl.create 64)) stratum.Analysis.preds in
-  let dset p = List.assoc p dsets in
-  let dead = Vec.create () in
-  let kill p tup =
-    let ds = dset p in
-    if not (Tup_tbl.mem ds tup) then begin
-      let r =
-        match Tup_tbl.find_opt (get_pred mt p).ps_ranks tup with
-        | Some r -> r
-        | None -> 0
-      in
-      Tup_tbl.add ds tup r;
-      Vec.push dead (p, (tup, r))
-    end
-  in
-  let apply_decrement cr (h, _) =
-    let head_ps = get_pred mt cr.cr_head in
-    if not (Tup_tbl.mem (dset cr.cr_head) h) then begin
-      let s = Option.value ~default:0 (Tup_tbl.find_opt head_ps.ps_supports h) in
-      if s <= 1 then kill cr.cr_head h else Tup_tbl.replace head_ps.ps_supports h (s - 1)
-    end
+  let pss = List.map (get_pred mt) stratum.Analysis.preds in
+  List.iter
+    (fun ps ->
+      Tuple_table.clear ps.ps_dead;
+      Tuple_table.clear ps.ps_prop)
+    pss;
+  let apply_decrement cr =
+    let ps = get_pred mt cr.cr_head in
+    let tbl = ps.ps_tbl and dead = ps.ps_dead in
+    fun data off ->
+      if not (Tuple_table.mem_slice dead data off) then begin
+        let s = Tuple_table.find_slice tbl data off in
+        let sup = Tuple_table.get tbl s c_support in
+        if sup <= 1 then
+          Tuple_table.set dead (Tuple_table.add_slice dead data off) c_old_rank
+            (Tuple_table.get tbl s c_rank)
+        else Tuple_table.set tbl s c_support (sup - 1)
+      end
   in
   (* the emit of rule [cr] scanning body atom [i]: the head's support
      could have counted this instantiation only if it is rank-decreasing
-     — the scan atom's rank comes from its trailing column (cascade) or
-     is unconstrained (a lower-stratum seed), every other same-stratum
-     atom's from its rank table *)
+     — the scan atom's rank comes from its row (cascade) or is
+     unconstrained (a lower-stratum seed), every other same-stratum
+     atom's from its table *)
   let decrement_emit mk cr i w mi =
     let head_ps = get_pred mt cr.cr_head in
     let buf = mt.m_bufs.(w) in
@@ -1409,14 +1509,18 @@ let dred_pass mt cs =
     let regs = Maintain_kernel.regs mi.mi_pipe in
     let rank_reg = mk.mk_rank_reg in
     fun () ->
-      if mem_cur head_ps h then
-        match Tup_tbl.find_opt head_ps.ps_ranks h with
-        | None -> ()
-        | Some hr ->
-          if
-            (rank_reg < 0 || regs.(rank_reg) < hr)
-            && ranks_below mi.mi_atoms ~skip:i ~limit:hr
-          then Vec.push buf (Array.copy h, [||])
+      let hr = rank_of head_ps h 0 in
+      if
+        hr >= 0
+        && (rank_reg < 0 || regs.(rank_reg) < hr)
+        && ranks_below mi.mi_atoms ~skip:i ~limit:hr
+      then push_row buf h [||] 0
+  in
+  let decrement_round key cr i src ~first ~len =
+    let mk = get_kernel mt cs cr key in
+    set_emits mk (decrement_emit mk cr i);
+    run_round mt mk ~src ~first ~len ~morsel:default_morsel ~stride:(row_stride mk)
+      ~apply:(apply_decrement cr)
   in
   (* phase 1a: derivations lost to lower-stratum deletions *)
   Array.iter
@@ -1424,131 +1528,126 @@ let dred_pass mt cs =
       Array.iteri
         (fun i ca ->
           if not (in_stratum ca.ca_pred) then begin
-            let dps = get_pred mt ca.ca_pred in
-            let d = dps.ps_delta in
-            if Tup_tbl.length d.d_del > 0 then begin
-              let mk = get_kernel mt cs cr (kseed i) in
-              set_emits mk (decrement_emit mk cr i);
-              run_round mt mk
-                ~arena:(arena_of_tbl mt d.d_del ~arity:dps.ps_arity)
-                ~morsel:default_morsel ~apply:(apply_decrement cr)
-            end
+            let del = (get_pred mt ca.ca_pred).ps_del in
+            if Tuple_table.length del > 0 then
+              decrement_round (kseed i) cr i del ~first:0 ~len:(Tuple_table.slots del)
           end)
         cr.cr_atoms)
     cs.cs_rules;
-  (* phase 1b: the cascade, in dead-list segments *)
-  let cursor = ref 0 in
-  while !cursor < Vec.length dead do
-    let upto = Vec.length dead in
-    let by_pred = segments dead ~from:!cursor ~upto in
-    cursor := upto;
-    List.iter
-      (fun p ->
-        match Hashtbl.find_opt by_pred p with
-        | None -> ()
-        | Some entries ->
-          let arena =
-            tagged_arena mt ~arity:(get_pred mt p).ps_arity (fun push ->
-                Vec.iter (fun (tup, r) -> push tup r) entries)
-          in
-          Array.iter
-            (fun cr ->
-              Array.iteri
-                (fun i ca ->
-                  if ca.ca_pred = p then begin
-                    let mk = get_kernel mt cs cr (kcasc i) in
-                    set_emits mk (decrement_emit mk cr i);
-                    run_round mt mk ~arena ~morsel:default_morsel
-                      ~apply:(apply_decrement cr)
-                  end)
-                cr.cr_atoms)
-            cs.cs_rules)
-      stratum.Analysis.preds
-  done;
+  (* phase 1b: the cascade, in dead-table segments *)
+  drain_segments pss
+    (fun ps -> ps.ps_dead)
+    (fun ps ~first ~len ->
+      Array.iter
+        (fun cr ->
+          Array.iteri
+            (fun i ca ->
+              if ca.ca_pred = ps.ps_name then decrement_round (kcasc i) cr i ps.ps_dead ~first ~len)
+            cr.cr_atoms)
+        cs.cs_rules);
   (* phase 2: physically remove the dead set *)
-  dred_remove_dead mt dsets;
+  dred_remove_dead mt pss;
   (* phases 3 to 5: rederive, worklist insert propagation, recount *)
-  let prop = Vec.create () in
-  let insert p tup ~keep =
-    let ps = get_pred mt p in
-    let counts =
-      match ps.ps_body with
-      | Pplain c -> c
-      | Pagg _ -> assert false
-    in
-    if not (Tup_tbl.mem counts tup) then begin
-      Tup_tbl.replace counts tup 1;
-      let old = Tup_tbl.find_opt (dset p) tup in
+  let insert ps (data : int array) off ~keep =
+    let tbl = ps.ps_tbl in
+    if Tuple_table.find_slice tbl data off < 0 then begin
+      let ds = Tuple_table.find_slice ps.ps_dead data off in
+      let s = visible_add mt ps data off in
       let tag =
-        match old with
-        | Some r when keep ->
-          Tup_tbl.replace ps.ps_ranks tup r;
+        if ds >= 0 && keep then begin
+          let r = Tuple_table.get ps.ps_dead ds c_old_rank in
+          Tuple_table.set tbl s c_rank r;
           r
-        | _ ->
+        end
+        else begin
           (* the monotone counter orders same-batch inserts by
              derivation, above every rank a surviving tuple holds *)
-          Tup_tbl.replace ps.ps_ranks tup mt.rank_counter;
+          Tuple_table.set tbl s c_rank mt.rank_counter;
           mt.rank_counter <- mt.rank_counter + 1;
           -1
+        end
       in
       (* one support is a lower bound for a fresh insert; a rederived
          tuple is recounted in phase 5 *)
-      Tup_tbl.replace ps.ps_supports tup 1;
-      visible_insert mt ps tup;
-      if old <> None then mt.cur_rederived <- mt.cur_rederived + 1;
-      Vec.push prop (p, (tup, tag))
+      Tuple_table.set tbl s c_support 1;
+      if ds >= 0 then mt.cur_rederived <- mt.cur_rederived + 1;
+      push_prop ps data off tag
     end
   in
-  (* per-worker slots the head-bound probe morsels share with their emits *)
-  let limit = Array.make mt.m_workers 0 and hits = Array.make mt.m_workers 0 in
-  let probe_rounds p ds ~emit ~result ~apply =
-    let arena =
-      tagged_arena mt ~arity:(get_pred mt p).ps_arity (fun push -> Tup_tbl.iter push ds)
+  (* Head-bound probe rounds over a dead table's rows, one per rule
+     deriving it: per row, [start w data off s] publishes the rank limit
+     in [limit.(w)] and the slot the result is for in [target.(w)], or
+     returns [false] to skip the row; [result ~stopped hits] is the
+     value to buffer with that slot, 0 for none. *)
+  let limit = Array.make mt.m_workers 0
+  and hits = Array.make mt.m_workers 0
+  and target = Array.make mt.m_workers 0 in
+  let probe_rounds ps ~start ~emit ~result ~apply =
+    let dead = ps.ps_dead in
+    let morsel mi w tbl ~first ~len =
+      let buf = mt.m_bufs.(w) in
+      let stride = Tuple_table.stride tbl in
+      for s = first to first + len - 1 do
+        let data = Tuple_table.data tbl and off = s * stride in
+        if Tuple_table.live tbl s && start w data off s then begin
+          hits.(w) <- 0;
+          let stopped = Maintain_kernel.run_row mi.mi_pipe data off in
+          let v = result ~stopped hits.(w) in
+          if v <> 0 then push_pair buf target.(w) v
+        end
+      done
     in
     Array.iter
       (fun cr ->
-        if cr.cr_head = p then begin
+        if cr.cr_head = ps.ps_name then begin
           let mk = get_kernel mt cs cr krederive in
           set_emits mk emit;
-          run_round mt mk ~arena ~morsel:(probe_morsel mt ~limit ~hits ~result) ~apply
+          run_round mt mk ~src:dead ~first:0 ~len:(Tuple_table.slots dead) ~morsel ~stride:2
+            ~apply:(fun d off -> apply d.(off) d.(off + 1))
         end)
       cs.cs_rules
   in
   (* phase 3: the probe stops at the first derivation ranked below the
      old rank, after counting every other one it passed *)
   List.iter
-    (fun (p, ds) ->
-      if Tup_tbl.length ds > 0 then begin
-        let keep = Tup_tbl.create 64 in
+    (fun ps ->
+      let dead = ps.ps_dead in
+      if Tuple_table.length dead > 0 then begin
         let matched = Vec.create () in
-        probe_rounds p ds
+        probe_rounds ps
+          ~start:(fun w data off s ->
+            limit.(w) <- data.(off + ps.ps_arity + c_old_rank);
+            target.(w) <- s;
+            true)
           ~emit:(fun w mi () ->
             hits.(w) <- hits.(w) + 1;
             if ranks_below mi.mi_atoms ~skip:(-1) ~limit:limit.(w) then
               raise Maintain_kernel.Stop)
-          ~result:(fun ~stopped n ->
-            if stopped then Some tag_keep else if n > 0 then Some tag_fresh else None)
-          ~apply:(fun (tup, tag) ->
-            match Tup_tbl.find_opt keep tup with
-            | None ->
-              Tup_tbl.add keep tup (tag == tag_keep);
-              Vec.push matched tup
-            | Some false when tag == tag_keep -> Tup_tbl.replace keep tup true
-            | Some _ -> ());
-        Vec.iter (fun tup -> insert p tup ~keep:(Tup_tbl.find keep tup)) matched
+          ~result:(fun ~stopped n -> if stopped then tag_keep else if n > 0 then tag_fresh else 0)
+          ~apply:(fun ds tag ->
+            match Tuple_table.get dead ds c_match with
+            | 0 ->
+              Tuple_table.set dead ds c_match tag;
+              Vec.push matched ds
+            | m ->
+              if tag = tag_keep && m = tag_fresh then Tuple_table.set dead ds c_match tag_keep);
+        Vec.iter
+          (fun ds ->
+            insert ps (Tuple_table.data dead) (Tuple_table.offset dead ds)
+              ~keep:(Tuple_table.get dead ds c_match = tag_keep))
+          matched
       end)
-    dsets;
+    pss;
   (* phase 4: a visible head can only take a restore, an invisible one
      is an insert whose tag says whether a dead head keeps its rank *)
   let prop_emit mk cr i w mi =
     let head_ps = get_pred mt cr.cr_head in
-    let hdset = dset cr.cr_head in
+    let hdead = head_ps.ps_dead in
     let buf = mt.m_bufs.(w) in
     let h = Maintain_kernel.head mi.mi_pipe in
     let regs = Maintain_kernel.regs mi.mi_pipe in
     let rank_reg = mk.mk_rank_reg in
     let atoms = mi.mi_atoms in
-    let adsets = Array.map (fun (_, ps, _, _) -> dset ps.ps_name) atoms in
     (* every other rederived atom is below the scanned one, ranked [sr],
        in (rank, body position) order; the atoms are filled and ranked *)
     let rec greatest sr k =
@@ -1556,65 +1655,78 @@ let dred_pass mt cs =
       ||
       let j, ps, buf, _ = atoms.(k) in
       (j = i
-      || (not (Tup_tbl.mem adsets.(k) buf))
+      || (not (Tuple_table.mem_slice ps.ps_dead buf 0))
       ||
-      let r = Tup_tbl.find ps.ps_ranks buf in
+      let r = rank_of ps buf 0 in
       r < sr || (r = sr && j < i))
       && greatest sr (k + 1)
     in
     fun () ->
       let sr = if rank_reg < 0 then -1 else regs.(rank_reg) in
-      if mem_cur head_ps h then begin
-        if sr >= 0 && (not (Tup_tbl.mem hdset h)) && not (Tup_tbl.mem head_ps.ps_delta.d_ins h)
-        then
-          match Tup_tbl.find_opt head_ps.ps_ranks h with
-          | Some hr
-            when sr < hr
-                 && ranks_below atoms ~skip:i ~limit:hr
-                 && (not (dup_atoms atoms))
-                 && greatest sr 0 ->
-            Vec.push buf (Array.copy h, tag_restore)
-          | _ -> ()
+      let hr = rank_of head_ps h 0 in
+      if hr >= 0 then begin
+        if
+          sr >= 0
+          && (not (Tuple_table.mem_slice hdead h 0))
+          && (not (Tuple_table.mem_slice head_ps.ps_ins h 0))
+          && sr < hr
+          && ranks_below atoms ~skip:i ~limit:hr
+          && (not (dup_atoms atoms))
+          && greatest sr 0
+        then push_row buf h [||] tag_restore
       end
       else
         let keep =
-          match Tup_tbl.find_opt hdset h with
-          | Some old ->
-            (rank_reg < 0 || (sr >= 0 && sr < old)) && ranks_below atoms ~skip:i ~limit:old
-          | None -> false
+          let ds = Tuple_table.find_slice hdead h 0 in
+          ds >= 0
+          &&
+          let old = Tuple_table.get hdead ds c_old_rank in
+          (rank_reg < 0 || (sr >= 0 && sr < old)) && ranks_below atoms ~skip:i ~limit:old
         in
-        Vec.push buf (Array.copy h, if keep then tag_keep else tag_fresh)
+        push_row buf h [||] (if keep then tag_keep else tag_fresh)
   in
-  propagate_inserts mt cs prop ~emit:prop_emit ~apply:(fun cr (h, tag) ->
-      if tag == tag_restore then begin
-        add_support (get_pred mt cr.cr_head) h 1;
-        mt.cur_restored <- mt.cur_restored + 1
-      end
-      else insert cr.cr_head h ~keep:(tag == tag_keep));
+  propagate_inserts mt cs ~emit:prop_emit ~apply:(fun cr ->
+      let ps = get_pred mt cr.cr_head in
+      let tbl = ps.ps_tbl in
+      let tag_at = ps.ps_arity in
+      fun data off ->
+        let tag = data.(off + tag_at) in
+        if tag = tag_restore then begin
+          let s = Tuple_table.find_slice tbl data off in
+          Tuple_table.set tbl s c_support (Tuple_table.get tbl s c_support + 1);
+          mt.cur_restored <- mt.cur_restored + 1
+        end
+        else insert ps data off ~keep:(tag = tag_keep));
   (* phase 5: exact support recount of the rederived tuples, at their
      final ranks *)
   List.iter
-    (fun (p, ds) ->
-      let ps = get_pred mt p in
-      let back = Tup_tbl.create 64 in
-      Tup_tbl.iter
-        (fun tup _ ->
-          match Tup_tbl.find_opt ps.ps_ranks tup with
-          | Some r ->
-            Tup_tbl.remove ps.ps_supports tup;
-            Tup_tbl.add back tup r
-          | None -> ())
-        ds;
-      if Tup_tbl.length back > 0 then begin
-        mt.cur_recounted <- mt.cur_recounted + Tup_tbl.length back;
-        probe_rounds p back
+    (fun ps ->
+      let tbl = ps.ps_tbl in
+      let back = ref 0 in
+      Tuple_table.iter_slices ps.ps_dead (fun data off ->
+          let s = Tuple_table.find_slice tbl data off in
+          if s >= 0 then begin
+            Tuple_table.set tbl s c_support 0;
+            incr back
+          end);
+      if !back > 0 then begin
+        mt.cur_recounted <- mt.cur_recounted + !back;
+        probe_rounds ps
+          ~start:(fun w data off _ ->
+            let s = Tuple_table.find_slice tbl data off in
+            s >= 0
+            && begin
+                 limit.(w) <- Tuple_table.get tbl s c_rank;
+                 target.(w) <- s;
+                 true
+               end)
           ~emit:(fun w mi () ->
             if ranks_below mi.mi_atoms ~skip:(-1) ~limit:limit.(w) && not (dup_atoms mi.mi_atoms)
             then hits.(w) <- hits.(w) + 1)
-          ~result:(fun ~stopped:_ n -> if n > 0 then Some [| n |] else None)
-          ~apply:(fun (tup, c) -> add_support ps tup c.(0))
+          ~result:(fun ~stopped:_ n -> n)
+          ~apply:(fun s n -> Tuple_table.set tbl s c_support (Tuple_table.get tbl s c_support + n))
       end)
-    dsets
+    pss
 
 (* --- recursive min/max aggregate strata: monotone insert propagation --- *)
 
@@ -1623,42 +1735,37 @@ let dred_pass mt cs =
    worklist, so the segment rounds reach the same monotone fixpoint in
    any order. *)
 let aggrec_insert_pass mt cs =
-  let prop = Vec.create () in
-  let merge p tup =
-    let ps = get_pred mt p in
-    match ps.ps_body with
-    | Pplain counts ->
-      if not (Tup_tbl.mem counts tup) then begin
-        Tup_tbl.replace counts tup 1;
-        visible_insert mt ps tup;
-        Vec.push prop (p, (tup, -1))
+  List.iter (fun p -> Tuple_table.clear (get_pred mt p).ps_prop) cs.cs_stratum.Analysis.preds;
+  let merge ps (data : int array) off =
+    match ps.ps_agg with
+    | None ->
+      if Tuple_table.find_slice ps.ps_tbl data off < 0 then begin
+        ignore (visible_add mt ps data off);
+        push_prop ps data off (-1)
       end
-    | Pagg a -> (
-      let g = group_of a tup in
-      let v = tup.(a.a_pos) in
+    | Some a ->
+      group_of a data off;
+      let v = data.(off + a.a_pos) in
+      let cur = chain_head a.a_group a.a_gkey in
       let improves =
-        match Tup_tbl.find_opt a.a_best g with
-        | None -> true
-        | Some cur -> (
-          match a.a_kind with
-          | Ast.Min -> v < cur
-          | Ast.Max -> v > cur
-          | Ast.Count | Ast.Sum -> invalid_arg "Maintain: non-monotone aggregate insert")
+        cur < 0
+        ||
+        let cv = (Tuple_table.data ps.ps_tbl).(Tuple_table.offset ps.ps_tbl cur + a.a_pos) in
+        match a.a_kind with
+        | Ast.Min -> v < cv
+        | Ast.Max -> v > cv
+        | Ast.Count | Ast.Sum -> invalid_arg "Maintain: non-monotone aggregate insert"
       in
       if improves then begin
-        (match Tup_tbl.find_opt a.a_best g with
-        | Some cur ->
-          Tup_tbl.remove a.a_best g;
-          visible_remove mt ps (assemble a g cur)
-        | None -> ());
-        Tup_tbl.replace a.a_best g v;
-        visible_insert mt ps tup;
-        Vec.push prop (p, (tup, -1))
-      end)
+        set_group_value mt ps a ~has:true v;
+        push_prop ps data off (-1)
+      end
   in
-  propagate_inserts mt cs prop
+  propagate_inserts mt cs
     ~emit:(fun _mk _cr _i -> push_emit mt)
-    ~apply:(fun cr (h, _) -> merge cr.cr_head h)
+    ~apply:(fun cr ->
+      let ps = get_pred mt cr.cr_head in
+      merge ps)
 
 (* --- stratum recompute through the parallel engine --- *)
 
@@ -1723,10 +1830,13 @@ let sub_plan mt cs =
     plan
 
 let visible_vec_of mt p =
-  let v = Vec.create () in
-  iter_vis_cur (get_pred mt p) (fun tup -> Vec.push v tup);
+  let ps = get_pred mt p in
+  let v = Vec.create ~capacity:(visible_count_ps ps) () in
+  Tuple_table.iter_slices ps.ps_tbl (fun data off -> Vec.push v (Array.sub data off ps.ps_arity));
   v
 
+(* Diffs the sub-run's relations against the visible tables: stale
+   tuples leave first, so an aggregated group never shows two values. *)
 let recompute mt cs =
   mt.cur_recomputed <- mt.cur_recomputed + 1;
   let sub = sub_plan mt cs in
@@ -1744,62 +1854,97 @@ let recompute mt cs =
   List.iter
     (fun p ->
       let ps = get_pred mt p in
-      let newvec = Parallel.relation_vec result p in
-      match ps.ps_body with
-      | Pplain counts ->
-        let newset = Tup_tbl.create (max 16 (Vec.length newvec)) in
-        Vec.iter (fun tup -> Tup_tbl.replace newset tup ()) newvec;
-        let stale = ref [] in
-        Tup_tbl.iter
-          (fun tup _ -> if not (Tup_tbl.mem newset tup) then stale := tup :: !stale)
-          counts;
-        List.iter
-          (fun tup ->
-            Tup_tbl.remove counts tup;
-            visible_remove mt ps tup)
-          !stale;
-        Tup_tbl.iter
-          (fun tup () ->
-            if not (Tup_tbl.mem counts tup) then begin
-              Tup_tbl.replace counts tup 1;
-              visible_insert mt ps tup
-            end)
-          newset
-      | Pagg a ->
-        let newbest = Tup_tbl.create 64 in
-        Vec.iter (fun tup -> Tup_tbl.replace newbest (group_of a tup) tup.(a.a_pos)) newvec;
-        let stale = ref [] in
-        Tup_tbl.iter
-          (fun g v ->
-            match Tup_tbl.find_opt newbest g with
-            | Some v' when v' = v -> ()
-            | _ -> stale := (g, v) :: !stale)
-          a.a_best;
-        List.iter
-          (fun (g, v) ->
-            Tup_tbl.remove a.a_best g;
-            visible_remove mt ps (assemble a g v))
-          !stale;
-        Tup_tbl.iter
-          (fun g v ->
-            if not (Tup_tbl.mem a.a_best g) then begin
-              Tup_tbl.replace a.a_best g v;
-              visible_insert mt ps (assemble a g v)
-            end)
-          newbest)
+      let tbl = ps.ps_tbl in
+      let fresh =
+        match Catalog.find result.Parallel.catalog p with
+        | None -> Tuple_table.create ~arity:ps.ps_arity ()
+        | Some rel ->
+          let t = Tuple_table.create ~capacity:(Relation.length rel) ~arity:ps.ps_arity () in
+          Relation.iter_slices rel (fun data off -> ignore (Tuple_table.add_slice t data off));
+          t
+      in
+      let stale = Vec.create () in
+      Tuple_table.iter tbl (fun s ->
+          let data = Tuple_table.data tbl and off = Tuple_table.offset tbl s in
+          if not (Tuple_table.mem_slice fresh data off) then Vec.push stale s);
+      Vec.iter (visible_remove mt ps) stale;
+      Tuple_table.iter_slices fresh (fun data off ->
+          if Tuple_table.find_slice tbl data off < 0 then ignore (visible_add mt ps data off)))
     cs.cs_stratum.Analysis.preds
 
 (* --- construction --- *)
 
-let new_ps name arity body =
+let new_ps name arity ~extra ~capacity ~agg =
+  let small () = Tuple_table.create ~arity () in
+  let tbl = Tuple_table.create ~capacity:(presized capacity) ~extra ~arity () in
+  let ps =
+    {
+      ps_name = name;
+      ps_arity = arity;
+      ps_tbl = tbl;
+      ps_agg = None;
+      ps_indexes = [];
+      ps_ins = small ();
+      ps_del = small ();
+      ps_overlays = [];
+      ps_dead = Tuple_table.create ~extra:2 ~arity ();
+      ps_prop = Tuple_table.create ~extra:1 ~arity ();
+    }
+  in
+  match agg with
+  | None -> ps
+  | Some (pos, kind, support) ->
+    let a_group = ensure_index ps (group_cols arity pos) in
+    {
+      ps with
+      ps_agg =
+        Some
+          {
+            a_pos = pos;
+            a_kind = kind;
+            a_group;
+            a_gkey = Array.make (arity - 1) 0;
+            a_row = Array.make arity 0;
+            a_support = support;
+          };
+    }
+
+(* The support tables of aggregated predicate [p] in a counting
+   stratum: contributor ints are the widest any rule emits, and keys
+   carry the width when the rules disagree on it. *)
+let new_support rules p arity kind =
+  let widths =
+    List.filter_map
+      (fun (r : Ast.rule) ->
+        if r.Ast.head_pred <> p then None
+        else
+          List.find_map
+            (fun (ha : Ast.head_arg) ->
+              match ha with
+              | Ast.Agg (Ast.Count, ts) -> Some (List.length ts)
+              | Ast.Agg (Ast.Sum, ts) -> Some (List.length ts - 1)
+              | Ast.Agg ((Ast.Min | Ast.Max), _) | Ast.Plain _ -> None)
+            r.Ast.head_args)
+      rules
+  in
+  let width = List.fold_left max 0 widths in
+  let tagged = List.exists (( <> ) width) widths in
+  let g = arity - 1 in
+  let karity =
+    match kind with
+    | Ast.Min | Ast.Max -> g + 1
+    | Ast.Count -> g + Bool.to_int tagged + width
+    | Ast.Sum -> g + Bool.to_int tagged + width + 1
+  in
+  let su_tbl = Tuple_table.create ~extra:1 ~arity:karity () in
   {
-    ps_name = name;
-    ps_arity = arity;
-    ps_body = body;
-    ps_indexes = [];
-    ps_delta = { d_ins = Tup_tbl.create 16; d_del = Tup_tbl.create 16; d_overlays = [] };
-    ps_ranks = Tup_tbl.create 16;
-    ps_supports = Tup_tbl.create 16;
+    su_tbl;
+    su_groups =
+      make_chains ~cols:(Array.init g Fun.id) ~linked:(kind <> Ast.Count)
+        ~cap:(Tuple_table.capacity su_tbl);
+    su_width = width;
+    su_tagged = tagged;
+    su_key = Array.make karity 0;
   }
 
 let arity_of info p =
@@ -1821,6 +1966,7 @@ let create ~plan ~config ~runtime ~catalog =
     in
     max 1 (min req config.Parallel.workers)
   in
+  let new_ebuf () = { e_data = Array.make 64 0; e_len = 0 } in
   let mt =
     {
       plan;
@@ -1839,8 +1985,7 @@ let create ~plan ~config ~runtime ~catalog =
         (match config.Parallel.fault with
         | Some spec when m_workers > 1 -> Some (Fault.create ~workers:m_workers spec)
         | _ -> None);
-      m_bufs = Array.init m_workers (fun _ -> Vec.create ());
-      m_arenas = Hashtbl.create 8;
+      m_bufs = Array.init m_workers (fun _ -> new_ebuf ());
       m_wjoin = Array.make m_workers 0.;
       m_wmorsels = Array.make m_workers 0;
       m_wsteals = Array.make m_workers 0;
@@ -1856,13 +2001,22 @@ let create ~plan ~config ~runtime ~catalog =
     }
   in
   let info = plan.Physical.info in
+  let rel_length p = match Catalog.find catalog p with Some r -> Relation.length r | None -> 0 in
+  (* adopts the engine's relation as the visible set, every slot's
+     extra columns set to [cols] *)
+  let adopt ps cols =
+    match Catalog.find catalog ps.ps_name with
+    | None -> ()
+    | Some rel ->
+      Relation.iter_slices rel (fun data off ->
+          let s = visible_add mt ps data off in
+          Array.iteri (fun c v -> Tuple_table.set ps.ps_tbl s c v) cols)
+  in
   List.iter
     (fun pred ->
-      let counts = Tup_tbl.create 64 in
-      (match Catalog.find catalog pred with
-      | Some rel -> Relation.iter (fun tup -> Tup_tbl.replace counts tup 1) rel
-      | None -> ());
-      Hashtbl.replace mt.preds pred (new_ps pred (arity_of info pred) (Pplain counts));
+      let ps = new_ps pred (arity_of info pred) ~extra:0 ~capacity:(rel_length pred) ~agg:None in
+      adopt ps [||];
+      Hashtbl.replace mt.preds pred ps;
       Hashtbl.replace mt.edb pred ())
     info.Analysis.edb;
   mt.strata <-
@@ -1910,19 +2064,22 @@ let create ~plan ~config ~runtime ~catalog =
         in
         List.iter
           (fun p ->
-            let body =
+            let arity = arity_of info p in
+            let agg, extra =
               match List.assoc_opt p info.Analysis.aggregated with
               | Some (pos, kind) ->
-                Pagg
-                  {
-                    a_pos = pos;
-                    a_kind = kind;
-                    a_best = Tup_tbl.create 64;
-                    a_support = (if mode = M_counting then Some (Tup_tbl.create 64) else None);
-                  }
-              | None -> Pplain (Tup_tbl.create 64)
+                let support =
+                  if mode = M_counting then Some (new_support rules p arity kind) else None
+                in
+                (Some (pos, kind, support), 0)
+              | None -> (
+                ( None,
+                  match mode with
+                  | M_counting -> 1
+                  | M_dred -> 2
+                  | M_aggrec | M_subrun -> 0 ))
             in
-            Hashtbl.replace mt.preds p (new_ps p (arity_of info p) body))
+            Hashtbl.replace mt.preds p (new_ps p arity ~extra ~capacity:(rel_length p) ~agg))
           st.Analysis.preds;
         let cs =
           {
@@ -1940,14 +2097,29 @@ let create ~plan ~config ~runtime ~catalog =
              over a unit scan: the bodies are all lower-stratum), then
              verify the visible set reproduces the engine's
              materialization exactly *)
-          let arena = scratch_arena mt ~arity:0 in
-          ignore (Arena.push arena [||]);
-          Array.iter (fun cr -> count_round mt cr (full_kernel mt cs cr) ~arena ~sign:1) cs.cs_rules;
+          let unit = Tuple_table.create ~arity:0 () in
+          ignore (Tuple_table.add unit [||]);
+          Array.iter
+            (fun cr ->
+              let mk = full_kernel mt cs cr in
+              set_emits mk (push_emit mt);
+              execute_round mt mk ~src:unit ~first:0 ~len:1 ~morsel:default_morsel;
+              let stride = row_stride mk in
+              (* an aggregate's support holds at most one slot per
+                 emission: size it once *)
+              (match (get_pred mt cr.cr_head).ps_agg with
+              | Some { a_support = Some su; _ } ->
+                let n = Tuple_table.length su.su_tbl + buffered_rows mt ~stride in
+                Tuple_table.reserve su.su_tbl (presized n);
+                chain_fit su.su_groups (Tuple_table.capacity su.su_tbl)
+              | _ -> ());
+              apply_buffered mt ~stride ~apply:(count_apply mt cr mk ~sign:1))
+            cs.cs_rules;
           List.iter
             (fun p ->
               let ps = get_pred mt p in
               let rel = Catalog.find catalog p in
-              let rel_len = match rel with Some r -> Relation.length r | None -> 0 in
+              let rel_len = rel_length p in
               let vis_len = visible_count_ps ps in
               let ok =
                 rel_len = vis_len
@@ -1956,7 +2128,8 @@ let create ~plan ~config ~runtime ~catalog =
                 | None -> true
                 | Some r ->
                   let good = ref true in
-                  Relation.iter (fun tup -> if not (mem_cur ps tup) then good := false) r;
+                  Relation.iter_slices r (fun data off ->
+                      if not (mem_cur ps data off) then good := false);
                   !good
               in
               if not ok then
@@ -1967,26 +2140,19 @@ let create ~plan ~config ~runtime ~catalog =
                      p rel_len vis_len))
             st.Analysis.preds
         | M_dred | M_aggrec | M_subrun ->
-          (* adopt the engine's fixpoint as the maintained state *)
+          (* adopt the engine's fixpoint as the maintained state; DRed
+             tuples start unranked *)
           List.iter
             (fun p ->
               let ps = get_pred mt p in
-              match Catalog.find catalog p with
-              | None -> ()
-              | Some rel -> (
-                match ps.ps_body with
-                | Pplain counts -> Relation.iter (fun tup -> Tup_tbl.replace counts tup 1) rel
-                | Pagg a ->
-                  Relation.iter
-                    (fun tup -> Tup_tbl.replace a.a_best (group_of a tup) tup.(a.a_pos))
-                    rel))
+              adopt ps (if mode = M_dred then [| -1; 0 |] else [||]))
             st.Analysis.preds;
           if mode = M_dred then build_ranks mt cs);
         cs)
       info.Analysis.strata;
   (* the unit-scan support rounds buffered whole relations inline;
      batches start again from a small buffer *)
-  mt.m_bufs.(0) <- Vec.create ();
+  mt.m_bufs.(0) <- new_ebuf ();
   mt.recording <- true;
   mt
 
@@ -2018,6 +2184,11 @@ let validate_norm mt updates =
 
 let validate mt updates = ignore (validate_norm mt updates)
 
+let keys_of tbl =
+  let acc = ref [] in
+  Tuple_table.iter tbl (fun s -> acc := Tuple_table.key tbl s :: !acc);
+  !acc
+
 let apply mt updates =
   let norm = validate_norm mt updates in
   mt.cur_overdeleted <- 0;
@@ -2029,32 +2200,22 @@ let apply mt updates =
   Array.fill mt.m_wmorsels 0 mt.m_workers 0;
   Array.fill mt.m_wsteals 0 mt.m_workers 0;
   Array.fill mt.m_wstolen 0 mt.m_workers 0;
-  Array.iter Vec.clear mt.m_bufs;
+  Array.iter (fun b -> b.e_len <- 0) mt.m_bufs;
   List.iter
     (fun (ps, tup, ins) ->
-      let counts =
-        match ps.ps_body with
-        | Pplain c -> c
-        | Pagg _ -> assert false
-      in
+      let s = Tuple_table.find ps.ps_tbl tup in
       if ins then begin
-        if not (Tup_tbl.mem counts tup) then begin
-          Tup_tbl.replace counts tup 1;
-          visible_insert mt ps tup
-        end
+        if s < 0 then ignore (visible_add mt ps tup 0)
       end
-      else if Tup_tbl.mem counts tup then begin
-        Tup_tbl.remove counts tup;
-        visible_remove mt ps tup
-      end)
+      else if s >= 0 then visible_remove mt ps s)
     norm;
   List.iter
     (fun cs ->
       let changed =
         List.exists
           (fun p ->
-            let d = (get_pred mt p).ps_delta in
-            Tup_tbl.length d.d_ins > 0 || Tup_tbl.length d.d_del > 0)
+            let ps = get_pred mt p in
+            Tuple_table.length ps.ps_ins > 0 || Tuple_table.length ps.ps_del > 0)
           cs.cs_body_preds
       in
       if changed then
@@ -2064,9 +2225,7 @@ let apply mt updates =
         | M_subrun -> recompute mt cs
         | M_aggrec ->
           let has_del =
-            List.exists
-              (fun p -> Tup_tbl.length (get_pred mt p).ps_delta.d_del > 0)
-              cs.cs_body_preds
+            List.exists (fun p -> Tuple_table.length (get_pred mt p).ps_del > 0) cs.cs_body_preds
           in
           if cs.cs_insert_ok && not has_del then aggrec_insert_pass mt cs else recompute mt cs)
     mt.strata;
@@ -2078,17 +2237,10 @@ let apply mt updates =
   and der_d = ref 0 in
   Hashtbl.iter
     (fun name ps ->
-      let d = ps.ps_delta in
-      let i = Tup_tbl.length d.d_ins and r = Tup_tbl.length d.d_del in
+      let i = Tuple_table.length ps.ps_ins and r = Tuple_table.length ps.ps_del in
       if i > 0 || r > 0 then begin
         changed := (name, i, r) :: !changed;
-        (* the tuple arrays outlive the delta reset below; nothing in
-           this module mutates a tuple once stored *)
-        deltas :=
-          ( name,
-            Tup_tbl.fold (fun t () acc -> t :: acc) d.d_ins [],
-            Tup_tbl.fold (fun t () acc -> t :: acc) d.d_del [] )
-          :: !deltas;
+        deltas := (name, keys_of ps.ps_ins, keys_of ps.ps_del) :: !deltas;
         if Hashtbl.mem mt.edb name then begin
           base_i := !base_i + i;
           base_d := !base_d + r
@@ -2119,69 +2271,117 @@ let apply mt updates =
   in
   Hashtbl.iter
     (fun _ ps ->
-      let d = ps.ps_delta in
-      Tup_tbl.reset d.d_ins;
-      Tup_tbl.reset d.d_del;
-      d.d_overlays <- [])
+      Tuple_table.clear ps.ps_ins;
+      Tuple_table.clear ps.ps_del;
+      ps.ps_overlays <- [])
     mt.preds;
   report
 
 (* --- invariant check --- *)
 
-(* Counts every rank-decreasing derivation of every visible DRed tuple
-   through the head-bound probe kernels, inline on instance 0. *)
+(* Every member of [tbl] sits in exactly one chain of [ch], under its
+   own projected key; each key's length column counts its members, no
+   key has an empty chain, and linked chains are consistent in both
+   directions. *)
+let check_chains fail what tbl ch =
+  let broken fmt = Printf.ksprintf fail fmt in
+  let tally = Array.make (Tuple_table.slots ch.ch_keys) 0 in
+  Tuple_table.iter_slices tbl (fun data off ->
+      project ch data off;
+      let ks = Tuple_table.find_slice ch.ch_keys ch.ch_kbuf 0 in
+      if ks < 0 then
+        broken "%s: %s has no chain" what
+          (Tuple.to_string (Array.sub data off (Tuple_table.arity tbl)));
+      tally.(ks) <- tally.(ks) + 1);
+  let seen = Bytes.make (Tuple_table.slots tbl) '\000' in
+  Tuple_table.iter ch.ch_keys (fun ks ->
+      let n = Tuple_table.get ch.ch_keys ks c_len in
+      if n <= 0 then broken "%s: a key with an empty chain survives" what;
+      if n <> tally.(ks) then
+        broken "%s: chain length %d, %d members carry its key" what n tally.(ks);
+      if ch.ch_linked then begin
+        let walked = ref 0 and prev = ref (-1) in
+        let s = ref (Tuple_table.get ch.ch_keys ks c_head) in
+        while !s >= 0 do
+          let m = !s in
+          if not (Tuple_table.live tbl m) then broken "%s: a chain holds a freed slot" what;
+          if Bytes.get seen m <> '\000' then broken "%s: a slot sits in a chain twice" what;
+          Bytes.set seen m '\001';
+          if ch.ch_prev.(m) <> !prev then broken "%s: broken back link" what;
+          project ch (Tuple_table.data tbl) (Tuple_table.offset tbl m);
+          if Tuple_table.find_slice ch.ch_keys ch.ch_kbuf 0 <> ks then
+            broken "%s: a slot is chained under another key" what;
+          incr walked;
+          prev := m;
+          s := ch.ch_next.(m)
+        done;
+        if !walked <> n then broken "%s: chain walks %d members, length says %d" what !walked n
+      end)
+
+(* The table-shape invariants of every predicate, then the DRed support
+   invariant, counting every rank-decreasing derivation of every
+   visible DRed tuple through the head-bound probe kernels, inline on
+   instance 0. *)
 let check_invariants mt =
   let exception Broken of string in
-  let broken fmt = Printf.ksprintf (fun s -> raise (Broken s)) fmt in
+  let fail s = raise (Broken s) in
+  let broken fmt = Printf.ksprintf fail fmt in
+  let check_shape name ps =
+    let tbl = ps.ps_tbl in
+    let live = ref 0 in
+    Tuple_table.iter tbl (fun _ -> incr live);
+    if !live <> Tuple_table.length tbl then
+      broken "%s counts %d visible tuples in %d live slots" name (Tuple_table.length tbl) !live;
+    List.iter
+      (fun ix ->
+        check_chains fail
+          (Printf.sprintf "%s index on [%s]" name
+             (String.concat "," (List.map string_of_int (Array.to_list ix.ch_cols))))
+          tbl ix)
+      ps.ps_indexes;
+    match ps.ps_agg with
+    | None -> ()
+    | Some a -> (
+      Tuple_table.iter a.a_group.ch_keys (fun ks ->
+          if Tuple_table.get a.a_group.ch_keys ks c_len <> 1 then
+            broken "%s: a group shows several values" name);
+      match a.a_support with
+      | Some su -> check_chains fail (name ^ " support") su.su_tbl su.su_groups
+      | None -> ())
+  in
   let check cs p =
     let ps = get_pred mt p in
-    let counts =
-      match ps.ps_body with
-      | Pplain c -> c
-      | Pagg _ -> broken "aggregate %s in a DRed stratum" p
-    in
-    let stray what tbl =
-      Tup_tbl.iter
-        (fun tup _ ->
-          if not (Tup_tbl.mem counts tup) then
-            broken "%s%s has a %s but is not visible" p (Tuple.to_string tup) what)
-        tbl
-    in
-    stray "rank" ps.ps_ranks;
-    stray "support" ps.ps_supports;
-    let derivations = Tup_tbl.create (Tup_tbl.length counts) in
+    let tbl = ps.ps_tbl in
+    let derivations = Array.make (Tuple_table.slots tbl) 0 in
     let limit = ref 0 and n = ref 0 in
+    Tuple_table.iter tbl (fun s ->
+        if Tuple_table.get tbl s c_rank < 0 then
+          broken "%s%s is visible without a rank" p (Tuple.to_string (Tuple_table.key tbl s)));
     Array.iter
       (fun cr ->
         if cr.cr_head = p then begin
           let mi = (get_kernel mt cs cr krederive).mk_insts.(0) in
           Maintain_kernel.set_emit mi.mi_pipe (fun () ->
               if ranks_below mi.mi_atoms ~skip:(-1) ~limit:!limit then incr n);
-          Tup_tbl.iter
-            (fun tup _ ->
-              match Tup_tbl.find_opt ps.ps_ranks tup with
-              | None -> broken "%s%s is visible without a rank" p (Tuple.to_string tup)
-              | Some r ->
-                limit := r;
-                n := 0;
-                ignore (Maintain_kernel.run_row mi.mi_pipe tup 0);
-                let d = Option.value ~default:0 (Tup_tbl.find_opt derivations tup) in
-                Tup_tbl.replace derivations tup (d + !n))
-            counts;
+          Tuple_table.iter tbl (fun s ->
+              limit := Tuple_table.get tbl s c_rank;
+              n := 0;
+              let data = Tuple_table.data tbl and off = Tuple_table.offset tbl s in
+              ignore (Maintain_kernel.run_row mi.mi_pipe data off);
+              derivations.(s) <- derivations.(s) + !n);
           Maintain_kernel.set_emit mi.mi_pipe ignore
         end)
       cs.cs_rules;
-    Tup_tbl.iter
-      (fun tup _ ->
-        let d = Option.value ~default:0 (Tup_tbl.find_opt derivations tup) in
-        let s = Option.value ~default:0 (Tup_tbl.find_opt ps.ps_supports tup) in
-        if d = 0 then broken "%s%s has no rank-decreasing derivation" p (Tuple.to_string tup)
-        else if s > d then
-          broken "%s%s has support %d but only %d rank-decreasing derivations" p
-            (Tuple.to_string tup) s d)
-      counts
+    Tuple_table.iter tbl (fun s ->
+        let d = derivations.(s) in
+        let sup = Tuple_table.get tbl s c_support in
+        let tup () = Tuple.to_string (Tuple_table.key tbl s) in
+        if d = 0 then broken "%s%s has no rank-decreasing derivation" p (tup ())
+        else if sup > d then
+          broken "%s%s has support %d but only %d rank-decreasing derivations" p (tup ()) sup d)
   in
   match
+    Hashtbl.iter check_shape mt.preds;
     List.iter
       (fun cs -> if cs.cs_mode = M_dred then List.iter (check cs) cs.cs_stratum.Analysis.preds)
       mt.strata
@@ -2191,9 +2391,29 @@ let check_invariants mt =
 
 (* --- read access for the session layer --- *)
 
-let visible mt name f = iter_vis_cur (get_pred mt name) f
+let visible mt name f = Tuple_table.iter_slices (get_pred mt name).ps_tbl f
 
 let visible_count mt name = visible_count_ps (get_pred mt name)
+
+let resident_tuples mt = Hashtbl.fold (fun _ ps acc -> acc + visible_count_ps ps) mt.preds 0
+
+let words mt =
+  let tables ps =
+    List.fold_left
+      (fun acc t -> acc + Tuple_table.words t)
+      0
+      [ ps.ps_tbl; ps.ps_ins; ps.ps_del; ps.ps_dead; ps.ps_prop ]
+  in
+  let chains l = List.fold_left (fun acc ch -> acc + chain_words ch) 0 l in
+  let support ps =
+    match ps.ps_agg with
+    | Some { a_support = Some su; _ } -> Tuple_table.words su.su_tbl + chain_words su.su_groups
+    | _ -> 0
+  in
+  Hashtbl.fold
+    (fun _ ps acc -> acc + tables ps + chains ps.ps_indexes + chains ps.ps_overlays + support ps)
+    mt.preds
+    (Array.fold_left (fun acc b -> acc + Array.length b.e_data) 0 mt.m_bufs)
 
 let arity mt name = (get_pred mt name).ps_arity
 

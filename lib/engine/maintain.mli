@@ -26,6 +26,16 @@
     engine's own materialization at {!create} time, and the differential
     suite checks {!apply} against a cold naive-oracle recompute.
 
+    The state is flat: each predicate keeps every visible tuple in one
+    slot of a {!Dcd_storage.Tuple_table} whose extra columns carry its
+    derivation count (counting strata) or DRed rank and support, keyed
+    indexes are per-key chains of those slots, aggregate supports are
+    slots of their own chained per group, and the per-batch deltas,
+    delete overlays, dead sets and worklists are tables too, scanned in
+    place by the kernels.  {!create} sizes every table from the
+    engine's materialized relations, and {!words} reports what they
+    hold.
+
     Every rule body — the support and rank builds of {!create} as well
     as the delta joins of {!apply} — is evaluated by a monomorphic
     {!Maintain_kernel} pipeline (registers, {!Kernel}
@@ -110,7 +120,12 @@ val apply : t -> update list -> batch_report
     state torn and must be treated as fatal to this [t]. *)
 
 val check_invariants : t -> (unit, string) result
-(** Checks the DRed support invariant on every recursive plain stratum:
+(** Checks the table shape of every predicate: each maintained index
+    (and each aggregate's support chains) holds exactly the tuples of
+    its table, each once, under their projected keys, with no key left
+    on an empty chain; each aggregated group shows one value; and
+    {!visible_count} equals the number of live slots.  Then checks the
+    DRed support invariant on every recursive plain stratum:
     each visible tuple has a rank and at least one current
     rank-decreasing derivation (every same-stratum atom ranked strictly
     below it; derivations binding one tuple to two such atoms count
@@ -121,10 +136,20 @@ val check_invariants : t -> (unit, string) result
     a test and debugging aid, not for serving paths.  Must not run
     concurrently with {!apply}. *)
 
-val visible : t -> string -> (Dcd_storage.Tuple.t -> unit) -> unit
-(** Iterates the current visible tuples of a predicate. *)
+val visible : t -> string -> (int array -> int -> unit) -> unit
+(** [visible t p f] calls [f data off] for every current visible tuple
+    of [p], whose fields are [data.(off .. off + arity - 1)]; the slice
+    is only valid during the call. *)
 
 val visible_count : t -> string -> int
+
+val resident_tuples : t -> int
+(** Visible tuples over all maintained predicates. *)
+
+val words : t -> int
+(** Words held by the maintenance tables — visible sets, indexes,
+    supports, per-batch tables and emission buffers — summed from their
+    array lengths (no heap walk). *)
 
 val arity : t -> string -> int
 

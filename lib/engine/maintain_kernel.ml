@@ -1,5 +1,5 @@
 open Dcd_planner
-module Arena = Dcd_storage.Arena
+module Tuple_table = Dcd_storage.Tuple_table
 
 exception Stop
 
@@ -120,9 +120,8 @@ let run_row inst data off =
   | () -> false
   | exception Stop -> true
 
-let run_range inst arena ~first ~len =
-  let data = Arena.data arena in
-  let k = Arena.arity arena in
+let run_range inst tbl ~first ~len =
+  let stride = Tuple_table.stride tbl in
   for s = first to first + len - 1 do
-    ignore (run_row inst data (s * k))
+    if Tuple_table.live tbl s then ignore (run_row inst (Tuple_table.data tbl) (s * stride))
   done

@@ -2,8 +2,9 @@
     {!Maintain} evaluates a rule body.  A [spec] is the same register
     machine {!Dcd_planner.Physical} compiles rules into, but with each
     body atom's iteration abstracted behind a closure the maintenance
-    state supplies (its hash stores carry per-batch Old/Cur visibility
-    the engine's relations know nothing about).
+    state supplies (its flat tables carry per-batch Old/Cur visibility
+    the engine's relations know nothing about); the closures hand over
+    candidates as [(data, off)] cursors into those tables.
     Binds, residual checks and key/head fills execute through the exact
     {!Kernel} monomorphic binder/checker/filler closures the one-shot
     engine uses.
@@ -78,5 +79,6 @@ val run_row : instance -> int array -> int -> bool
 (** Feeds one scan tuple at [(data, off)] through the pipeline;
     [true] iff an emit raised {!Stop} (existence established). *)
 
-val run_range : instance -> Dcd_storage.Arena.t -> first:int -> len:int -> unit
-(** Runs a contiguous arena range (one morsel) through the pipeline. *)
+val run_range : instance -> Dcd_storage.Tuple_table.t -> first:int -> len:int -> unit
+(** Runs the live slots of a contiguous table slot range (one morsel)
+    through the pipeline, each read in place. *)

@@ -54,6 +54,8 @@ type maintenance = {
   mutable recounted : int;
   mutable recomputed_strata : int;
   mutable maintain_s : float;
+  mutable words : int;
+  mutable resident_tuples : int;
   mutable coalesced : int;
   mutable mworkers : maintain_worker array;
 }
@@ -94,6 +96,8 @@ let create () =
         recounted = 0;
         recomputed_strata = 0;
         maintain_s = 0.;
+        words = 0;
+        resident_tuples = 0;
         coalesced = 0;
         mworkers = [||];
       };
@@ -215,9 +219,11 @@ let pp fmt t =
   if m.batches > 0 then begin
     Format.fprintf fmt
       "  maintenance: %d batches in %.3fs, base +%d/-%d, derived +%d/-%d, %d overdeleted, %d \
-       rederived, %d restored, %d recounted, %d strata recomputed@."
+       rederived, %d restored, %d recounted, %d strata recomputed, %d state words (%.1f per \
+       resident tuple)@."
       m.batches m.maintain_s m.base_inserted m.base_deleted m.inserted m.deleted m.overdeleted
-      m.rederived m.restored m.recounted m.recomputed_strata;
+      m.rederived m.restored m.recounted m.recomputed_strata m.words
+      (float_of_int m.words /. float_of_int (max 1 m.resident_tuples));
     if m.coalesced > 0 then
       Format.fprintf fmt "    coalesced: %d caller batches merged into shared rounds@."
         m.coalesced;

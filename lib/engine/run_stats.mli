@@ -96,6 +96,12 @@ type maintenance = {
   mutable recounted : int; (** rederived tuples whose support was recounted exactly *)
   mutable recomputed_strata : int; (** stratum fallback recomputes *)
   mutable maintain_s : float; (** seconds inside {!Maintain.apply} *)
+  mutable words : int;
+      (** words the maintenance tables hold after the last batch
+          ({!Maintain.words}; a gauge, not a sum) *)
+  mutable resident_tuples : int;
+      (** visible tuples the maintenance state holds after the last
+          batch, the base of words per resident tuple *)
   mutable coalesced : int;
       (** caller batches that rode along in another caller's maintenance
           round via writer coalescing (each merged group of [n] queued

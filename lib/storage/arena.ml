@@ -36,6 +36,16 @@ let ensure t extra_tuples =
     t.data <- data'
   end
 
+let capacity t = if t.arity = 0 then max_int else Array.length t.data / t.arity
+
+let reserve t tuples = if tuples > t.count then ensure t (tuples - t.count)
+
+let alloc t =
+  ensure t 1;
+  let slot = t.count in
+  t.count <- slot + 1;
+  slot
+
 let push t (tup : Tuple.t) =
   if Array.length tup <> t.arity then invalid_arg "Arena.push: arity mismatch";
   ensure t 1;

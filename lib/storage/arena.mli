@@ -38,6 +38,17 @@ val data : t -> int array
 val offset : t -> slot -> int
 (** Flat offset of a slot's first field ([slot * arity]). *)
 
+val capacity : t -> int
+(** Tuples the backing buffer holds before the next growth. *)
+
+val reserve : t -> int -> unit
+(** [reserve t n] grows the buffer once so that [n] tuples fit. *)
+
+val alloc : t -> slot
+(** Appends one tuple slot without writing it (its fields hold whatever
+    the buffer held) and returns it; the caller fills it through
+    {!data}. *)
+
 val push : t -> Tuple.t -> slot
 (** Copies a boxed tuple in; returns its slot.
     @raise Invalid_argument on arity mismatch. *)

@@ -270,6 +270,63 @@ let prop_random_schedule =
       | () -> true
       | exception Failure _ -> false)
 
+(* --- footprint --- *)
+
+(* Words the maintenance state holds per resident tuple, on a resident
+   tc + per-source reach count session over 1,500 of 3,000 distinct
+   RMAT arcs on 256 vertices (40K closure tuples): at open, and after
+   100 batches that each delete 5 present arcs and insert 5 absent
+   ones. *)
+let words_bound = 15.
+
+let test_footprint () =
+  let src = D.Queries.tc.source ^ "\nreach(X, count<Y>) <- tc(X, Y)." in
+  let seen = Hashtbl.create 4096 in
+  let arcs = ref [] in
+  D.Vec.iter
+    (fun (a, b, _) ->
+      if a <> b && not (Hashtbl.mem seen (a, b)) then begin
+        Hashtbl.add seen (a, b) ();
+        arcs := (a, b) :: !arcs
+      end)
+    (D.Graph.edges (D.Gen.rmat ~seed:9 ~scale:8 ~edges:3750 ()));
+  let arcs = Array.of_list (List.rev !arcs) in
+  let rng = Dcd_util.Rng.create 9 in
+  Dcd_util.Rng.shuffle rng arcs;
+  let universe = min 3000 (Array.length arcs) in
+  let present = universe / 2 in
+  let s =
+    D.open_session (prepare src)
+      ~edb:(tc_edb (Array.to_list (Array.sub arcs 0 present)))
+      ~config:{ D.default_config with workers = 2 } ()
+  in
+  Fun.protect ~finally:(fun () -> D.Session.close s) @@ fun () ->
+  let per_tuple what =
+    let m = (D.Session.stats s).D.Run_stats.maintenance in
+    let r = float_of_int m.D.Run_stats.words /. float_of_int m.D.Run_stats.resident_tuples in
+    if r > words_bound then
+      Alcotest.failf "%s: %.1f words per resident tuple (bound %.0f)" what r words_bound;
+    Alcotest.(check bool) (what ^ ": resident tuples counted") true (m.D.Run_stats.resident_tuples > 30_000)
+  in
+  per_tuple "at open";
+  let swap i j =
+    let x = arcs.(i) in
+    arcs.(i) <- arcs.(j);
+    arcs.(j) <- x
+  in
+  for _ = 1 to 100 do
+    let out = Dcd_util.Rng.int rng present and in_ = present + Dcd_util.Rng.int rng (universe - present) in
+    let batch = ref [] in
+    for k = 0 to 4 do
+      let o = (out + k) mod present and i = present + ((in_ - present + k) mod (universe - present)) in
+      let a, b = arcs.(o) and c, d = arcs.(i) in
+      batch := D.Maintain.Delete ("arc", [| a; b |]) :: D.Maintain.Insert ("arc", [| c; d |]) :: !batch;
+      swap o i
+    done;
+    ignore (D.Session.apply_batch s !batch)
+  done;
+  per_tuple "after 100 churn batches"
+
 let () =
   Alcotest.run "session"
     [
@@ -288,4 +345,5 @@ let () =
           Alcotest.test_case "body-less rules grid" `Slow bodyless_diff;
           QCheck_alcotest.to_alcotest prop_random_schedule;
         ] );
+      ("footprint", [ Alcotest.test_case "words per resident tuple" `Quick test_footprint ]);
     ]
