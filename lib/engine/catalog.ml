@@ -10,7 +10,7 @@ let find t name = List.assoc_opt name t.rels
 let add_relation t rel =
   t.rels <- (Relation.name rel, rel) :: List.remove_assoc (Relation.name rel) t.rels
 
-let ensure t ~name ~arity =
+let ensure ?size_hint t ~name ~arity =
   match find t name with
   | Some rel ->
     if Relation.arity rel <> arity then
@@ -18,12 +18,12 @@ let ensure t ~name ~arity =
            (Relation.arity rel) arity);
     rel
   | None ->
-    let rel = Relation.create ~name ~arity () in
+    let rel = Relation.create ?size_hint ~name ~arity () in
     add_relation t rel;
     rel
 
 let load t ~name ~arity tuples =
-  let rel = ensure t ~name ~arity in
+  let rel = ensure ~size_hint:(Vec.length tuples) t ~name ~arity in
   Vec.iter (fun tup -> ignore (Relation.add rel tup)) tuples
 
 let get t name =

@@ -2,9 +2,9 @@
     and materialized results of completed strata.
 
     During parallel evaluation the catalog is strictly read-only (the
-    workers only probe prebuilt indexes and iterate tuple sets);
-    relations are added between strata by the single-threaded
-    orchestrator, so no synchronization is needed. *)
+    workers only probe prebuilt indexes and scan relations' tuple
+    tables in place); relations are added between strata by the
+    single-threaded orchestrator, so no synchronization is needed. *)
 
 type t
 
@@ -12,14 +12,16 @@ val create : unit -> t
 
 val load : t -> name:string -> arity:int -> Dcd_storage.Tuple.t Dcd_util.Vec.t -> unit
 (** Creates (or extends) a relation with the given tuples,
-    deduplicating.  @raise Invalid_argument on arity mismatch with an
-    existing relation. *)
+    deduplicating; a new relation is sized for the whole vector.
+    @raise Invalid_argument on arity mismatch with an existing
+    relation. *)
 
 val add_relation : t -> Dcd_storage.Relation.t -> unit
 (** Registers a fully built relation (replacing any same-named one). *)
 
-val ensure : t -> name:string -> arity:int -> Dcd_storage.Relation.t
-(** The named relation, creating it empty if missing. *)
+val ensure : ?size_hint:int -> t -> name:string -> arity:int -> Dcd_storage.Relation.t
+(** The named relation, creating it empty (sized for [size_hint]
+    tuples) if missing. *)
 
 val find : t -> string -> Dcd_storage.Relation.t option
 

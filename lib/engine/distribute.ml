@@ -1,6 +1,6 @@
 module Ast = Dcd_datalog.Ast
 module Tuple = Dcd_storage.Tuple
-module Tuple_set = Dcd_storage.Tuple_set
+module Tuple_table = Dcd_storage.Tuple_table
 module Partition = Dcd_storage.Partition
 module Frame = Dcd_concurrent.Frame
 
@@ -108,11 +108,12 @@ let flush t ~ws =
           (* set semantics: drop duplicates within the frame, probing
              straight out of the packed records *)
           let arity = ci.Exchange.ci_arity in
-          let seen = Tuple_set.create ~capacity:(Frame.count buf) () in
+          let seen = Tuple_table.create ~capacity:(Frame.count buf) ~arity () in
           let out = Frame.create ~capacity:(Frame.count buf) ~arity ~contrib:false () in
           Frame.iter buf (fun data ~toff ~clen:_ ~coff:_ ->
-              if Tuple_set.add_slice seen data toff arity then
-                Frame.push_slice out data ~toff ~clen:0 ~coff:0);
+              let n = Tuple_table.length seen in
+              ignore (Tuple_table.add_slice seen data toff);
+              if Tuple_table.length seen > n then Frame.push_slice out data ~toff ~clen:0 ~coff:0);
           Frame.clear buf;
           Exchange.send t.exch ~ws ~src:t.me ~dest ~copy:cid out
         | _ ->

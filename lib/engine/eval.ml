@@ -1,13 +1,13 @@
 open Dcd_planner
 module Tuple = Dcd_storage.Tuple
 module Arena = Dcd_storage.Arena
-module Hash_index = Dcd_storage.Hash_index
+module Slot_index = Dcd_storage.Slot_index
 module Bptree = Dcd_btree.Bptree
 module Vec = Dcd_util.Vec
 
 type context = {
   base_iter : string -> (int array -> int -> unit) -> unit;
-  base_index : string -> int array -> Hash_index.t;
+  base_index : string -> int array -> Slot_index.t;
   base_sorted : string -> int array -> unit Bptree.t;
   rec_resolve : pred:string -> route:int array -> int;
   rec_matches : int -> key:int array -> (int array -> int -> unit) -> unit;
@@ -18,8 +18,8 @@ type emit = tuple:Tuple.t -> contributor:Tuple.t -> unit
 exception Found
 
 (* Tuples flow through the pipeline as (data, off) cursors into flat
-   storage — an arena, an index arena, a packed frame — never as boxed
-   arrays.  A boxed tuple is just the cursor (tup, 0).  The per-field
+   storage — an arena, a relation's tuple table, a packed frame — never
+   as boxed arrays.  A boxed tuple is just the cursor (tup, 0).  The per-field
    work (binds, checks, key/head fills) runs through the monomorphic
    closures of {!Kernel}, specialized once at prepare time. *)
 
@@ -84,7 +84,7 @@ let build_steps ctx regs (steps : Physical.step array) cont =
               let idx = ctx.base_index pred key_cols in
               fun () ->
                 fill_key ();
-                Hash_index.iter_matches idx key on_match
+                Slot_index.iter idx key on_match
             end
         in
         if negated then

@@ -11,14 +11,14 @@
     variable in the elimination order.
 
     Tuples flow through the pipeline as [(data, off)] cursors into flat
-    storage — the delta arena being scanned, a hash index's arena, a
-    packed exchange frame — so the per-tuple path touches no boxed
-    tuple at all.  A boxed tuple is the degenerate cursor [(tup, 0)].
+    storage — the delta arena being scanned, a base relation's tuple
+    table, a packed exchange frame — so the per-tuple path touches no
+    boxed tuple at all.  A boxed tuple is the degenerate cursor [(tup, 0)].
 
     Rules are {!prepare}d against a context once and then run many
     times: preparation resolves every recursive lookup to an integer
     copy id ({!context.rec_resolve}) and every indexed base lookup to
-    its concrete hash index, and allocates the register file, the
+    its concrete slot index, and allocates the register file, the
     per-step lookup-key scratch buffers and the head/contributor
     emission buffers.  The per-tuple path therefore performs no string
     comparison and no allocation; scratch buffers are reused across
@@ -38,8 +38,8 @@ type context = {
       (** full scan of a shared base / lower-stratum relation; the
           callback receives [(data, off)] slices valid only during the
           call *)
-  base_index : string -> int array -> Dcd_storage.Hash_index.t;
-      (** prebuilt shared hash index on the given key columns *)
+  base_index : string -> int array -> Dcd_storage.Slot_index.t;
+      (** prebuilt shared slot index on the given key columns *)
   base_sorted : string -> int array -> unit Dcd_btree.Bptree.t;
       (** prebuilt shared sorted (trie) index whose keys are the
           relation's tuples permuted to the given column order; probed

@@ -24,8 +24,8 @@
 
    Each predicate keeps every visible tuple in one slot of its table,
    whose extra columns carry the derivation count (counting strata) or
-   the DRed rank and support (DRed strata).  Keyed indexes are per-key
-   chains of those slots ([chains]); aggregate supports are slots of
+   the DRed rank and support (DRed strata).  Keyed indexes are
+   {!Slot_index} chains of those slots; aggregate supports are slots of
    their own, chained per group.  The per-batch delta sets, their
    delete overlays, the DRed dead sets and the insert worklists are
    flat tables too, so every kernel round scans its rows in place.
@@ -45,6 +45,7 @@ module Ast = Dcd_datalog.Ast
 module Analysis = Dcd_datalog.Analysis
 module Tuple = Dcd_storage.Tuple
 module Tuple_table = Dcd_storage.Tuple_table
+module Slot_index = Dcd_storage.Slot_index
 module Relation = Dcd_storage.Relation
 module Vec = Dcd_util.Vec
 module Clock = Dcd_util.Clock
@@ -73,24 +74,6 @@ type batch_report = {
 }
 
 (* --- state --- *)
-
-(* Per-key chains over the slots of one table: [ch_keys] maps each
-   projected key to the first slot and the length of its chain, and
-   the link columns thread the member slots in both directions, so a
-   member unlinks in O(1).  A key leaves [ch_keys] as soon as its chain
-   empties.  Unlinked chains keep the lengths alone. *)
-type chains = {
-  ch_cols : int array; (* member columns forming the key *)
-  ch_keys : Tuple_table.t; (* key -> [head; len] *)
-  ch_kbuf : int array; (* projection scratch, coordinator only *)
-  ch_linked : bool;
-  mutable ch_next : int array; (* member slot -> next member, -1 ends *)
-  mutable ch_prev : int array; (* member slot -> previous member, -1 heads *)
-}
-
-(* extra columns of a chain key *)
-let c_head = 0
-let c_len = 1
 
 (* Extra columns of a predicate's visible table: the derivation count
    in counting strata, the DRed rank and support in DRed strata (other
@@ -133,7 +116,7 @@ let c_derivs = 0
    lengths, so their chains stay unlinked. *)
 type support = {
   su_tbl : Tuple_table.t; (* extra column: derivation count *)
-  su_groups : chains; (* per group, over su_tbl *)
+  su_groups : Slot_index.t; (* per group, over su_tbl *)
   su_width : int; (* contributor ints in a count/sum key *)
   su_tagged : bool; (* rules disagree on the width: keys carry it *)
   su_key : int array; (* key scratch *)
@@ -142,7 +125,7 @@ type support = {
 type agg = {
   a_pos : int;
   a_kind : Ast.agg_kind;
-  a_group : chains; (* the visible tuple of each group, one of ps_indexes *)
+  a_group : Slot_index.t; (* the visible tuple of each group, one of ps_indexes *)
   a_gkey : int array; (* group scratch *)
   a_row : int array; (* assembled-tuple scratch *)
   a_support : support option; (* counting strata only *)
@@ -156,10 +139,10 @@ type pred_state = {
   ps_arity : int;
   ps_tbl : Tuple_table.t; (* visible tuples *)
   ps_agg : agg option;
-  mutable ps_indexes : chains list; (* over ps_tbl slots *)
+  mutable ps_indexes : Slot_index.t list; (* over ps_tbl slots *)
   ps_ins : Tuple_table.t;
   ps_del : Tuple_table.t;
-  mutable ps_overlays : chains list;
+  mutable ps_overlays : Slot_index.t list;
       (* lazy keyed chains over ps_del, for Old-visibility lookups *)
   ps_dead : Tuple_table.t; (* DRed: the running pass's dead set *)
   ps_prop : Tuple_table.t; (* the running pass's insert worklist *)
@@ -301,72 +284,6 @@ let assemble a v =
 (* a table sized for [n] tuples plus headroom for a session's churn *)
 let presized n = n + (n / 8) + 16
 
-(* --- chains --- *)
-
-let make_chains ~cols ~linked ~cap =
-  {
-    ch_cols = Array.copy cols;
-    ch_keys = Tuple_table.create ~extra:2 ~arity:(Array.length cols) ();
-    ch_kbuf = Array.make (Array.length cols) 0;
-    ch_linked = linked;
-    ch_next = (if linked then Array.make cap (-1) else [||]);
-    ch_prev = (if linked then Array.make cap (-1) else [||]);
-  }
-
-(* Grows the link columns to cover a member table of capacity [cap]. *)
-let chain_fit ch cap =
-  if ch.ch_linked && Array.length ch.ch_next < cap then begin
-    let grow a =
-      let a' = Array.make cap (-1) in
-      Array.blit a 0 a' 0 (Array.length a);
-      a'
-    in
-    ch.ch_next <- grow ch.ch_next;
-    ch.ch_prev <- grow ch.ch_prev
-  end
-
-let project ch (data : int array) off =
-  let cols = ch.ch_cols and k = ch.ch_kbuf in
-  for i = 0 to Array.length cols - 1 do
-    k.(i) <- data.(off + cols.(i))
-  done
-
-(* Links member slot [s], whose row is at [data.(off ..)]. *)
-let chain_add ch data off s =
-  project ch data off;
-  let keys = ch.ch_keys in
-  let ks = Tuple_table.add_slice keys ch.ch_kbuf 0 in
-  let n = Tuple_table.get keys ks c_len in
-  if ch.ch_linked then begin
-    let h = if n = 0 then -1 else Tuple_table.get keys ks c_head in
-    ch.ch_next.(s) <- h;
-    ch.ch_prev.(s) <- -1;
-    if h >= 0 then ch.ch_prev.(h) <- s;
-    Tuple_table.set keys ks c_head s
-  end;
-  Tuple_table.set keys ks c_len (n + 1)
-
-let chain_remove ch data off s =
-  project ch data off;
-  let keys = ch.ch_keys in
-  let ks = Tuple_table.find_slice keys ch.ch_kbuf 0 in
-  if ks < 0 then invalid_arg "Maintain: unlinking a member from a missing chain";
-  if ch.ch_linked then begin
-    let p = ch.ch_prev.(s) and nx = ch.ch_next.(s) in
-    if p >= 0 then ch.ch_next.(p) <- nx else Tuple_table.set keys ks c_head nx;
-    if nx >= 0 then ch.ch_prev.(nx) <- p
-  end;
-  let n = Tuple_table.get keys ks c_len - 1 in
-  if n = 0 then Tuple_table.remove_slot keys ks else Tuple_table.set keys ks c_len n
-
-(* the first member of the chain under the filled [key], -1 if none *)
-let chain_head ch key =
-  let ks = Tuple_table.find_slice ch.ch_keys key 0 in
-  if ks < 0 then -1 else Tuple_table.get ch.ch_keys ks c_head
-
-let chain_words ch =
-  Tuple_table.words ch.ch_keys + Array.length ch.ch_next + Array.length ch.ch_prev
-
 (* --- visibility --- *)
 
 let visible_count_ps ps = Tuple_table.length ps.ps_tbl
@@ -396,24 +313,18 @@ let rank_of ps data off =
 (* --- indexes and delta recording --- *)
 
 let ensure_index ps cols =
-  match List.find_opt (fun ix -> cols_equal ix.ch_cols cols) ps.ps_indexes with
+  match List.find_opt (fun ix -> cols_equal (Slot_index.cols ix) cols) ps.ps_indexes with
   | Some ix -> ix
   | None ->
-    let tbl = ps.ps_tbl in
-    let ix = make_chains ~cols ~linked:true ~cap:(Tuple_table.capacity tbl) in
-    let data = Tuple_table.data tbl in
-    Tuple_table.iter tbl (fun s -> chain_add ix data (Tuple_table.offset tbl s) s);
+    let ix = Slot_index.create ps.ps_tbl ~cols in
     ps.ps_indexes <- ix :: ps.ps_indexes;
     ix
 
 let overlay ps cols =
-  match List.find_opt (fun ov -> cols_equal ov.ch_cols cols) ps.ps_overlays with
+  match List.find_opt (fun ov -> cols_equal (Slot_index.cols ov) cols) ps.ps_overlays with
   | Some ov -> ov
   | None ->
-    let del = ps.ps_del in
-    let ov = make_chains ~cols ~linked:true ~cap:(Tuple_table.capacity del) in
-    let data = Tuple_table.data del in
-    Tuple_table.iter del (fun s -> chain_add ov data (Tuple_table.offset del s) s);
+    let ov = Slot_index.create ps.ps_del ~cols in
     ps.ps_overlays <- ov :: ps.ps_overlays;
     ov
 
@@ -434,21 +345,14 @@ let record_del ps data off =
 let visible_add mt ps src off =
   let tbl = ps.ps_tbl in
   let s = Tuple_table.add_slice tbl src off in
-  let data = Tuple_table.data tbl and o = Tuple_table.offset tbl s in
-  let cap = Tuple_table.capacity tbl in
-  List.iter
-    (fun ix ->
-      chain_fit ix cap;
-      chain_add ix data o s)
-    ps.ps_indexes;
-  if mt.recording then record_ins ps data o;
+  List.iter (fun ix -> Slot_index.add ix s) ps.ps_indexes;
+  if mt.recording then record_ins ps (Tuple_table.data tbl) (Tuple_table.offset tbl s);
   s
 
 let visible_remove mt ps s =
   let tbl = ps.ps_tbl in
-  let data = Tuple_table.data tbl and o = Tuple_table.offset tbl s in
-  List.iter (fun ix -> chain_remove ix data o s) ps.ps_indexes;
-  if mt.recording then record_del ps data o;
+  List.iter (fun ix -> Slot_index.remove ix s) ps.ps_indexes;
+  if mt.recording then record_del ps (Tuple_table.data tbl) (Tuple_table.offset tbl s);
   Tuple_table.remove_slot tbl s
 
 (* --- support updates --- *)
@@ -471,7 +375,7 @@ let plain_add mt ps data off sign =
 (* Makes [group ++ v] the visible tuple of the group in [a_gkey]
    ([has]), or leaves the group with none. *)
 let set_group_value mt ps a ~has v =
-  let cur = chain_head a.a_group a.a_gkey in
+  let cur = Slot_index.head a.a_group a.a_gkey in
   let tbl = ps.ps_tbl in
   let same = cur >= 0 && has && (Tuple_table.data tbl).(Tuple_table.offset tbl cur + a.a_pos) = v in
   if not same then begin
@@ -491,17 +395,18 @@ let group_of a (data : int array) off =
     end
   done
 
-(* Σ over the group's contributors of each one's largest value; the
-   chain is sorted by contributor, largest value first. *)
-let sum_group su ks =
+(* Σ over the contributors of the group whose chain starts at [head]
+   of each one's largest value; the chain is sorted by contributor,
+   largest value first. *)
+let sum_group su head =
   let t = su.su_tbl in
-  let g = Tuple_table.arity su.su_groups.ch_keys in
+  let g = Array.length (Slot_index.cols su.su_groups) in
   let cw = Tuple_table.arity t - g - 1 in
   let slots = Vec.create () in
-  let s = ref (Tuple_table.get su.su_groups.ch_keys ks c_head) in
+  let s = ref head in
   while !s >= 0 do
     Vec.push slots !s;
-    s := su.su_groups.ch_next.(!s)
+    s := Slot_index.next su.su_groups !s
   done;
   let data = Tuple_table.data t and stride = Tuple_table.stride t in
   let cmp_contrib a b =
@@ -532,28 +437,27 @@ let sum_group su ks =
    once has no engine-defined order, and the initial-build verification
    rejects programs where this matters. *)
 let refresh_group mt ps a su =
-  let keys = su.su_groups.ch_keys in
-  let ks = Tuple_table.find_slice keys a.a_gkey 0 in
+  let n = Slot_index.count su.su_groups a.a_gkey in
   let v =
-    if ks < 0 then 0
+    if n = 0 then 0
     else
       match a.a_kind with
-      | Ast.Count -> Tuple_table.get keys ks c_len
-      | Ast.Sum -> sum_group su ks
+      | Ast.Count -> n
+      | Ast.Sum -> sum_group su (Slot_index.head su.su_groups a.a_gkey)
       | Ast.Min | Ast.Max ->
         let t = su.su_tbl in
-        let g = Tuple_table.arity keys in
+        let g = Array.length a.a_gkey in
         let data = Tuple_table.data t and stride = Tuple_table.stride t in
-        let s = ref (Tuple_table.get keys ks c_head) in
+        let s = ref (Slot_index.head su.su_groups a.a_gkey) in
         let best = ref data.((!s * stride) + g) in
         while !s >= 0 do
           let x = data.((!s * stride) + g) in
           if (a.a_kind = Ast.Min && x < !best) || (a.a_kind = Ast.Max && x > !best) then best := x;
-          s := su.su_groups.ch_next.(!s)
+          s := Slot_index.next su.su_groups !s
         done;
         !best
   in
-  set_group_value mt ps a ~has:(ks >= 0) v
+  set_group_value mt ps a ~has:(n > 0) v
 
 (* One derivation of the head at [data.(off ..)] with its [cw]
    contributors at [data.(coff ..)] gained ([sign] = 1) or lost. *)
@@ -584,12 +488,11 @@ let agg_support_add mt ps a data off coff cw sign =
     if nv > 0 then begin
       let s = Tuple_table.add_slice t k 0 in
       Tuple_table.set t s c_derivs nv;
-      chain_fit su.su_groups (Tuple_table.capacity t);
-      chain_add su.su_groups (Tuple_table.data t) (Tuple_table.offset t s) s
+      Slot_index.add su.su_groups s
     end
   end
   else if nv = 0 then begin
-    chain_remove su.su_groups (Tuple_table.data t) (Tuple_table.offset t s) s;
+    Slot_index.remove su.su_groups s;
     Tuple_table.remove_slot t s
   end
   else Tuple_table.set t s c_derivs nv;
@@ -854,35 +757,15 @@ let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~in_stratum =
                    then maintained forever by visible_add/remove —
                    capturing it here stays correct across batches *)
                 let ix = ensure_index ps cols in
-                let tbl = ps.ps_tbl in
-                let walk key f =
-                  let s = ref (chain_head ix key) in
-                  if !s >= 0 then begin
-                    let data = Tuple_table.data tbl and stride = Tuple_table.stride tbl in
-                    let next = ix.ch_next in
-                    while !s >= 0 do
-                      f data (!s * stride);
-                      s := next.(!s)
-                    done
-                  end
-                in
                 match vis with
-                | Cur -> walk
+                | Cur -> Slot_index.iter ix
                 | Old ->
                   prewarm := (fun () -> ignore (overlay ps cols)) :: !prewarm;
-                  let ins = ps.ps_ins and del = ps.ps_del in
+                  let ins = ps.ps_ins in
                   fun key f ->
-                    walk key (fun data off ->
+                    Slot_index.iter ix key (fun data off ->
                         if not (Tuple_table.mem_slice ins data off) then f data off);
-                    let ov = overlay ps cols in
-                    let s = ref (chain_head ov key) in
-                    if !s >= 0 then begin
-                      let data = Tuple_table.data del and stride = Tuple_table.stride del in
-                      while !s >= 0 do
-                        f data (!s * stride);
-                        s := ov.ch_next.(!s)
-                      done
-                    end
+                    Slot_index.iter (overlay ps cols) key f
               end
             in
             Maintain_kernel.S_atom
@@ -1746,7 +1629,7 @@ let aggrec_insert_pass mt cs =
     | Some a ->
       group_of a data off;
       let v = data.(off + a.a_pos) in
-      let cur = chain_head a.a_group a.a_gkey in
+      let cur = Slot_index.head a.a_group a.a_gkey in
       let improves =
         cur < 0
         ||
@@ -1855,20 +1738,13 @@ let recompute mt cs =
     (fun p ->
       let ps = get_pred mt p in
       let tbl = ps.ps_tbl in
-      let fresh =
-        match Catalog.find result.Parallel.catalog p with
-        | None -> Tuple_table.create ~arity:ps.ps_arity ()
-        | Some rel ->
-          let t = Tuple_table.create ~capacity:(Relation.length rel) ~arity:ps.ps_arity () in
-          Relation.iter_slices rel (fun data off -> ignore (Tuple_table.add_slice t data off));
-          t
-      in
+      let fresh = Catalog.ensure result.Parallel.catalog ~name:p ~arity:ps.ps_arity in
       let stale = Vec.create () in
       Tuple_table.iter tbl (fun s ->
           let data = Tuple_table.data tbl and off = Tuple_table.offset tbl s in
-          if not (Tuple_table.mem_slice fresh data off) then Vec.push stale s);
+          if not (Relation.mem_slice fresh data off) then Vec.push stale s);
       Vec.iter (visible_remove mt ps) stale;
-      Tuple_table.iter_slices fresh (fun data off ->
+      Relation.iter_slices fresh (fun data off ->
           if Tuple_table.find_slice tbl data off < 0 then ignore (visible_add mt ps data off)))
     cs.cs_stratum.Analysis.preds
 
@@ -1939,9 +1815,7 @@ let new_support rules p arity kind =
   let su_tbl = Tuple_table.create ~extra:1 ~arity:karity () in
   {
     su_tbl;
-    su_groups =
-      make_chains ~cols:(Array.init g Fun.id) ~linked:(kind <> Ast.Count)
-        ~cap:(Tuple_table.capacity su_tbl);
+    su_groups = Slot_index.create ~linked:(kind <> Ast.Count) su_tbl ~cols:(Array.init g Fun.id);
     su_width = width;
     su_tagged = tagged;
     su_key = Array.make karity 0;
@@ -2110,8 +1984,7 @@ let create ~plan ~config ~runtime ~catalog =
               (match (get_pred mt cr.cr_head).ps_agg with
               | Some { a_support = Some su; _ } ->
                 let n = Tuple_table.length su.su_tbl + buffered_rows mt ~stride in
-                Tuple_table.reserve su.su_tbl (presized n);
-                chain_fit su.su_groups (Tuple_table.capacity su.su_tbl)
+                Tuple_table.reserve su.su_tbl (presized n)
               | _ -> ());
               apply_buffered mt ~stride ~apply:(count_apply mt cr mk ~sign:1))
             cs.cs_rules;
@@ -2279,45 +2152,6 @@ let apply mt updates =
 
 (* --- invariant check --- *)
 
-(* Every member of [tbl] sits in exactly one chain of [ch], under its
-   own projected key; each key's length column counts its members, no
-   key has an empty chain, and linked chains are consistent in both
-   directions. *)
-let check_chains fail what tbl ch =
-  let broken fmt = Printf.ksprintf fail fmt in
-  let tally = Array.make (Tuple_table.slots ch.ch_keys) 0 in
-  Tuple_table.iter_slices tbl (fun data off ->
-      project ch data off;
-      let ks = Tuple_table.find_slice ch.ch_keys ch.ch_kbuf 0 in
-      if ks < 0 then
-        broken "%s: %s has no chain" what
-          (Tuple.to_string (Array.sub data off (Tuple_table.arity tbl)));
-      tally.(ks) <- tally.(ks) + 1);
-  let seen = Bytes.make (Tuple_table.slots tbl) '\000' in
-  Tuple_table.iter ch.ch_keys (fun ks ->
-      let n = Tuple_table.get ch.ch_keys ks c_len in
-      if n <= 0 then broken "%s: a key with an empty chain survives" what;
-      if n <> tally.(ks) then
-        broken "%s: chain length %d, %d members carry its key" what n tally.(ks);
-      if ch.ch_linked then begin
-        let walked = ref 0 and prev = ref (-1) in
-        let s = ref (Tuple_table.get ch.ch_keys ks c_head) in
-        while !s >= 0 do
-          let m = !s in
-          if not (Tuple_table.live tbl m) then broken "%s: a chain holds a freed slot" what;
-          if Bytes.get seen m <> '\000' then broken "%s: a slot sits in a chain twice" what;
-          Bytes.set seen m '\001';
-          if ch.ch_prev.(m) <> !prev then broken "%s: broken back link" what;
-          project ch (Tuple_table.data tbl) (Tuple_table.offset tbl m);
-          if Tuple_table.find_slice ch.ch_keys ch.ch_kbuf 0 <> ks then
-            broken "%s: a slot is chained under another key" what;
-          incr walked;
-          prev := m;
-          s := ch.ch_next.(m)
-        done;
-        if !walked <> n then broken "%s: chain walks %d members, length says %d" what !walked n
-      end)
-
 (* The table-shape invariants of every predicate, then the DRed support
    invariant, counting every rank-decreasing derivation of every
    visible DRed tuple through the head-bound probe kernels, inline on
@@ -2326,6 +2160,11 @@ let check_invariants mt =
   let exception Broken of string in
   let fail s = raise (Broken s) in
   let broken fmt = Printf.ksprintf fail fmt in
+  let check_index what ix =
+    match Slot_index.check ix with
+    | Ok () -> ()
+    | Error msg -> broken "%s: %s" what msg
+  in
   let check_shape name ps =
     let tbl = ps.ps_tbl in
     let live = ref 0 in
@@ -2334,19 +2173,20 @@ let check_invariants mt =
       broken "%s counts %d visible tuples in %d live slots" name (Tuple_table.length tbl) !live;
     List.iter
       (fun ix ->
-        check_chains fail
+        check_index
           (Printf.sprintf "%s index on [%s]" name
-             (String.concat "," (List.map string_of_int (Array.to_list ix.ch_cols))))
-          tbl ix)
+             (String.concat "," (List.map string_of_int (Array.to_list (Slot_index.cols ix)))))
+          ix)
       ps.ps_indexes;
     match ps.ps_agg with
     | None -> ()
     | Some a -> (
-      Tuple_table.iter a.a_group.ch_keys (fun ks ->
-          if Tuple_table.get a.a_group.ch_keys ks c_len <> 1 then
+      Tuple_table.iter_slices tbl (fun data off ->
+          group_of a data off;
+          if Slot_index.count a.a_group a.a_gkey <> 1 then
             broken "%s: a group shows several values" name);
       match a.a_support with
-      | Some su -> check_chains fail (name ^ " support") su.su_tbl su.su_groups
+      | Some su -> check_index (name ^ " support") su.su_groups
       | None -> ())
   in
   let check cs p =
@@ -2404,10 +2244,10 @@ let words mt =
       0
       [ ps.ps_tbl; ps.ps_ins; ps.ps_del; ps.ps_dead; ps.ps_prop ]
   in
-  let chains l = List.fold_left (fun acc ch -> acc + chain_words ch) 0 l in
+  let chains l = List.fold_left (fun acc ix -> acc + Slot_index.words ix) 0 l in
   let support ps =
     match ps.ps_agg with
-    | Some { a_support = Some su; _ } -> Tuple_table.words su.su_tbl + chain_words su.su_groups
+    | Some { a_support = Some su; _ } -> Tuple_table.words su.su_tbl + Slot_index.words su.su_groups
     | _ -> 0
   in
   Hashtbl.fold

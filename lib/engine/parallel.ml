@@ -80,7 +80,7 @@ let arity_of (plan : Physical.t) pred =
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "unknown predicate %s" pred)
 
-(* Builds the hash indexes this stratum's base lookups will probe, before
+(* Builds the slot indexes this stratum's base lookups will probe, before
    any worker starts (the shared catalog is read-only during parallel
    execution). *)
 let prebuild_indexes (plan : Physical.t) catalog (sp : Physical.stratum_plan) =

@@ -135,7 +135,6 @@ type stratum_ctx = {
   sx_partial_agg : bool;
   sx_init : (Physical.compiled_rule * int array) list;
   sx_delta : (Physical.compiled_rule * int array * int) list;
-  sx_scan_sources : (string * Arena.t) list;
   (* Morsel grouping: a morsel names a pipeline group, and a group runs
      every rule that scans the same source over the same slot range.
      Group tables are part of the shared stratum context so a morsel's
@@ -143,20 +142,10 @@ type stratum_ctx = {
   sx_delta_groups : (int * (Physical.compiled_rule * int array) list) array;
       (** delta rules grouped by scanned copy id *)
   sx_init_groups : (Arena.t * (Physical.compiled_rule * int array) list) array;
-      (** [S_base] init rules grouped by scanned relation (one shared
-          flat arena per distinct relation) *)
+      (** [S_base] init rules grouped by scanned relation, with that
+          relation's own arena *)
   sx_init_unit : (Physical.compiled_rule * int array) list;
 }
-
-(* Flat scan source for a whole relation: init rules scan relations
-   through an arena cursor striped across workers, not a boxed-tuple
-   vector. *)
-let arena_of_relation rel =
-  let a =
-    Arena.create ~capacity:(max 1 (Relation.length rel)) ~arity:(Relation.arity rel) ()
-  in
-  Relation.iter_slices rel (fun data off -> ignore (Arena.push_slice a data off));
-  a
 
 (* groups an association-shaped list by key, preserving first-seen key
    order and per-key element order *)
@@ -211,17 +200,14 @@ let make_stratum ~catalog ~copies ~h ~partial_agg (sp : Physical.stratum_plan) =
         | Physical.S_delta _ | Physical.S_unit -> None)
       sx_init
   in
-  let pred_groups = group_by String.equal fst base_init in
-  (* one shared flat snapshot per distinct scanned relation — also the
-     arena init morsels range over *)
-  let sx_scan_sources =
-    List.map (fun (pred, _) -> (pred, arena_of_relation (Catalog.get catalog pred))) pred_groups
-  in
+  (* init morsels range over the scanned relation's own arena: a
+     relation never deletes, so its arena holds exactly its tuples, and
+     the catalog is read-only while the stratum runs *)
   let sx_init_groups =
     Array.of_list
       (List.map
-         (fun (pred, rules) -> (List.assoc pred sx_scan_sources, List.map snd rules))
-         pred_groups)
+         (fun (pred, rules) -> (Relation.arena (Catalog.get catalog pred), List.map snd rules))
+         (group_by String.equal fst base_init))
   in
   let sx_init_unit =
     List.filter
@@ -235,7 +221,6 @@ let make_stratum ~catalog ~copies ~h ~partial_agg (sp : Physical.stratum_plan) =
     sx_partial_agg = partial_agg;
     sx_init;
     sx_delta;
-    sx_scan_sources;
     sx_delta_groups;
     sx_init_groups;
     sx_init_unit;

@@ -64,9 +64,9 @@ val reset_shared : shared -> token:Dcd_concurrent.Cancel.t -> unit
 (** Read-only per-stratum compilation context, built once by the
     orchestrator and shared by every worker: rules paired with their
     head-target copy arrays (resolved at rule-compile time, so the emit
-    path never does a string lookup), the shared flat scan sources the
-    init rules range over, and the morsel group tables (a morsel names a
-    group id that means the same thing to its owner and to any thief). *)
+    path never does a string lookup), and the morsel group tables (a
+    morsel names a group id that means the same thing to its owner and
+    to any thief). *)
 type stratum_ctx = {
   sx_catalog : Catalog.t;
   sx_copies : Exchange.copy_info array;
@@ -75,14 +75,13 @@ type stratum_ctx = {
   sx_init : (Physical.compiled_rule * int array) list;
   sx_delta : (Physical.compiled_rule * int array * int) list;
       (** (rule, head targets, scanned copy id) *)
-  sx_scan_sources : (string * Dcd_storage.Arena.t) list;
   sx_delta_groups : (int * (Physical.compiled_rule * int array) list) array;
       (** delta rules grouped by scanned copy id; the group index is the
           [m_gid] of [Delta] morsels *)
   sx_init_groups : (Dcd_storage.Arena.t * (Physical.compiled_rule * int array) list) array;
-      (** [S_base] init rules grouped by scanned relation (one shared
-          flat arena per distinct relation); the group index is the
-          [m_gid] of [Init] morsels *)
+      (** [S_base] init rules grouped by scanned relation, with that
+          relation's own arena; the group index is the [m_gid] of
+          [Init] morsels *)
   sx_init_unit : (Physical.compiled_rule * int array) list;
 }
 
@@ -93,9 +92,9 @@ val make_stratum :
   partial_agg:bool ->
   Physical.stratum_plan ->
   stratum_ctx
-(** Resolves every rule's head targets and scanned copy to integer ids,
-    snapshots the init-rule scan relations into flat arenas (one per
-    distinct relation), and builds the morsel group tables. *)
+(** Resolves every rule's head targets and scanned copy to integer ids
+    and builds the morsel group tables; init rules scan their
+    relation's own arena in place. *)
 
 val stall_snapshot : shared -> strategy:string -> window:float -> Engine_error.stall_diagnostic
 (** The watchdog's evidence on stall: global and per-worker termination

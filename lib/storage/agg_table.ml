@@ -20,19 +20,16 @@ type store =
   | Tree of int Bptree.t
   | Flat of entry Vec.t
 
-module Contrib_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
+(* The (group ++ contributor) keys seen, Count and Sum only: one table
+   per key width, because rules may emit contributors of different
+   widths into one aggregate.  A Sum key carries its contributor's
+   current partial value as an extra column. *)
 type t = {
   kind : kind;
   group_arity : int;
   mutable store : store; (* reassigned only by checkpoint [restore] *)
-  contribs : Tuple_set.t; (* (group ++ contributor) seen; Count only *)
-  partials : int Contrib_tbl.t; (* (group ++ contributor) -> value; Sum only *)
+  mutable contribs : Tuple_table.t list;
+  mutable kbuf : int array; (* key scratch *)
 }
 
 let create ?(backend = Indexed) ~kind ~group_arity () =
@@ -42,7 +39,7 @@ let create ?(backend = Indexed) ~kind ~group_arity () =
     | Indexed -> Tree (Bptree.create ())
     | Scan -> Flat (Vec.create ())
   in
-  { kind; group_arity; store; contribs = Tuple_set.create (); partials = Contrib_tbl.create 64 }
+  { kind; group_arity; store; contribs = []; kbuf = [||] }
 
 let kind t = t.kind
 
@@ -67,6 +64,24 @@ let better kind current candidate =
   | Max -> candidate > current
   | Count | Sum -> candidate <> 0 (* candidate is a non-zero delta to add *)
 
+(* the contributor table for keys of [width] ints *)
+let contrib_table t width =
+  match List.find_opt (fun tb -> Tuple_table.arity tb = width) t.contribs with
+  | Some tb -> tb
+  | None ->
+    let extra = if t.kind = Sum then 1 else 0 in
+    let tb = Tuple_table.create ~extra ~arity:width () in
+    t.contribs <- tb :: t.contribs;
+    tb
+
+(* [kbuf] := group ++ contributor; the table for that width *)
+let contrib_key t (group : Tuple.t) (contributor : Tuple.t) =
+  let g = Array.length group and c = Array.length contributor in
+  if Array.length t.kbuf < g + c then t.kbuf <- Array.make (g + c) 0;
+  Array.blit group 0 t.kbuf 0 g;
+  Array.blit contributor 0 t.kbuf g c;
+  contrib_table t (g + c)
+
 (* Normalizes a candidate: applies contribution dedup/replacement and
    converts Count/Sum candidates into additive deltas.  [None] =
    absorbed.
@@ -86,18 +101,23 @@ let normalize t ~group ~contributor v =
       | Some c -> c
       | None -> invalid_arg "Agg_table.merge: contributor required for count"
     in
-    if Tuple_set.add t.contribs (Array.append group contributor) then Some 1 else None
+    let tb = contrib_key t group contributor in
+    let n = Tuple_table.length tb in
+    ignore (Tuple_table.add_slice tb t.kbuf 0);
+    if Tuple_table.length tb > n then Some 1 else None
   | Sum ->
     let contributor =
       match contributor with
       | Some c -> c
       | None -> invalid_arg "Agg_table.merge: contributor required for sum"
     in
-    let key = Array.append group contributor in
-    let old = match Contrib_tbl.find_opt t.partials key with Some x -> x | None -> 0 in
-    if old = v && Contrib_tbl.mem t.partials key then None
+    let tb = contrib_key t group contributor in
+    let s = Tuple_table.find_slice tb t.kbuf 0 in
+    let old = if s < 0 then 0 else Tuple_table.get tb s 0 in
+    if old = v && s >= 0 then None
     else begin
-      Contrib_tbl.replace t.partials key v;
+      let s = if s < 0 then Tuple_table.add_slice tb t.kbuf 0 else s in
+      Tuple_table.set tb s 0 v;
       let delta = v - old in
       if delta = 0 then None else Some delta
     end
@@ -178,62 +198,6 @@ let apply_sorted t ~n ~group ~value ~changed =
       | None -> ()
     done
 
-module Group_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
-let merge_batch t batch =
-  (* Combine candidates of the same group inside the batch first. *)
-  let combined : int Group_tbl.t = Group_tbl.create (Vec.length batch) in
-  Vec.iter
-    (fun (group, contributor, v) ->
-      match normalize t ~group ~contributor v with
-      | None -> ()
-      | Some v -> (
-        match Group_tbl.find_opt combined group with
-        | None -> Group_tbl.add combined group v
-        | Some cur -> (
-          match t.kind with
-          | Min -> if v < cur then Group_tbl.replace combined group v
-          | Max -> if v > cur then Group_tbl.replace combined group v
-          | Count | Sum -> Group_tbl.replace combined group (cur + v))))
-    batch;
-  let changed = Vec.create () in
-  (match t.store with
-  | Tree tree ->
-    Group_tbl.iter
-      (fun group v ->
-        match apply_tree t tree group v with
-        | Some v' -> Vec.push changed (group, v')
-        | None -> ())
-      combined
-  | Flat flat ->
-    (* The unoptimized path: one linear pass over the whole table per
-       batch (paper §6.2.1: "a linear scan on the deduplicated recursive
-       table ... is required"). *)
-    Vec.iter
-      (fun e ->
-        match Group_tbl.find_opt combined e.gkey with
-        | None -> ()
-        | Some v ->
-          Group_tbl.remove combined e.gkey;
-          if better t.kind e.value v then begin
-            (match t.kind with
-            | Min | Max -> e.value <- v
-            | Count | Sum -> e.value <- e.value + v);
-            Vec.push changed (e.gkey, e.value)
-          end)
-      flat;
-    Group_tbl.iter
-      (fun group v ->
-        Vec.push flat { gkey = Array.copy group; value = v };
-        Vec.push changed (group, v))
-      combined);
-  changed
-
 let iter t f =
   match t.store with
   | Tree tree -> Bptree.iter tree (fun k v -> f k v)
@@ -273,8 +237,7 @@ let to_vec t =
 type snapshot = {
   sn_backend : backend;
   sn_entries : (Tuple.t * int) array; (* ascending group order for [Indexed] *)
-  sn_contribs : Tuple.t array;
-  sn_partials : (Tuple.t * int) array;
+  sn_contribs : (Tuple.t * int) array; (* (group ++ contributor, Sum partial) *)
 }
 
 let snapshot t =
@@ -283,19 +246,16 @@ let snapshot t =
   iter t (fun k v ->
       entries.(!i) <- (k, v);
       incr i);
-  let contribs = Vec.to_array (Tuple_set.to_vec t.contribs) in
-  let partials = Array.make (Contrib_tbl.length t.partials) ([||], 0) in
-  let j = ref 0 in
-  Contrib_tbl.iter
-    (fun k v ->
-      partials.(!j) <- (k, v);
-      incr j)
-    t.partials;
+  let contribs = Vec.create () in
+  List.iter
+    (fun tb ->
+      Tuple_table.iter tb (fun s ->
+          Vec.push contribs (Tuple_table.key tb s, if t.kind = Sum then Tuple_table.get tb s 0 else 0)))
+    t.contribs;
   {
     sn_backend = (match t.store with Tree _ -> Indexed | Flat _ -> Scan);
     sn_entries = entries;
-    sn_contribs = contribs;
-    sn_partials = partials;
+    sn_contribs = Vec.to_array contribs;
   }
 
 (* Rebuilds fresh structures from the snapshot (the snapshot itself is
@@ -310,7 +270,10 @@ let restore t sn =
     let v = Vec.create ~capacity:(Array.length sn.sn_entries) () in
     Array.iter (fun (gkey, value) -> Vec.push v { gkey; value }) sn.sn_entries;
     t.store <- Flat v);
-  Tuple_set.clear t.contribs;
-  Array.iter (fun c -> ignore (Tuple_set.add t.contribs c)) sn.sn_contribs;
-  Contrib_tbl.reset t.partials;
-  Array.iter (fun (k, v) -> Contrib_tbl.replace t.partials k v) sn.sn_partials
+  t.contribs <- [];
+  Array.iter
+    (fun (k, v) ->
+      let tb = contrib_table t (Array.length k) in
+      let s = Tuple_table.add tb k in
+      if t.kind = Sum then Tuple_table.set tb s 0 v)
+    sn.sn_contribs

@@ -85,12 +85,6 @@ val apply_sorted :
     mutate them after); the [Scan] backend falls back to per-group
     linear passes, preserving the ablation's cost model. *)
 
-val merge_batch : t -> (Tuple.t * Tuple.t option * int) Dcd_util.Vec.t -> (Tuple.t * int) Dcd_util.Vec.t
-(** Folds a batch of [(group, contributor, value)] candidates; returns
-    the changed [(group, new_value)] pairs (each group at most once, with
-    its final value).  For the [Scan] backend this is the linear-pass
-    merge of the ablation. *)
-
 val iter : t -> (Tuple.t -> int -> unit) -> unit
 (** All [(group, value)] pairs. Ascending group order for [Indexed];
     unspecified order for [Scan]. *)

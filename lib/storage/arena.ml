@@ -2,7 +2,7 @@
    tuples of arity [k] back to back at stride [k].  A tuple is
    identified by its slot (insertion index); its fields live at
    [data.(slot * k .. slot * k + k - 1)].  No per-tuple heap object
-   exists — the join kernel, the hash indexes and the delta scans all
+   exists — the join kernel, the tuple tables and the delta scans all
    read fields straight out of [data] through an offset. *)
 
 type slot = int
@@ -24,8 +24,6 @@ let length t = t.count
 let is_empty t = t.count = 0
 
 let data t = t.data
-
-let offset t slot = slot * t.arity
 
 let ensure t extra_tuples =
   let need = (t.count + extra_tuples) * t.arity in

@@ -1,20 +1,21 @@
 (** Fixed-stride flat tuple arena.
 
-    One growable [int array] holds every tuple of a relation (or of a
-    per-iteration delta) of arity [k], back to back at stride [k].  A
-    tuple is named by its [slot] — its insertion index — and its fields
-    live at [data t .(offset t slot + c)].  Nothing on the hot path
-    materializes a boxed [int array] per tuple: the join kernel binds
-    registers through an offset cursor, the hash indexes store slot
-    lists and hash key columns straight out of the arena, and a packed
-    delta frame is absorbed with a single {!append_block} blit.
+    One growable [int array] holds tuples of arity [k] back to back at
+    stride [k]: a per-iteration delta, a worker's scan stripe, or the
+    slots of a {!Tuple_table}.  A tuple is named by its [slot] — its
+    insertion index — and its fields live at
+    [data t .((slot * k) + c)].  Nothing on the hot path materializes
+    a boxed [int array] per tuple: the join kernel binds registers
+    through an offset cursor, tuple tables hash and compare keys
+    straight out of the arena, and a packed delta frame is absorbed
+    with a single {!append_block} blit.
 
     Invariants:
     - slots are stable: tuples are only appended (or overwritten in
       place via {!set_slot}); [clear] invalidates all slots at once;
     - [data t] is only valid until the next growth — re-read it after
       any push when holding it across calls;
-    - arity-0 arenas are legal ([offset] is always 0; only [length]
+    - arity-0 arenas are legal (every slot starts at 0; only [length]
       distinguishes tuples). *)
 
 type slot = int
@@ -34,9 +35,6 @@ val is_empty : t -> bool
 
 val data : t -> int array
 (** The backing buffer; valid until the next growth. *)
-
-val offset : t -> slot -> int
-(** Flat offset of a slot's first field ([slot * arity]). *)
 
 val capacity : t -> int
 (** Tuples the backing buffer holds before the next growth. *)

@@ -11,122 +11,125 @@ type sorted_index = {
   si_scratch : int array;
 }
 
+(* The tuples live once, in the slots of one table: a relation never
+   deletes, so slot [i] is the [i]-th distinct tuple added and the
+   table's arena is a flat scan of the relation in insertion order. *)
 type t = {
   name : string;
   arity : int;
-  tuples : Tuple_set.t;
-  mutable indexes : (int array * Hash_index.t) list;
+  tuples : Tuple_table.t;
+  mutable indexes : Slot_index.t list;
   mutable sorted : sorted_index list;
 }
 
 let create ?(size_hint = 16) ~name ~arity () =
   if arity < 0 then invalid_arg "Relation.create";
-  { name; arity; tuples = Tuple_set.create ~capacity:size_hint (); indexes = []; sorted = [] }
+  { name; arity; tuples = Tuple_table.create ~capacity:size_hint ~arity (); indexes = []; sorted = [] }
 
 let name t = t.name
 
 let arity t = t.arity
 
-let length t = Tuple_set.length t.tuples
+let length t = Tuple_table.length t.tuples
 
-let add t tup =
+let arena t = Tuple_table.arena t.tuples
+
+let check_arity t what tup =
   if Array.length tup <> t.arity then
     invalid_arg
-      (Printf.sprintf "Relation.add: arity mismatch on %s (got %d, want %d)" t.name
-         (Array.length tup) t.arity);
-  let fresh = Tuple_set.add t.tuples tup in
-  if fresh then begin
-    List.iter (fun (_, idx) -> Hash_index.add idx tup) t.indexes;
-    List.iter
-      (fun si ->
-        for i = 0 to Array.length si.si_cols - 1 do
-          si.si_scratch.(i) <- tup.(si.si_cols.(i))
-        done;
-        ignore (Bptree.add_if_absent si.si_tree si.si_scratch ()))
-      t.sorted
-  end;
-  fresh
+      (Printf.sprintf "Relation.%s: arity mismatch on %s (got %d, want %d)" what t.name
+         (Array.length tup) t.arity)
+
+(* Inserts without touching the sorted indexes; the slot if fresh,
+   else -1. *)
+let insert t data off =
+  let n = Tuple_table.length t.tuples in
+  let s = Tuple_table.add_slice t.tuples data off in
+  if Tuple_table.length t.tuples = n then -1
+  else begin
+    List.iter (fun ix -> Slot_index.add ix s) t.indexes;
+    s
+  end
 
 let add_slice t data off =
-  let fresh = Tuple_set.add_slice t.tuples data off t.arity in
-  if fresh then begin
-    List.iter (fun (_, idx) -> Hash_index.add_slice idx data off ~arity:t.arity) t.indexes;
+  let s = insert t data off in
+  if s >= 0 then
     List.iter
       (fun si ->
         for i = 0 to Array.length si.si_cols - 1 do
           si.si_scratch.(i) <- data.(off + si.si_cols.(i))
         done;
         ignore (Bptree.add_if_absent si.si_tree si.si_scratch ()))
-      t.sorted
-  end;
-  fresh
+      t.sorted;
+  s >= 0
 
-(* Bulk add: fold a whole batch into the tuple set first, then refresh
+let add t tup =
+  check_arity t "add" tup;
+  add_slice t tup 0
+
+(* Bulk add: fold a whole batch into the table first, then refresh
    every sorted trie index from the fresh subset as one sorted run — a
    full column permutation keeps distinct tuples distinct, so the sorted
    keys are strictly increasing and the B⁺-tree takes them in one
    co-sequential merge instead of one descent per tuple. *)
 let add_batch t batch =
-  let fresh = Vec.create ~capacity:(Vec.length batch) () in
+  let first = Tuple_table.slots t.tuples in
   Vec.iter
     (fun tup ->
-      if Array.length tup <> t.arity then
-        invalid_arg
-          (Printf.sprintf "Relation.add_batch: arity mismatch on %s (got %d, want %d)" t.name
-             (Array.length tup) t.arity);
-      if Tuple_set.add t.tuples tup then begin
-        List.iter (fun (_, idx) -> Hash_index.add idx tup) t.indexes;
-        Vec.push fresh tup
-      end)
+      check_arity t "add_batch" tup;
+      ignore (insert t tup 0))
     batch;
-  let n = Vec.length fresh in
-  if n > 0 then
+  let n = Tuple_table.slots t.tuples - first in
+  if n > 0 then begin
+    let data = Tuple_table.data t.tuples and stride = Tuple_table.stride t.tuples in
     List.iter
       (fun si ->
         let keys =
-          Array.init n (fun i ->
-              let tup = Vec.get fresh i in
-              Array.map (fun c -> tup.(c)) si.si_cols)
+          Array.init n (fun i -> Array.map (fun c -> data.(((first + i) * stride) + c)) si.si_cols)
         in
         Array.sort Bptree.compare_key keys;
         Bptree.merge_sorted_slice si.si_tree ~n
           ~key:(fun i -> keys.(i))
           ~merge:(fun _ -> function Some () -> None | None -> Some ()))
-      t.sorted;
+      t.sorted
+  end;
   n
 
-let mem t tup = Tuple_set.mem t.tuples tup
+let mem_slice t data off = Tuple_table.mem_slice t.tuples data off
 
-let mem_slice t data off = Tuple_set.mem_slice t.tuples data off t.arity
+let mem t tup = Array.length tup = t.arity && mem_slice t tup 0
 
-let iter f t = Tuple_set.iter f t.tuples
+let iter_slices t f = Tuple_table.iter_slices t.tuples f
 
-let iter_slices t f = Tuple_set.iter_slices t.tuples (fun data off _len -> f data off)
+let iter f t = iter_slices t (fun data off -> f (Array.sub data off t.arity))
 
-let to_vec t = Tuple_set.to_vec t.tuples
+let to_vec t =
+  let v = Vec.create ~capacity:(length t) () in
+  iter (Vec.push v) t;
+  v
 
 let find_index t ~key_cols =
-  List.find_map (fun (cols, idx) -> if cols = key_cols then Some idx else None) t.indexes
+  List.find_opt (fun ix -> Slot_index.cols ix = key_cols) t.indexes
 
 let ensure_index t ~key_cols =
   match find_index t ~key_cols with
-  | Some idx -> idx
+  | Some ix -> ix
   | None ->
-    let idx = Hash_index.create ~size_hint:(length t) ~key_cols () in
-    Tuple_set.iter_slices t.tuples (fun data off len ->
-        Hash_index.add_slice idx data off ~arity:len);
-    t.indexes <- (key_cols, idx) :: t.indexes;
-    idx
-
-let indexes t = t.indexes
+    let ix = Slot_index.create t.tuples ~cols:key_cols in
+    t.indexes <- ix :: t.indexes;
+    ix
 
 let find_sorted_index t ~cols =
   List.find_map (fun si -> if si.si_cols = cols then Some si.si_tree else None) t.sorted
 
+let rec prefix_eq (data : int array) off (prefix : int array) i k =
+  i = k || (data.(off + i) = prefix.(i) && prefix_eq data off prefix (i + 1) k)
+
 (* Prefix scan for the serving read path: through the identity-order
    sorted trie when one has been built (one seek + a leaf walk), else a
-   filtered full scan.  Sessions pre-build the trie on served
-   relations, so the fallback only covers ad-hoc reads. *)
+   scan that compares the prefix on each flat row and boxes only the
+   matches.  Sessions pre-build the trie on served relations, so the
+   fallback only covers ad-hoc reads. *)
 let iter_prefix t ~prefix f =
   let k = Array.length prefix in
   if k > t.arity then invalid_arg "Relation.iter_prefix: prefix longer than arity";
@@ -136,14 +139,8 @@ let iter_prefix t ~prefix f =
     match find_sorted_index t ~cols:identity with
     | Some tree -> Bptree.iter_prefix tree ~prefix (fun key () -> f key)
     | None ->
-      iter
-        (fun tup ->
-          let ok = ref true in
-          for i = 0 to k - 1 do
-            if tup.(i) <> prefix.(i) then ok := false
-          done;
-          if !ok then f tup)
-        t
+      iter_slices t (fun data off ->
+          if prefix_eq data off prefix 0 k then f (Array.sub data off t.arity))
   end
 
 let ensure_sorted_index t ~cols =
@@ -157,12 +154,8 @@ let ensure_sorted_index t ~cols =
     let n = length t in
     let keys = Array.make n [||] in
     let i = ref 0 in
-    Tuple_set.iter_slices t.tuples (fun data off _len ->
-        let k = Array.make t.arity 0 in
-        for j = 0 to t.arity - 1 do
-          k.(j) <- data.(off + cols.(j))
-        done;
-        keys.(!i) <- k;
+    iter_slices t (fun data off ->
+        keys.(!i) <- Array.map (fun c -> data.(off + c)) cols;
         incr i);
     Array.sort Bptree.compare_key keys;
     let entries = Array.map (fun k -> (k, ())) keys in

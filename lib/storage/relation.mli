@@ -1,17 +1,19 @@
 (** A stored relation (one partition's worth, or a whole EDB table).
 
-    Combines the deduplicating {!Tuple_set} with any number of hash
-    indexes that are maintained incrementally on insert.  Base relations
-    are loaded once and indexed on the join keys the planner requests;
-    recursive relations additionally keep a B⁺-tree (owned by the engine
-    layer, see {!Dcd_engine}).  Both the set and the indexes live in
-    flat storage — the [_slice]/[_slices] entry points move tuples
-    between flat buffers without boxing. *)
+    Each tuple lives once, in a slot of one {!Tuple_table}, which also
+    answers existence probes.  Keyed access goes through {!Slot_index}
+    chains over those slots, maintained incrementally on insert; base
+    relations are loaded once and indexed on the join keys the planner
+    requests.  Generic-join plans and served prefix scans add sorted
+    B⁺-tree indexes.  Relations never delete, so the table's arena holds
+    the tuples back to back in insertion order ({!arena}).  The
+    [_slice]/[_slices] entry points move tuples between flat buffers
+    without boxing. *)
 
 type t
 
 val create : ?size_hint:int -> name:string -> arity:int -> unit -> t
-(** [size_hint] (expected tuple count) pre-sizes the dedup table. *)
+(** [size_hint] (expected tuple count) pre-sizes the tuple table. *)
 
 val name : t -> string
 
@@ -28,13 +30,12 @@ val add_slice : t -> int array -> int -> bool
     [data.(off .. off+arity-1)] without boxing it; [true] iff new. *)
 
 val add_batch : t -> Tuple.t Dcd_util.Vec.t -> int
-(** Bulk {!add}: folds the whole batch into the tuple set and hash
-    indexes, then refreshes every sorted trie index from the fresh
+(** Bulk {!add}: copies the whole batch into the tuple table and its
+    slot indexes, then refreshes every sorted trie index from the fresh
     subset as {e one} sorted run merged co-sequentially into the tree
     ({!Dcd_btree.Bptree.merge_sorted_slice}) — one descent per leaf
     segment instead of one per tuple.  Returns the number of new
-    tuples.  Tuples are retained (not copied); same result as repeated
-    {!add}.
+    tuples; same result as repeated {!add}.
     @raise Invalid_argument on arity mismatch. *)
 
 val mem : t -> Tuple.t -> bool
@@ -49,14 +50,17 @@ val iter_slices : t -> (int array -> int -> unit) -> unit
 
 val to_vec : t -> Tuple.t Dcd_util.Vec.t
 
-val ensure_index : t -> key_cols:int array -> Hash_index.t
-(** Returns the hash index on [key_cols], building it from the current
-    contents on first request (pre-sized to the relation's length).
-    Indexes are identified by their exact column list. *)
+val arena : t -> Arena.t
+(** The tuple table's arena: rows [0, length t) are the tuples in
+    insertion order, at stride [max 1 arity].  Valid until the next
+    insertion; the flat scan source of init rules. *)
 
-val find_index : t -> key_cols:int array -> Hash_index.t option
+val ensure_index : t -> key_cols:int array -> Slot_index.t
+(** Returns the slot index on [key_cols], building it from the current
+    contents on first request.  Indexes are identified by their exact
+    column list. *)
 
-val indexes : t -> (int array * Hash_index.t) list
+val find_index : t -> key_cols:int array -> Slot_index.t option
 
 val ensure_sorted_index : t -> cols:int array -> unit Dcd_btree.Bptree.t
 (** Returns the B⁺-tree over tuples re-ordered by [cols] (a permutation
@@ -72,6 +76,6 @@ val iter_prefix : t -> prefix:Tuple.t -> (Tuple.t -> unit) -> unit
 (** [iter_prefix t ~prefix f] calls [f] on every tuple whose first
     [Array.length prefix] columns equal [prefix].  Runs off the
     identity-order sorted index when one exists (ascending order, one
-    tree seek); falls back to a filtered scan (insertion order)
-    otherwise.  An empty prefix iterates everything.
+    tree seek); otherwise scans the flat rows in insertion order and
+    boxes only the matches.  An empty prefix iterates everything.
     @raise Invalid_argument if the prefix is longer than the arity. *)

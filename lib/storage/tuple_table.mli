@@ -1,8 +1,11 @@
 (** Deletable tuple table over flat storage, with stable slot ids.
 
-    Where {!Tuple_set} only grows, this table also removes: it is the
-    store of a state that moves both ways, such as the incremental
-    maintenance layer's visible sets, supports and per-batch deltas.
+    The one tuple store of the system: every {!Relation}, the
+    incremental maintenance layer's visible sets, supports and
+    per-batch deltas, the per-frame dedup of Distribute and the
+    contributor sets of aggregate tables.  {!Slot_index} chains over its
+    slots are its keyed indexes.
+
     Each key lives once, at a fixed stride, in an {!Arena}; an
     open-addressed probe table with backward-shift deletion maps a key
     to its {e slot}.  A slot stays valid until its key is removed, a

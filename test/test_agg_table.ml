@@ -55,15 +55,6 @@ let test_contributor_validation () =
     (Invalid_argument "Agg_table.merge: contributor required for count") (fun () ->
       ignore (A.merge c ~group:[| 1 |] 0))
 
-let test_merge_batch_combines backend =
-  let t = A.create ~backend ~kind:A.Min ~group_arity:1 () in
-  ignore (A.merge t ~group:[| 1 |] 10);
-  let batch = Vec.of_list [ ([| 1 |], None, 8); ([| 1 |], None, 4); ([| 2 |], None, 9) ] in
-  let changed = A.merge_batch t batch in
-  let sorted = List.sort compare (List.map (fun (g, v) -> (g.(0), v)) (Vec.to_list changed)) in
-  (* group 1 appears once with the final value, group 2 is new *)
-  Alcotest.(check (list (pair int int))) "one change per group" [ (1, 4); (2, 9) ] sorted
-
 let test_iter_prefix backend =
   let t = A.create ~backend ~kind:A.Min ~group_arity:2 () in
   ignore (A.merge t ~group:[| 1; 5 |] 50);
@@ -99,7 +90,6 @@ let () =
           Alcotest.test_case "count both backends" `Quick (both_backends test_count);
           Alcotest.test_case "sum replaceable" `Quick (both_backends test_sum_replaceable);
           Alcotest.test_case "contributor validation" `Quick test_contributor_validation;
-          Alcotest.test_case "merge_batch combines" `Quick (both_backends test_merge_batch_combines);
           Alcotest.test_case "iter_prefix" `Quick (both_backends test_iter_prefix);
         ] );
       ("property", [ QCheck_alcotest.to_alcotest test_backends_agree ]);
