@@ -702,11 +702,11 @@ let join_alloc () =
   done;
   let ctx =
     {
-      Eval.base_iter = (fun _ f -> Relation.iter_slices arc f);
-      base_index = (fun _ cols -> Relation.ensure_index arc ~key_cols:cols);
+      Eval.lookup =
+        (fun (l : Ph.lookup) ->
+          if Array.length l.key_cols = 0 then Eval.Iter (fun _ f -> Relation.iter_slices arc f)
+          else Eval.Index (Relation.ensure_index arc ~key_cols:l.key_cols));
       base_sorted = (fun _ cols -> Relation.ensure_sorted_index arc ~cols);
-      rec_resolve = (fun ~pred:_ ~route:_ -> failwith "no recursion");
-      rec_matches = (fun _ ~key:_ _ -> failwith "no recursion");
     }
   in
   (* force the index build outside the measured window *)

@@ -5,12 +5,14 @@ module Slot_index = Dcd_storage.Slot_index
 module Bptree = Dcd_btree.Bptree
 module Vec = Dcd_util.Vec
 
+type access =
+  | Index of Slot_index.t
+  | Iter of (int array -> (int array -> int -> unit) -> unit)
+  | Mem of (int array -> bool)
+
 type context = {
-  base_iter : string -> (int array -> int -> unit) -> unit;
-  base_index : string -> int array -> Slot_index.t;
+  lookup : Physical.lookup -> access;
   base_sorted : string -> int array -> unit Bptree.t;
-  rec_resolve : pred:string -> route:int array -> int;
-  rec_matches : int -> key:int array -> (int array -> int -> unit) -> unit;
 }
 
 type emit = tuple:Tuple.t -> contributor:Tuple.t -> unit
@@ -57,7 +59,7 @@ let build_steps ctx regs (steps : Physical.step array) cont =
             regs.(reg) <- v;
             next ()
           | exception Division_by_zero -> ())
-      | Physical.Lookup { rel; key_cols; key_src; binds; checks; negated; _ } ->
+      | Physical.Lookup ({ key_src; binds; checks; negated; _ } as l) -> (
         (* binds first: a residual check may compare against a register
            bound by this very tuple (within-atom variable repeats) *)
         let bind = Kernel.binder binds ~regs in
@@ -68,31 +70,29 @@ let build_steps ctx regs (steps : Physical.step array) cont =
         in
         let key = Array.make (Array.length key_src) 0 in
         let fill_key = Kernel.filler key_src ~regs ~buf:key in
+        (* a membership probe's key is the whole tuple: it is its own
+           match *)
         let iterate =
-          match rel with
-          | Physical.R_rec { pred; route } ->
-            let cid = ctx.rec_resolve ~pred ~route in
+          match ctx.lookup l with
+          | Index idx ->
             fun () ->
               fill_key ();
-              ctx.rec_matches cid ~key on_match
-          | Physical.R_base pred ->
-            if Array.length key_cols = 0 then begin
-              let scan = ctx.base_iter pred in
-              fun () -> scan on_match
-            end
-            else begin
-              let idx = ctx.base_index pred key_cols in
-              fun () ->
-                fill_key ();
-                Slot_index.iter idx key on_match
-            end
+              Slot_index.iter idx key on_match
+          | Iter iter ->
+            fun () ->
+              fill_key ();
+              iter key on_match
+          | Mem mem ->
+            fun () ->
+              fill_key ();
+              if mem key then on_match key 0
         in
         if negated then
           fun () ->
             (match iterate () with
             | () -> next () (* no match found: anti-join succeeds *)
             | exception Found -> ())
-        else iterate
+        else iterate)
     end
   in
   build 0
@@ -295,5 +295,11 @@ let run_prepared p ~scan =
       off := !off + k
     done;
     len
+
+let run_row p data off =
+  p.scan_bind data off;
+  if p.scan_check data off then p.entry ()
+
+let regs p = p.regs
 
 let run cr ctx ~scan ~emit = run_prepared (prepare cr ctx ~emit) ~scan

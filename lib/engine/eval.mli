@@ -16,42 +16,46 @@
     boxed tuple at all.  A boxed tuple is the degenerate cursor [(tup, 0)].
 
     Rules are {!prepare}d against a context once and then run many
-    times: preparation resolves every recursive lookup to an integer
-    copy id ({!context.rec_resolve}) and every indexed base lookup to
-    its concrete slot index, and allocates the register file, the
-    per-step lookup-key scratch buffers and the head/contributor
-    emission buffers.  The per-tuple path therefore performs no string
-    comparison and no allocation; scratch buffers are reused across
-    probes and emissions, which is sound because every consumer either
-    uses them transiently or copies on retention.
+    times: preparation resolves every lookup, once, to an {!access}
+    through {!context.lookup} — the engine resolves recursive lookups
+    to this worker's partitioned copy and base lookups to their slot
+    index; incremental maintenance resolves each body position to its
+    atom's Old- or Cur-visibility iterator or membership probe — and
+    allocates the register file, the per-step lookup-key scratch
+    buffers and the head/contributor emission buffers.  The per-tuple
+    path therefore performs no string comparison and no allocation;
+    scratch buffers are reused across probes and emissions, which is
+    sound because every consumer either uses them transiently or copies
+    on retention.  This module is the one builder of these closure
+    chains; {!Kernel} holds their per-tuple primitives.
 
-    Pure with respect to shared state: base relations are only read, and
-    recursive lookups go through the caller-supplied callback so each
-    worker only ever touches its own stores.  A [prepared] value owns
-    mutable scratch state: it belongs to one worker and must not be run
-    reentrantly. *)
+    Pure with respect to shared state: relations are only read, through
+    accesses the caller resolves, so each engine worker only ever
+    touches its own stores.  A [prepared] value owns mutable scratch
+    state: it belongs to one worker and must not be run reentrantly. *)
 
 open Dcd_planner
 
+(** What one lookup reads, resolved once at prepare time.  Matches are
+    [(data, off)] slices valid only during the callback. *)
+type access =
+  | Index of Dcd_storage.Slot_index.t
+      (** a slot index on the lookup's key columns *)
+  | Iter of (int array -> (int array -> int -> unit) -> unit)
+      (** [iter key f] calls [f data off] on every tuple matching the
+          filled key buffer (every tuple, for an empty key); must not
+          retain [key] *)
+  | Mem of (int array -> bool)
+      (** membership of the filled key, which is the whole tuple *)
+
 type context = {
-  base_iter : string -> (int array -> int -> unit) -> unit;
-      (** full scan of a shared base / lower-stratum relation; the
-          callback receives [(data, off)] slices valid only during the
-          call *)
-  base_index : string -> int array -> Dcd_storage.Slot_index.t;
-      (** prebuilt shared slot index on the given key columns *)
+  lookup : Physical.lookup -> access;
+      (** called once per lookup step at prepare time *)
   base_sorted : string -> int array -> unit Dcd_btree.Bptree.t;
       (** prebuilt shared sorted (trie) index whose keys are the
           relation's tuples permuted to the given column order; probed
           by generic-join pipelines with prefix seeks.  Read-only during
           evaluation. *)
-  rec_resolve : pred:string -> route:int array -> int;
-      (** called once per recursive lookup at prepare time: the integer
-          id under which {!rec_matches} will be probed *)
-  rec_matches : int -> key:int array -> (int array -> int -> unit) -> unit;
-      (** matches in this worker's copy [cid] of a recursive relation;
-          [key] is a scratch buffer valid only during the call, and the
-          matched slices likewise *)
 }
 
 type emit = tuple:Dcd_storage.Tuple.t -> contributor:Dcd_storage.Tuple.t -> unit
@@ -81,6 +85,17 @@ val run_prepared :
     tuples processed.  Arithmetic faults (division by zero) silently
     drop the binding, per standard Datalog semantics for partial
     built-ins. *)
+
+val run_row : prepared -> int array -> int -> unit
+(** Runs one scan row at [(data, off)] through the pipeline: scan binds,
+    scan checks, steps, emit.  The row may be wider than the scan's
+    columns (a bind may read past them), and [[||], 0] feeds a
+    unit-scan rule.  Exceptions raised by [emit] pass through, which is
+    how a caller stops an existence probe at its first match. *)
+
+val regs : prepared -> int array
+(** The live register file, for emit continuations that read more than
+    the head. *)
 
 val run :
   Physical.compiled_rule ->

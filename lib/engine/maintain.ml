@@ -30,10 +30,12 @@
    delete overlays, the DRed dead sets and the insert worklists are
    flat tables too, so every kernel round scans its rows in place.
 
-   Every rule body, at [create] as well as in [apply], is evaluated by a
-   compiled {!Maintain_kernel} pipeline; a round runs inline on the
-   coordinator or as a morsel round on the pool ([run_round]), and
-   buffers its emissions as flat rows.
+   Every rule body, at [create] as well as in [apply], is ordered and
+   compiled by the planner for the scan at hand
+   ({!Physical.compile_scan}) and evaluated as an {!Eval} pipeline
+   whose context resolves each body atom to its Old- or Cur-visibility
+   access; a round runs inline on the coordinator or as a morsel round
+   on the pool ([run_round]), and buffers its emissions as flat rows.
 
    The old (pre-batch) state of a finished lower stratum is
    reconstructed per predicate as [(current \ d_ins) ∪ d_del] from the
@@ -151,45 +153,30 @@ type pred_state = {
 (* --- compiled delta kernels --- *)
 
 (* One worker's private half of a compiled maintenance kernel: its
-   {!Maintain_kernel.instance} (register file, head/contrib scratch)
-   plus a filler per same-stratum body atom, tagged with its body
-   position, so the DRed emit closures can look up that atom's
+   {!Eval.prepared} pipeline, the emit continuation the running round
+   installed, and a filler per same-stratum body atom, tagged with its
+   body position, so the DRed emit closures can look up that atom's
    derivation rank without a boxed environment. *)
 type mk_inst = {
-  mi_pipe : Maintain_kernel.instance;
+  mi_pipe : Eval.prepared;
+  mi_emit : Eval.emit ref;
   mi_atoms : (int * pred_state * int array * (unit -> unit)) array;
 }
 
 type mkernel = {
   mk_insts : mk_inst array; (* one per maintenance worker *)
   mk_rank_reg : int; (* cascade kernels: register of the scan rank column, -1 if none *)
+  mk_stride : int; (* width of a buffered emission: head ++ contributors ++ tag *)
   mk_prewarm : (unit -> unit) list;
       (* forces lazily built per-batch structures (delete overlays)
          on the coordinator before a parallel round reads them *)
 }
 
-(* --- compiled rules --- *)
-
-type catom = {
-  ca_pred : string;
-  ca_args : Ast.term array;
-}
-
-type oelem =
-  | O_atom of int (* index into cr_atoms *)
-  | O_neg of Ast.atom
-  | O_filter of Ast.cmp_op * Ast.expr * Ast.expr
-  | O_assign of string * Ast.expr
-
 type crule = {
   cr_rule : Ast.rule;
   cr_head : string;
   cr_agg : (int * Ast.agg_kind) option;
-  cr_atoms : catom array;
-  cr_others : Ast.literal list; (* negations and comparisons *)
-  mutable cr_orders : (int * oelem list) list;
-      (* greedy orderings cached by scan key: the delta atom index,
-         [-1] = full evaluation, [-2] = head-bound (rederive check) *)
+  cr_atoms : (int * Ast.atom) array; (* the positive atoms, with their body positions *)
   mutable cr_kernels : (int * mkernel) list;
       (* compiled pipelines cached by phase key (see [kcount] etc.);
          valid across batches — they close over the persistent
@@ -209,7 +196,6 @@ type cstratum = {
   cs_insert_ok : bool; (* aggrec: every aggregate is min/max *)
   cs_body_preds : string list; (* lower predicates feeding this stratum *)
   cs_rules : crule array;
-  mutable cs_sub : Physical.t option; (* cached recompute sub-plan *)
 }
 
 (* A worker's emission buffer: flat rows of head ++ contributors ++ one
@@ -258,11 +244,6 @@ let get_pred mt name =
   match Hashtbl.find_opt mt.preds name with
   | Some ps -> ps
   | None -> invalid_arg (Printf.sprintf "Maintain: unknown predicate %s" name)
-
-let sym_value mt s =
-  match List.assoc_opt s mt.plan.Physical.params with
-  | Some v -> v
-  | None -> Dcd_util.Symbol.intern mt.plan.Physical.symbols s
 
 let cols_equal a b = Array.length a = Array.length b && Array.for_all2 ( = ) a b
 
@@ -498,344 +479,144 @@ let agg_support_add mt ps a data off coff cw sign =
   else Tuple_table.set t s c_derivs nv;
   refresh_group mt ps a su
 
-(* --- rule compilation and greedy ordering --- *)
+(* --- kernel compilation --- *)
 
-let compile_rule (r : Ast.rule) =
-  let atoms =
-    Array.of_list
-      (List.filter_map
-         (function
-           | Ast.Pos a -> Some { ca_pred = a.Ast.pred; ca_args = Array.of_list a.Ast.args }
-           | Ast.Neg_lit _ | Ast.Cmp _ -> None)
-         r.Ast.body)
-  in
-  let others =
-    List.filter
-      (function
-        | Ast.Pos _ -> false
-        | Ast.Neg_lit _ | Ast.Cmp _ -> true)
-      r.Ast.body
-  in
+let crule_of (r : Ast.rule) =
   {
     cr_rule = r;
     cr_head = r.Ast.head_pred;
     cr_agg = Ast.agg_of_rule r;
-    cr_atoms = atoms;
-    cr_others = others;
-    cr_orders = [];
+    cr_atoms =
+      Array.of_list
+        (List.concat
+           (List.mapi
+              (fun pos lit -> match lit with Ast.Pos a -> [ (pos, a) ] | _ -> [])
+              r.Ast.body));
     cr_kernels = [];
   }
 
-(* Orders the remaining body for a given scan key: drain every
-   placeable comparison (filter once bound, Eq-with-unbound-var as an
-   assignment) and negation, then the atom with the most bound argument
-   positions — ties broken toward the smaller visible relation, which
-   keeps head-bound probes scanning a narrow EDB bucket instead of a
-   wide recursive one — and repeat. *)
-let compute_order mt cr key =
-  let bound : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let bind_vars vars = List.iter (fun v -> Hashtbl.replace bound v ()) vars in
-  (match key with
-  | -2 ->
-    List.iter
-      (function
-        | Ast.Plain t -> bind_vars (Ast.vars_of_term t)
-        | Ast.Agg _ -> ())
-      cr.cr_rule.Ast.head_args
-  | i when i >= 0 -> Array.iter (fun t -> bind_vars (Ast.vars_of_term t)) cr.cr_atoms.(i).ca_args
-  | _ -> ());
-  let all_bound vars = List.for_all (Hashtbl.mem bound) vars in
-  let remaining_atoms =
-    ref
-      (List.filter
-         (fun i -> i <> key)
-         (List.init (Array.length cr.cr_atoms) (fun i -> i)))
-  in
-  let remaining_others = ref cr.cr_others in
-  let out = ref [] in
-  let rec drain_others () =
-    let placed = ref false in
-    remaining_others :=
-      List.filter
-        (fun lit ->
-          match lit with
-          | Ast.Cmp (op, lhs, rhs) -> (
-            if all_bound (Ast.vars_of_expr lhs) && all_bound (Ast.vars_of_expr rhs) then begin
-              out := O_filter (op, lhs, rhs) :: !out;
-              placed := true;
-              false
-            end
-            else if op <> Ast.Eq then true
-            else
-              match (lhs, rhs) with
-              | Ast.Term (Ast.Var x), e
-                when (not (Hashtbl.mem bound x)) && all_bound (Ast.vars_of_expr e) ->
-                out := O_assign (x, e) :: !out;
-                bind_vars [ x ];
-                placed := true;
-                false
-              | e, Ast.Term (Ast.Var x)
-                when (not (Hashtbl.mem bound x)) && all_bound (Ast.vars_of_expr e) ->
-                out := O_assign (x, e) :: !out;
-                bind_vars [ x ];
-                placed := true;
-                false
-              | _ -> true)
-          | Ast.Neg_lit a ->
-            if all_bound (List.concat_map Ast.vars_of_term a.Ast.args) then begin
-              out := O_neg a :: !out;
-              placed := true;
-              false
-            end
-            else true
-          | Ast.Pos _ -> assert false)
-        !remaining_others;
-    if !placed then drain_others ()
-  in
-  drain_others ();
-  while !remaining_atoms <> [] do
-    let score i =
-      Array.fold_left
-        (fun acc t ->
-          match t with
-          | Ast.Int _ | Ast.Sym _ -> acc + 1
-          | Ast.Var v -> if Hashtbl.mem bound v then acc + 1 else acc)
-        0
-        cr.cr_atoms.(i).ca_args
-    in
-    let size i = visible_count_ps (get_pred mt cr.cr_atoms.(i).ca_pred) in
-    let best =
-      List.fold_left
-        (fun acc i ->
-          match acc with
-          | None -> Some (i, score i)
-          | Some (j, s) ->
-            let si = score i in
-            if si > s || (si = s && size i < size j) then Some (i, si) else acc)
-        None !remaining_atoms
-    in
-    let i, _ = Option.get best in
-    out := O_atom i :: !out;
-    Array.iter (fun t -> bind_vars (Ast.vars_of_term t)) cr.cr_atoms.(i).ca_args;
-    remaining_atoms := List.filter (fun j -> j <> i) !remaining_atoms;
-    drain_others ()
-  done;
-  if !remaining_others <> [] then
-    invalid_arg ("Maintain: cannot order body of " ^ Ast.rule_to_string cr.cr_rule);
-  List.rev !out
-
-let get_order mt cr key =
-  match List.assoc_opt key cr.cr_orders with
-  | Some o -> o
-  | None ->
-    let o = compute_order mt cr key in
-    cr.cr_orders <- (key, o) :: cr.cr_orders;
-    o
-
-(* --- kernel compilation --- *)
-
-(* Phase keys for the per-rule kernel cache.  For delta/scan atom [i]:
-   counting uses [4i] (positions < i New, > i Old), DRed seeding
-   [4i+1] (same-stratum Cur, lower Old), the DRed cascade and the
-   insert-propagation worklist [4i+2] (all Cur, the scan row's first
-   extra column in a register: the dying tuple's rank, the worklist
-   entry's tag), and lower-stratum insert seeds and rank labelling
-   [4i+3] (all Cur); [-2] is the head-bound probe (rederivation,
-   support recount). *)
+(* Phase keys for the per-rule kernel cache.  For the delta/scan atom
+   at body position [i]: counting uses [4i] (positions < i New, > i
+   Old), DRed seeding [4i+1] (same-stratum Cur, lower Old), the DRed
+   cascade and the insert-propagation worklist [4i+2] (all Cur, the
+   scan row's first extra column in a register: the dying tuple's rank,
+   the worklist entry's tag), and lower-stratum insert seeds and rank
+   labelling [4i+3] (all Cur); [-2] is the head-bound probe
+   (rederivation, support recount). *)
 let kcount i = 4 * i
 let kseed i = (4 * i) + 1
 let kcasc i = (4 * i) + 2
 let kprop i = (4 * i) + 3
 let krederive = -2
 
-(* Compiles one cached ordering of [cr] into a {!Maintain_kernel.spec}
-   and instantiates it once per maintenance worker.  Variables become
-   integer registers; each body atom becomes a membership probe (fully
-   bound), a walk of a persistent [ensure_index] chain (partially
-   bound, with the per-batch delete overlay layered on for Old
-   visibility) or a full visible scan, every candidate read in place
-   from its table.  The iteration closures read the maintenance tables
-   but never write them — a parallel round keeps every mutation in the
-   per-worker emission buffers.  [scan] is the row a run feeds in: a
-   body atom, the head (rederivation probes) or the empty tuple of a
-   unit scan (full evaluations). *)
-let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~in_stratum =
-  let nregs = ref 0 in
-  let vars : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let reg_of v =
-    match Hashtbl.find_opt vars v with
-    | Some r -> r
-    | None ->
-      let r = !nregs in
-      incr nregs;
-      Hashtbl.add vars v r;
-      r
+(* Raised by an existence probe's emit to stop its scan row. *)
+exception Stop
+
+let no_emit : Eval.emit = fun ~tuple:_ ~contributor:_ -> ()
+
+(* The register or constant feeding each column of the atom at body
+   position [pos] of [c]: its key, bind and check columns cover it (a
+   scan may also bind a column past the atom, its row's rank). *)
+let atom_srcs (c : Physical.compiled_rule) ~scan pos arity =
+  let srcs = Array.make arity (Physical.Const 0) in
+  let cover key_cols key_src binds checks =
+    Array.iteri (fun k col -> srcs.(col) <- key_src.(k)) key_cols;
+    Array.iter (fun (col, r) -> if col < arity then srcs.(col) <- Physical.Reg r) binds;
+    Array.iter (fun (col, src) -> srcs.(col) <- src) checks
   in
-  let src_of = function
-    | Ast.Int i -> Physical.Const i
-    | Ast.Sym s -> Physical.Const (sym_value mt s)
-    | Ast.Var v -> (
-      match Hashtbl.find_opt vars v with
-      | Some r -> Physical.Reg r
-      | None -> invalid_arg (Printf.sprintf "Maintain: unbound kernel variable %s" v))
-  in
-  let rec code_of = function
-    | Ast.Term t -> (
-      match src_of t with
-      | Physical.Const c -> Physical.C_const c
-      | Physical.Reg r -> Physical.C_reg r)
-    | Ast.Binop (op, a, b) ->
-      let ca = code_of a in
-      let cb = code_of b in
-      Physical.C_bin (op, ca, cb)
-    | Ast.Neg e -> Physical.C_neg (code_of e)
-  in
-  (* scan row: first occurrence of a variable binds its register,
-     repeats and constants become residual checks *)
-  let scan_terms =
-    match scan with
-    | `Atom i -> cr.cr_atoms.(i).ca_args
-    | `Unit -> [||]
-    | `Head ->
-      Array.of_list
-        (List.map
-           (function
-             | Ast.Plain t -> t
-             | Ast.Agg _ -> invalid_arg "Maintain: aggregate head in rederive kernel")
-           cr.cr_rule.Ast.head_args)
-  in
-  let sbinds = ref [] and schecks = ref [] in
-  Array.iteri
-    (fun c t ->
-      match t with
-      | Ast.Var v when not (Hashtbl.mem vars v) -> sbinds := (c, reg_of v) :: !sbinds
-      | t -> schecks := (c, src_of t) :: !schecks)
-    scan_terms;
-  let rank_reg =
-    if with_rank then begin
-      let r = !nregs in
-      incr nregs;
-      sbinds := (Array.length scan_terms, r) :: !sbinds;
-      r
-    end
-    else -1
-  in
-  let prewarm = ref [] in
-  let steps =
-    List.map
-      (fun el ->
-        match el with
-        | O_atom j ->
-          let ca = cr.cr_atoms.(j) in
-          let ps = get_pred mt ca.ca_pred in
-          let vis = vis_of j in
-          let arity = Array.length ca.ca_args in
-          let newly : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-          let cols = ref [] and ksrc = ref [] and binds = ref [] and checks = ref [] in
-          Array.iteri
-            (fun c t ->
-              match t with
-              | Ast.Var v when Hashtbl.mem newly v ->
-                checks := (c, Physical.Reg (Hashtbl.find vars v)) :: !checks
-              | Ast.Var v when not (Hashtbl.mem vars v) ->
-                Hashtbl.add newly v ();
-                binds := (c, reg_of v) :: !binds
-              | t ->
-                cols := c :: !cols;
-                ksrc := src_of t :: !ksrc)
-            ca.ca_args;
-          let cols = Array.of_list (List.rev !cols) in
-          let ksrc = Array.of_list (List.rev !ksrc) in
-          if Array.length cols = arity then
-            Maintain_kernel.S_mem
-              { sm_key_src = ksrc; sm_mem = (fun key -> mem_vis ps vis key 0); sm_negated = false }
-          else begin
-            let iter =
-              if Array.length cols = 0 then fun _key f -> iter_vis ps vis f
-              else begin
-                (* built (from the current visible set) at compile time,
-                   then maintained forever by visible_add/remove —
-                   capturing it here stays correct across batches *)
-                let ix = ensure_index ps cols in
-                match vis with
-                | Cur -> Slot_index.iter ix
-                | Old ->
-                  prewarm := (fun () -> ignore (overlay ps cols)) :: !prewarm;
-                  let ins = ps.ps_ins in
-                  fun key f ->
-                    Slot_index.iter ix key (fun data off ->
-                        if not (Tuple_table.mem_slice ins data off) then f data off);
-                    Slot_index.iter (overlay ps cols) key f
-              end
-            in
-            Maintain_kernel.S_atom
-              {
-                sa_key_src = ksrc;
-                sa_binds = Array.of_list (List.rev !binds);
-                sa_checks = Array.of_list (List.rev !checks);
-                sa_iter = iter;
-              }
-          end
-        | O_neg a ->
-          let ps = get_pred mt a.Ast.pred in
-          let ksrc = Array.of_list (List.map src_of a.Ast.args) in
-          Maintain_kernel.S_mem
-            { sm_key_src = ksrc; sm_mem = (fun key -> mem_cur ps key 0); sm_negated = true }
-        | O_filter (op, lhs, rhs) ->
-          let cl = code_of lhs in
-          let crr = code_of rhs in
-          Maintain_kernel.S_filter (op, cl, crr)
-        | O_assign (x, e) ->
-          let c = code_of e in
-          Maintain_kernel.S_compute (reg_of x, c))
-      order
-  in
-  let head_srcs =
-    Array.of_list
-      (List.map
-         (fun (arg : Ast.head_arg) ->
-           match arg with
-           | Ast.Plain t -> src_of t
-           | Ast.Agg (Ast.Count, _) -> Physical.Const 0
-           | Ast.Agg ((Ast.Min | Ast.Max), [ t ]) -> src_of t
-           | Ast.Agg (Ast.Sum, ts) -> src_of (List.nth ts (List.length ts - 1))
-           | Ast.Agg _ -> invalid_arg "Maintain: malformed aggregate")
-         cr.cr_rule.Ast.head_args)
-  in
-  let contrib_srcs =
-    Array.of_list
-      (List.concat_map
-         (fun (arg : Ast.head_arg) ->
-           match arg with
-           | Ast.Agg (Ast.Count, ts) -> List.map src_of ts
-           | Ast.Agg (Ast.Sum, ts) ->
-             List.map src_of (List.filteri (fun i _ -> i < List.length ts - 1) ts)
-           | Ast.Agg ((Ast.Min | Ast.Max), _) | Ast.Plain _ -> [])
-         cr.cr_rule.Ast.head_args)
+  (match c.scan with
+  | Physical.S_base { binds; checks; _ } when scan = Logical.At_atom pos ->
+    cover [||] [||] binds checks
+  | _ ->
+    Array.iter
+      (function
+        | Physical.Lookup l when l.pos = pos -> cover l.key_cols l.key_src l.binds l.checks
+        | Physical.Lookup _ | Physical.Filter _ | Physical.Compute _ -> ())
+      c.steps);
+  srcs
+
+(* Compiles [cr] for one scan with the planner, score ties going to the
+   smaller visible relation (which keeps head-bound probes walking a
+   narrow EDB bucket instead of a wide recursive one), and prepares it
+   once per maintenance worker as an {!Eval} pipeline.  The context resolves each body atom,
+   by its position, to a membership probe (fully bound), a walk of a
+   persistent [ensure_index] chain (partially bound, with the per-batch
+   delete overlay layered on for Old visibility) or a full visible
+   scan, every candidate read in place from its table; it rejects
+   negated atoms, since strata with negation only recompute.  These
+   accesses read the maintenance tables but never write them — a
+   parallel round keeps every mutation in the per-worker emission
+   buffers.  [scan] is what a run feeds in: a body atom's rows, head
+   tuples (rederivation probes) or the empty row (full evaluations);
+   [with_rank] binds the scan row's first extra column to one more
+   register. *)
+let build_mkernel mt cs cr ~scan ~vis_of ~with_rank =
+  let sizes p = visible_count_ps (get_pred mt p) in
+  let c =
+    match
+      Physical.compile_scan ~bind_extra:with_rank mt.plan cs.cs_stratum cr.cr_rule scan ~sizes
+    with
+    | Ok c -> c
+    | Error e -> invalid_arg ("Maintain: " ^ e)
   in
   let datoms =
-    let acc = ref [] in
-    Array.iteri
-      (fun j ca ->
-        if in_stratum ca.ca_pred then
-          acc := (j, get_pred mt ca.ca_pred, Array.map src_of ca.ca_args) :: !acc)
-      cr.cr_atoms;
-    Array.of_list (List.rev !acc)
+    Array.of_list
+      (List.filter_map
+         (fun (pos, (a : Ast.atom)) ->
+           if List.mem a.pred cs.cs_stratum.Analysis.preds then begin
+             let ps = get_pred mt a.pred in
+             Some (pos, ps, atom_srcs c ~scan pos ps.ps_arity)
+           end
+           else None)
+         (Array.to_list cr.cr_atoms))
   in
-  let spec =
-    {
-      Maintain_kernel.sp_nregs = !nregs;
-      sp_scan_binds = Array.of_list (List.rev !sbinds);
-      sp_scan_checks = Array.of_list (List.rev !schecks);
-      sp_steps = steps;
-      sp_head = head_srcs;
-      sp_contrib = contrib_srcs;
-    }
+  let rank_reg = if with_rank then c.nregs - 1 else -1 in
+  let prewarm = ref [] in
+  let access (l : Physical.lookup) =
+    if l.negated then invalid_arg "Maintain: negated atom in a maintenance kernel";
+    let pred = match l.rel with Physical.R_base p | Physical.R_rec { pred = p; _ } -> p in
+    let ps = get_pred mt pred in
+    let vis = vis_of l.pos ps.ps_name in
+    let cols = l.key_cols in
+    if Array.length cols = ps.ps_arity then Eval.Mem (fun key -> mem_vis ps vis key 0)
+    else if Array.length cols = 0 then Eval.Iter (fun _key f -> iter_vis ps vis f)
+    else begin
+      (* built (from the current visible set) at compile time, then
+         maintained forever by visible_add/remove — capturing it here
+         stays correct across batches *)
+      let ix = ensure_index ps cols in
+      match vis with
+      | Cur -> Eval.Index ix
+      | Old ->
+        prewarm := (fun () -> ignore (overlay ps cols)) :: !prewarm;
+        let ins = ps.ps_ins in
+        Eval.Iter
+          (fun key f ->
+            Slot_index.iter ix key (fun data off ->
+                if not (Tuple_table.mem_slice ins data off) then f data off);
+            Slot_index.iter (overlay ps cols) key f)
+    end
+  in
+  (* resolved once, shared read-only by every worker's pipeline *)
+  let accesses = Hashtbl.create 4 in
+  let lookup (l : Physical.lookup) =
+    match Hashtbl.find_opt accesses l.pos with
+    | Some a -> a
+    | None ->
+      let a = access l in
+      Hashtbl.add accesses l.pos a;
+      a
+  in
+  let ctx =
+    { Eval.lookup; base_sorted = (fun _ _ -> invalid_arg "Maintain: generic join in a kernel") }
   in
   let insts =
     Array.init mt.m_workers (fun _ ->
-        let pipe = Maintain_kernel.instantiate spec in
-        let regs = Maintain_kernel.regs pipe in
+        let emit = ref no_emit in
+        let pipe =
+          Eval.prepare c ctx ~emit:(fun ~tuple ~contributor -> !emit ~tuple ~contributor)
+        in
+        let regs = Eval.regs pipe in
         let atoms =
           Array.map
             (fun (j, ps, srcs) ->
@@ -843,46 +624,41 @@ let build_mkernel mt cr ~order ~scan ~vis_of ~with_rank ~in_stratum =
               (j, ps, buf, Kernel.filler srcs ~regs ~buf))
             datoms
         in
-        { mi_pipe = pipe; mi_atoms = atoms })
+        { mi_pipe = pipe; mi_emit = emit; mi_atoms = atoms })
   in
-  { mk_insts = insts; mk_rank_reg = rank_reg; mk_prewarm = !prewarm }
+  let contribs = match c.head.agg with Some (_, _, srcs) -> Array.length srcs | None -> 0 in
+  {
+    mk_insts = insts;
+    mk_rank_reg = rank_reg;
+    mk_stride = Array.length c.head.args + contribs + 1;
+    mk_prewarm = !prewarm;
+  }
 
 let get_kernel mt cs cr key =
   match List.assoc_opt key cr.cr_kernels with
   | Some mk -> mk
   | None ->
     let in_stratum p = List.mem p cs.cs_stratum.Analysis.preds in
-    let mk =
-      if key = krederive then
-        build_mkernel mt cr ~order:(get_order mt cr krederive) ~scan:`Head
-          ~vis_of:(fun _ -> Cur) ~with_rank:false ~in_stratum
+    let scan, vis_of, with_rank =
+      if key = krederive then (Logical.At_head, (fun _ _ -> Cur), false)
       else begin
         let i = key / 4 in
-        let order = get_order mt cr i in
-        let scan = `Atom i in
         match key mod 4 with
-        | 0 ->
-          build_mkernel mt cr ~order ~scan
-            ~vis_of:(fun j -> if j < i then Cur else Old)
-            ~with_rank:false ~in_stratum
-        | 1 ->
-          build_mkernel mt cr ~order ~scan
-            ~vis_of:(fun j -> if in_stratum cr.cr_atoms.(j).ca_pred then Cur else Old)
-            ~with_rank:false ~in_stratum
-        | 2 -> build_mkernel mt cr ~order ~scan ~vis_of:(fun _ -> Cur) ~with_rank:true ~in_stratum
-        | _ -> build_mkernel mt cr ~order ~scan ~vis_of:(fun _ -> Cur) ~with_rank:false ~in_stratum
+        | 0 -> (Logical.At_atom i, (fun j _ -> if j < i then Cur else Old), false)
+        | 1 -> (Logical.At_atom i, (fun _ p -> if in_stratum p then Cur else Old), false)
+        | 2 -> (Logical.At_atom i, (fun _ _ -> Cur), true)
+        | _ -> (Logical.At_atom i, (fun _ _ -> Cur), false)
       end
     in
+    let mk = build_mkernel mt cs cr ~scan ~vis_of ~with_rank in
     cr.cr_kernels <- (key, mk) :: cr.cr_kernels;
     mk
 
-(* The full evaluation of [cr] (order key [-1], all Cur) over a one-row
-   unit scan.  It runs once per rule, at [create], so the kernel is not
-   cached and dies with it. *)
+(* The full evaluation of [cr] (all Cur) over a one-row unit scan.  It
+   runs once per rule, at [create], so the kernel is not cached and
+   dies with it. *)
 let full_kernel mt cs cr =
-  build_mkernel mt cr ~order:(get_order mt cr (-1)) ~scan:`Unit ~vis_of:(fun _ -> Cur)
-    ~with_rank:false
-    ~in_stratum:(fun p -> List.mem p cs.cs_stratum.Analysis.preds)
+  build_mkernel mt cs cr ~scan:Logical.At_nothing ~vis_of:(fun _ _ -> Cur) ~with_rank:false
 
 (* --- round execution --- *)
 
@@ -891,10 +667,15 @@ let full_kernel mt cs cr =
    on scans of a few hundred tuples and up. *)
 let par_threshold = 256
 
-let default_morsel mi _w tbl ~first ~len = Maintain_kernel.run_range mi.mi_pipe tbl ~first ~len
+(* Runs the live slots of a contiguous table slot range (one morsel)
+   through the pipeline, each read in place. *)
+let default_morsel mi _w tbl ~first ~len =
+  let stride = Tuple_table.stride tbl in
+  for s = first to first + len - 1 do
+    if Tuple_table.live tbl s then Eval.run_row mi.mi_pipe (Tuple_table.data tbl) (s * stride)
+  done
 
-let set_emits mk make =
-  Array.iteri (fun w mi -> Maintain_kernel.set_emit mi.mi_pipe (make w mi)) mk.mk_insts
+let set_emits mk make = Array.iteri (fun w mi -> mi.mi_emit := make w mi) mk.mk_insts
 
 let ebuf_room b n =
   if b.e_len + n > Array.length b.e_data then begin
@@ -919,17 +700,10 @@ let push_pair b x v =
   b.e_data.(b.e_len + 1) <- v;
   b.e_len <- b.e_len + 2
 
-(* the row width of a kernel's buffered emissions *)
-let row_stride mk =
-  let pipe = mk.mk_insts.(0).mi_pipe in
-  Array.length (Maintain_kernel.head pipe) + Array.length (Maintain_kernel.contrib pipe) + 1
-
 (* The standard emit: buffer the head and its aggregate contributors. *)
-let push_emit mt w mi =
+let push_emit mt w _mi =
   let buf = mt.m_bufs.(w) in
-  let h = Maintain_kernel.head mi.mi_pipe in
-  let c = Maintain_kernel.contrib mi.mi_pipe in
-  fun () -> push_row buf h c 0
+  fun ~tuple ~contributor -> push_row buf tuple contributor 0
 
 let raise_worker_crash (failures : Domain_pool.failure list) =
   match failures with
@@ -1048,7 +822,7 @@ let count_apply mt cr mk ~sign =
   | None, None -> fun data off -> plain_add mt hps data off sign
   | Some a, Some _ ->
     let h = hps.ps_arity in
-    let cw = Array.length (Maintain_kernel.contrib mk.mk_insts.(0).mi_pipe) in
+    let cw = mk.mk_stride - h - 1 in
     fun data off -> agg_support_add mt hps a data off (off + h) cw sign
   | _ -> invalid_arg "Maintain: aggregate/plain mismatch"
 
@@ -1060,15 +834,15 @@ let count_apply mt cr mk ~sign =
 let counting_pass mt cs =
   Array.iter
     (fun cr ->
-      Array.iteri
-        (fun i ca ->
-          let dps = get_pred mt ca.ca_pred in
+      Array.iter
+        (fun (i, (a : Ast.atom)) ->
+          let dps = get_pred mt a.pred in
           let run tbl sign =
             if Tuple_table.length tbl > 0 then begin
               let mk = get_kernel mt cs cr (kcount i) in
               set_emits mk (push_emit mt);
               run_round mt mk ~src:tbl ~first:0 ~len:(Tuple_table.slots tbl)
-                ~morsel:default_morsel ~stride:(row_stride mk) ~apply:(count_apply mt cr mk ~sign)
+                ~morsel:default_morsel ~stride:mk.mk_stride ~apply:(count_apply mt cr mk ~sign)
             end
           in
           run dps.ps_del (-1);
@@ -1142,9 +916,8 @@ let build_ranks mt cs =
   let rank_emit cr i mi =
     let head_ps = get_pred mt cr.cr_head in
     let tbl = head_ps.ps_tbl in
-    let h = Maintain_kernel.head mi.mi_pipe in
     let atoms = mi.mi_atoms in
-    fun () ->
+    fun ~tuple:h ~contributor:_ ->
       let ok = ref true and r = ref 0 and best = ref (-1) and best_r = ref (-1) in
       Array.iter
         (fun (j, ps, buf, fill) ->
@@ -1171,17 +944,17 @@ let build_ranks mt cs =
           Tuple_table.set tbl hs c_support (Tuple_table.get tbl hs c_support + 1)
       end
   in
-  let pipes = ref [] in
+  let insts = ref [] in
   let pipe cr mk i =
     let mi = mk.mk_insts.(0) in
-    Maintain_kernel.set_emit mi.mi_pipe (rank_emit cr i mi);
-    pipes := mi.mi_pipe :: !pipes;
+    mi.mi_emit := rank_emit cr i mi;
+    insts := mi :: !insts;
     mi.mi_pipe
   in
   Array.iter
     (fun cr ->
-      if Array.for_all (fun ca -> not (in_stratum ca.ca_pred)) cr.cr_atoms then
-        ignore (Maintain_kernel.run_row (pipe cr (full_kernel mt cs cr) (-1)) [||] 0))
+      if Array.for_all (fun (_, (a : Ast.atom)) -> not (in_stratum a.pred)) cr.cr_atoms then
+        Eval.run_row (pipe cr (full_kernel mt cs cr) (-1)) [||] 0)
     cs.cs_rules;
   (* the pipelines a frontier tuple of each predicate feeds, in rule
      then body-position order *)
@@ -1191,9 +964,9 @@ let build_ranks mt cs =
         let acc = ref [] in
         Array.iter
           (fun cr ->
-            Array.iteri
-              (fun i ca ->
-                if ca.ca_pred = p then acc := pipe cr (get_kernel mt cs cr (kprop i)) i :: !acc)
+            Array.iter
+              (fun (i, (a : Ast.atom)) ->
+                if a.pred = p then acc := pipe cr (get_kernel mt cs cr (kprop i)) i :: !acc)
               cr.cr_atoms)
           cs.cs_rules;
         (p, List.rev !acc))
@@ -1204,12 +977,10 @@ let build_ranks mt cs =
     let ps, s = Vec.get frontier !cursor in
     incr cursor;
     let data = Tuple_table.data ps.ps_tbl and off = Tuple_table.offset ps.ps_tbl s in
-    List.iter
-      (fun pipe -> ignore (Maintain_kernel.run_row pipe data off))
-      (List.assoc ps.ps_name feeds)
+    List.iter (fun pipe -> Eval.run_row pipe data off) (List.assoc ps.ps_name feeds)
   done;
   (* the cached kernels must not keep the frontier alive *)
-  List.iter (fun pipe -> Maintain_kernel.set_emit pipe ignore) !pipes;
+  List.iter (fun mi -> mi.mi_emit := no_emit) !insts;
   List.iter
     (fun p ->
       let tbl = (get_pred mt p).ps_tbl in
@@ -1264,15 +1035,15 @@ let propagate_inserts mt cs ~emit ~apply =
   let round key cr i src ~first ~len =
     let mk = get_kernel mt cs cr key in
     set_emits mk (emit mk cr i);
-    run_round mt mk ~src ~first ~len ~morsel:default_morsel ~stride:(row_stride mk)
+    run_round mt mk ~src ~first ~len ~morsel:default_morsel ~stride:mk.mk_stride
       ~apply:(apply cr)
   in
   Array.iter
     (fun cr ->
-      Array.iteri
-        (fun i ca ->
-          if not (in_stratum ca.ca_pred) then begin
-            let ins = (get_pred mt ca.ca_pred).ps_ins in
+      Array.iter
+        (fun (i, (a : Ast.atom)) ->
+          if not (in_stratum a.pred) then begin
+            let ins = (get_pred mt a.pred).ps_ins in
             if Tuple_table.length ins > 0 then
               round (kprop i) cr i ins ~first:0 ~len:(Tuple_table.slots ins)
           end)
@@ -1284,9 +1055,9 @@ let propagate_inserts mt cs ~emit ~apply =
     (fun ps ~first ~len ->
       Array.iter
         (fun cr ->
-          Array.iteri
-            (fun i ca ->
-              if ca.ca_pred = ps.ps_name then round (kcasc i) cr i ps.ps_prop ~first ~len)
+          Array.iter
+            (fun (i, (a : Ast.atom)) ->
+              if a.pred = ps.ps_name then round (kcasc i) cr i ps.ps_prop ~first ~len)
             cr.cr_atoms)
         cs.cs_rules)
 
@@ -1388,10 +1159,9 @@ let dred_pass mt cs =
   let decrement_emit mk cr i w mi =
     let head_ps = get_pred mt cr.cr_head in
     let buf = mt.m_bufs.(w) in
-    let h = Maintain_kernel.head mi.mi_pipe in
-    let regs = Maintain_kernel.regs mi.mi_pipe in
+    let regs = Eval.regs mi.mi_pipe in
     let rank_reg = mk.mk_rank_reg in
-    fun () ->
+    fun ~tuple:h ~contributor:_ ->
       let hr = rank_of head_ps h 0 in
       if
         hr >= 0
@@ -1402,16 +1172,16 @@ let dred_pass mt cs =
   let decrement_round key cr i src ~first ~len =
     let mk = get_kernel mt cs cr key in
     set_emits mk (decrement_emit mk cr i);
-    run_round mt mk ~src ~first ~len ~morsel:default_morsel ~stride:(row_stride mk)
+    run_round mt mk ~src ~first ~len ~morsel:default_morsel ~stride:mk.mk_stride
       ~apply:(apply_decrement cr)
   in
   (* phase 1a: derivations lost to lower-stratum deletions *)
   Array.iter
     (fun cr ->
-      Array.iteri
-        (fun i ca ->
-          if not (in_stratum ca.ca_pred) then begin
-            let del = (get_pred mt ca.ca_pred).ps_del in
+      Array.iter
+        (fun (i, (a : Ast.atom)) ->
+          if not (in_stratum a.pred) then begin
+            let del = (get_pred mt a.pred).ps_del in
             if Tuple_table.length del > 0 then
               decrement_round (kseed i) cr i del ~first:0 ~len:(Tuple_table.slots del)
           end)
@@ -1423,9 +1193,9 @@ let dred_pass mt cs =
     (fun ps ~first ~len ->
       Array.iter
         (fun cr ->
-          Array.iteri
-            (fun i ca ->
-              if ca.ca_pred = ps.ps_name then decrement_round (kcasc i) cr i ps.ps_dead ~first ~len)
+          Array.iter
+            (fun (i, (a : Ast.atom)) ->
+              if a.pred = ps.ps_name then decrement_round (kcasc i) cr i ps.ps_dead ~first ~len)
             cr.cr_atoms)
         cs.cs_rules);
   (* phase 2: physically remove the dead set *)
@@ -1474,7 +1244,11 @@ let dred_pass mt cs =
         let data = Tuple_table.data tbl and off = s * stride in
         if Tuple_table.live tbl s && start w data off s then begin
           hits.(w) <- 0;
-          let stopped = Maintain_kernel.run_row mi.mi_pipe data off in
+          let stopped =
+            match Eval.run_row mi.mi_pipe data off with
+            | () -> false
+            | exception Stop -> true
+          in
           let v = result ~stopped hits.(w) in
           if v <> 0 then push_pair buf target.(w) v
         end
@@ -1502,10 +1276,9 @@ let dred_pass mt cs =
             limit.(w) <- data.(off + ps.ps_arity + c_old_rank);
             target.(w) <- s;
             true)
-          ~emit:(fun w mi () ->
+          ~emit:(fun w mi ~tuple:_ ~contributor:_ ->
             hits.(w) <- hits.(w) + 1;
-            if ranks_below mi.mi_atoms ~skip:(-1) ~limit:limit.(w) then
-              raise Maintain_kernel.Stop)
+            if ranks_below mi.mi_atoms ~skip:(-1) ~limit:limit.(w) then raise Stop)
           ~result:(fun ~stopped n -> if stopped then tag_keep else if n > 0 then tag_fresh else 0)
           ~apply:(fun ds tag ->
             match Tuple_table.get dead ds c_match with
@@ -1527,8 +1300,7 @@ let dred_pass mt cs =
     let head_ps = get_pred mt cr.cr_head in
     let hdead = head_ps.ps_dead in
     let buf = mt.m_bufs.(w) in
-    let h = Maintain_kernel.head mi.mi_pipe in
-    let regs = Maintain_kernel.regs mi.mi_pipe in
+    let regs = Eval.regs mi.mi_pipe in
     let rank_reg = mk.mk_rank_reg in
     let atoms = mi.mi_atoms in
     (* every other rederived atom is below the scanned one, ranked [sr],
@@ -1544,7 +1316,7 @@ let dred_pass mt cs =
       r < sr || (r = sr && j < i))
       && greatest sr (k + 1)
     in
-    fun () ->
+    fun ~tuple:h ~contributor:_ ->
       let sr = if rank_reg < 0 then -1 else regs.(rank_reg) in
       let hr = rank_of head_ps h 0 in
       if hr >= 0 then begin
@@ -1603,7 +1375,7 @@ let dred_pass mt cs =
                  target.(w) <- s;
                  true
                end)
-          ~emit:(fun w mi () ->
+          ~emit:(fun w mi ~tuple:_ ~contributor:_ ->
             if ranks_below mi.mi_atoms ~skip:(-1) ~limit:limit.(w) && not (dup_atoms mi.mi_atoms)
             then hits.(w) <- hits.(w) + 1)
           ~result:(fun ~stopped:_ n -> n)
@@ -1652,65 +1424,17 @@ let aggrec_insert_pass mt cs =
 
 (* --- stratum recompute through the parallel engine --- *)
 
-let collect_syms rules =
-  let acc = Hashtbl.create 16 in
-  let term = function
-    | Ast.Sym s -> Hashtbl.replace acc s ()
-    | Ast.Int _ | Ast.Var _ -> ()
-  in
-  let rec expr = function
-    | Ast.Term t -> term t
-    | Ast.Binop (_, a, b) ->
-      expr a;
-      expr b
-    | Ast.Neg e -> expr e
-  in
-  List.iter
-    (fun (r : Ast.rule) ->
-      List.iter
-        (fun (ha : Ast.head_arg) ->
-          match ha with
-          | Ast.Plain t -> term t
-          | Ast.Agg (_, ts) -> List.iter term ts)
-        r.Ast.head_args;
-      List.iter
-        (fun lit ->
-          match lit with
-          | Ast.Pos a | Ast.Neg_lit a -> List.iter term a.Ast.args
-          | Ast.Cmp (_, l, r') ->
-            expr l;
-            expr r')
-        r.Ast.body)
-    rules;
-  Hashtbl.fold (fun s () l -> s :: l) acc []
-
+(* The session plan narrowed to the stratum's own compiled plan, its
+   lower predicates standing in as the EDB: {!Parallel.run} reads only a
+   plan's arities, EDB list and strata, and the symbols stay the
+   session's. *)
 let sub_plan mt cs =
-  match cs.cs_sub with
-  | Some p -> p
-  | None ->
-    let rules = cs.cs_stratum.Analysis.base_rules @ cs.cs_stratum.Analysis.recursive_rules in
-    let program = { Ast.rules } in
-    let info =
-      match Analysis.analyze program with
-      | Ok i -> i
-      | Error e -> invalid_arg ("Maintain: sub-program analysis failed: " ^ e)
-    in
-    (* resolve every symbolic constant against the session plan's table
-       so interned ids agree with the maintained tuples *)
-    let params =
-      List.fold_left
-        (fun acc s ->
-          if List.mem_assoc s acc then acc
-          else (s, Dcd_util.Symbol.intern mt.plan.Physical.symbols s) :: acc)
-        mt.plan.Physical.params (collect_syms rules)
-    in
-    let plan =
-      match Physical.compile ~params info with
-      | Ok p -> p
-      | Error e -> invalid_arg ("Maintain: sub-program compile failed: " ^ e)
-    in
-    cs.cs_sub <- Some plan;
-    plan
+  let plan = mt.plan in
+  {
+    plan with
+    Physical.info = { plan.Physical.info with Analysis.edb = cs.cs_body_preds };
+    strata = List.filter (fun (sp : Physical.stratum_plan) -> sp.stratum == cs.cs_stratum) plan.strata;
+  }
 
 let visible_vec_of mt p =
   let ps = get_pred mt p in
@@ -1961,8 +1685,7 @@ let create ~plan ~config ~runtime ~catalog =
             cs_mode = mode;
             cs_insert_ok = insert_ok;
             cs_body_preds = body_preds;
-            cs_rules = Array.of_list (List.map compile_rule rules);
-            cs_sub = None;
+            cs_rules = Array.of_list (List.map crule_of rules);
           }
         in
         (match mode with
@@ -1978,7 +1701,7 @@ let create ~plan ~config ~runtime ~catalog =
               let mk = full_kernel mt cs cr in
               set_emits mk (push_emit mt);
               execute_round mt mk ~src:unit ~first:0 ~len:1 ~morsel:default_morsel;
-              let stride = row_stride mk in
+              let stride = mk.mk_stride in
               (* an aggregate's support holds at most one slot per
                  emission: size it once *)
               (match (get_pred mt cr.cr_head).ps_agg with
@@ -2201,15 +1924,16 @@ let check_invariants mt =
       (fun cr ->
         if cr.cr_head = p then begin
           let mi = (get_kernel mt cs cr krederive).mk_insts.(0) in
-          Maintain_kernel.set_emit mi.mi_pipe (fun () ->
-              if ranks_below mi.mi_atoms ~skip:(-1) ~limit:!limit then incr n);
+          (mi.mi_emit :=
+             fun ~tuple:_ ~contributor:_ ->
+               if ranks_below mi.mi_atoms ~skip:(-1) ~limit:!limit then incr n);
           Tuple_table.iter tbl (fun s ->
               limit := Tuple_table.get tbl s c_rank;
               n := 0;
               let data = Tuple_table.data tbl and off = Tuple_table.offset tbl s in
-              ignore (Maintain_kernel.run_row mi.mi_pipe data off);
+              Eval.run_row mi.mi_pipe data off;
               derivations.(s) <- derivations.(s) + !n);
-          Maintain_kernel.set_emit mi.mi_pipe ignore
+          mi.mi_emit := no_emit
         end)
       cs.cs_rules;
     Tuple_table.iter tbl (fun s ->

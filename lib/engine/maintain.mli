@@ -37,9 +37,10 @@
     hold.
 
     Every rule body — the support and rank builds of {!create} as well
-    as the delta joins of {!apply} — is evaluated by a monomorphic
-    {!Maintain_kernel} pipeline (registers, {!Kernel}
-    binder/checker/filler closures).  With [maintain_workers = 1], or
+    as the delta joins of {!apply} — is ordered and compiled by the
+    planner for the scan at hand ({!Dcd_planner.Physical.compile_scan})
+    and run as an {!Eval} pipeline whose context hides each atom's
+    Old/Cur visibility.  With [maintain_workers = 1], or
     for scans below a small threshold, the kernels run inline on the
     coordinator; larger scans execute as steal-enabled morsel rounds on
     the resident pool, where workers run the kernels read-only against

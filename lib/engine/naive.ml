@@ -215,7 +215,7 @@ let derive_rule st (pl : Logical.rule_pipeline) =
     | [] -> emit ()
     | Logical.L_join { atom; _ } :: rest ->
       visible st atom.Ast.pred (fun tup -> with_atom atom.Ast.args tup (fun () -> step rest))
-    | Logical.L_neg atom :: rest -> (
+    | Logical.L_neg { atom; _ } :: rest -> (
       match
         visible st atom.Ast.pred (fun tup ->
             match match_atom st env atom.Ast.args tup with
@@ -242,6 +242,7 @@ let derive_rule st (pl : Logical.rule_pipeline) =
   | Logical.Scan_unit -> step pl.pipeline
   | Logical.Scan_base a | Logical.Scan_delta { atom = a; _ } ->
     visible st a.Ast.pred (fun tup -> with_atom a.Ast.args tup (fun () -> step pl.pipeline))
+  | Logical.Scan_head -> invalid_arg "Naive: head-bound pipeline"
 
 let run ?(params = []) ?(max_iterations = 10_000) (program : Ast.program) ~edb =
   let info =

@@ -329,15 +329,21 @@ let create ~shared:sh ~scratch:sc ~stratum:sx ~me ~stores:all_stores ~ws =
      victim's *)
   let ctx_for row_stores =
     {
-      Eval.base_iter =
-        (fun pred f -> Relation.iter_slices (Catalog.get sx.sx_catalog pred) f);
-      base_index =
-        (fun pred cols ->
-          match Relation.find_index (Catalog.get sx.sx_catalog pred) ~key_cols:cols with
-          | Some idx -> idx
-          | None ->
-            (* Parallel.prebuild_indexes guarantees this cannot happen *)
-            assert false);
+      Eval.lookup =
+        (fun (l : Physical.lookup) ->
+          match l.rel with
+          | Physical.R_rec { pred; route } ->
+            let store = row_stores.(Exchange.copy_id copies pred route) in
+            Eval.Iter (fun key f -> Rec_store.iter_matches store ~key f)
+          | Physical.R_base pred -> (
+            let rel = Catalog.get sx.sx_catalog pred in
+            if Array.length l.key_cols = 0 then Eval.Iter (fun _ f -> Relation.iter_slices rel f)
+            else
+              match Relation.find_index rel ~key_cols:l.key_cols with
+              | Some idx -> Eval.Index idx
+              | None ->
+                (* Parallel.prebuild_indexes guarantees this cannot happen *)
+                assert false));
       base_sorted =
         (fun pred cols ->
           match Relation.find_sorted_index (Catalog.get sx.sx_catalog pred) ~cols with
@@ -345,13 +351,11 @@ let create ~shared:sh ~scratch:sc ~stratum:sx ~me ~stores:all_stores ~ws =
           | None ->
             (* Parallel.prebuild_indexes guarantees this cannot happen *)
             assert false);
-      rec_resolve = (fun ~pred ~route -> Exchange.copy_id copies pred route);
-      rec_matches = (fun cid ~key f -> Rec_store.iter_matches row_stores.(cid) ~key f);
     }
   in
-  (* Rules prepared once per worker and stratum: recursive lookups, the
-     scanned copy, and the head's distribution targets all resolve to
-     integer ids here, at setup time. *)
+  (* Rules prepared once per worker and stratum: lookups resolve to
+     their store or index, and the scanned copy and the head's
+     distribution targets to integer ids, here, at setup time. *)
   let prep ctx (rules : (Physical.compiled_rule * int array) list) =
     List.map
       (fun ((cr : Physical.compiled_rule), targets) ->

@@ -6,14 +6,19 @@ type scan_kind =
       atom : Ast.atom;
       occurrence : int;
     }
+  | Scan_head
   | Scan_unit
 
 type pipe_elem =
   | L_join of {
       atom : Ast.atom;
       recursive : bool;
+      pos : int;
     }
-  | L_neg of Ast.atom
+  | L_neg of {
+      atom : Ast.atom;
+      pos : int;
+    }
   | L_filter of Ast.cmp_op * Ast.expr * Ast.expr
   | L_assign of string * Ast.expr
 
@@ -23,57 +28,49 @@ type rule_pipeline = {
   pipeline : pipe_elem list;
 }
 
+type scan_at =
+  | At_atom of int
+  | At_head
+  | At_nothing
+
 module Sset = Set.Make (String)
 
 let recursive_occurrences stratum (r : Ast.rule) =
   List.length
     (List.filter (fun a -> Analysis.is_recursive_atom stratum a) (Ast.body_atoms r))
 
-(* Greedy linearization.  [remaining] holds unplaced literals; each step
-   emits the cheapest literal whose inputs are available. *)
-let order stratum (r : Ast.rule) ~delta_occurrence =
+(* Greedy linearization.  [remaining] holds the unplaced literals with
+   their body positions; each step emits the cheapest literal whose
+   inputs are available. *)
+let order_at ?sizes stratum (r : Ast.rule) at =
   let is_rec a = Analysis.is_recursive_atom stratum a in
-  (* locate the scan literal *)
+  let body = List.mapi (fun pos lit -> (pos, lit)) r.body in
   let scan, remaining =
-    match delta_occurrence with
-    | Some k ->
-      let count = ref (-1) in
-      let scan = ref None in
-      let rest =
-        List.filter
-          (fun lit ->
-            match (lit, !scan) with
-            | Ast.Pos a, None when is_rec a ->
-              incr count;
-              if !count = k then begin
-                scan := Some (Scan_delta { atom = a; occurrence = k });
-                false
-              end
-              else true
-            | _ -> true)
-          r.body
-      in
-      (match !scan with
-      | Some s -> (s, rest)
-      | None ->
+    match at with
+    | At_atom pos -> (
+      match List.nth_opt r.body pos with
+      | Some (Ast.Pos a) ->
+        let occurrence =
+          recursive_occurrences stratum { r with body = List.filteri (fun p _ -> p < pos) r.body }
+        in
+        ( (if is_rec a then Scan_delta { atom = a; occurrence } else Scan_base a),
+          List.filter (fun (p, _) -> p <> pos) body )
+      | _ ->
         invalid_arg
-          (Printf.sprintf "Logical.order: rule has no recursive occurrence %d (%s)" k
+          (Printf.sprintf "Logical.order_at: no positive atom at body position %d (%s)" pos
              (Ast.rule_to_string r)))
-    | None -> (
-      (* base rule: scan the first positive atom if any *)
-      let rec split acc = function
-        | [] -> (Scan_unit, List.rev acc)
-        | Ast.Pos a :: rest when not (is_rec a) -> (Scan_base a, List.rev_append acc rest)
-        | lit :: rest -> split (lit :: acc) rest
-      in
-      split [] r.body)
+    | At_head -> (Scan_head, body)
+    | At_nothing -> (Scan_unit, body)
   in
   let bound = ref Sset.empty in
-  let bind_atom (a : Ast.atom) =
-    List.iter (fun t -> List.iter (fun v -> bound := Sset.add v !bound) (Ast.vars_of_term t)) a.args
-  in
+  let bind_vars vars = List.iter (fun v -> bound := Sset.add v !bound) vars in
+  let bind_atom (a : Ast.atom) = List.iter (fun t -> bind_vars (Ast.vars_of_term t)) a.args in
   (match scan with
   | Scan_base a | Scan_delta { atom = a; _ } -> bind_atom a
+  | Scan_head ->
+    List.iter
+      (function Ast.Plain t -> bind_vars (Ast.vars_of_term t) | Ast.Agg _ -> ())
+      r.head_args
   | Scan_unit -> ());
   let all_bound vars = List.for_all (fun v -> Sset.mem v !bound) vars in
   let assign_target lhs rhs =
@@ -96,6 +93,13 @@ let order stratum (r : Ast.rule) ~delta_occurrence =
         | Ast.Var v -> if Sset.mem v !bound then acc + 1 else acc)
       0 a.args
   in
+  (* a score tie goes to the smaller relation when sizes are known,
+     otherwise to the atom written first *)
+  let smaller (a : Ast.atom) (b : Ast.atom) =
+    match sizes with
+    | Some size -> size a.pred < size b.pred
+    | None -> false
+  in
   let rec place acc remaining =
     if remaining = [] then Ok (List.rev acc)
     else begin
@@ -103,14 +107,14 @@ let order stratum (r : Ast.rule) ~delta_occurrence =
       let ready_assign =
         List.find_opt
           (function
-            | Ast.Cmp (Ast.Eq, lhs, rhs) -> assign_target lhs rhs <> None
+            | _, Ast.Cmp (Ast.Eq, lhs, rhs) -> assign_target lhs rhs <> None
             | _ -> false)
           remaining
       in
       let ready_filter =
         List.find_opt
           (function
-            | Ast.Cmp (_, lhs, rhs) ->
+            | _, Ast.Cmp (_, lhs, rhs) ->
               all_bound (Ast.vars_of_expr lhs @ Ast.vars_of_expr rhs)
             | _ -> false)
           remaining
@@ -118,26 +122,26 @@ let order stratum (r : Ast.rule) ~delta_occurrence =
       let ready_neg =
         List.find_opt
           (function
-            | Ast.Neg_lit a -> all_bound (List.concat_map Ast.vars_of_term a.Ast.args)
+            | _, Ast.Neg_lit a -> all_bound (List.concat_map Ast.vars_of_term a.Ast.args)
             | _ -> false)
           remaining
       in
       let best_atom =
         List.fold_left
-          (fun best lit ->
+          (fun best ((_, lit) as pl) ->
             match lit with
             | Ast.Pos a -> (
               let s = atom_score a in
               match best with
-              | Some (_, s') when s' >= s -> best
-              | _ -> Some (lit, s))
+              | Some (_, b, s') when s' > s || (s' = s && not (smaller a b)) -> best
+              | _ -> Some (pl, a, s))
             | _ -> best)
           None remaining
       in
       let chosen =
         match (ready_assign, ready_filter, ready_neg, best_atom) with
         | Some l, _, _, _ | None, Some l, _, _ | None, None, Some l, _ -> Some l
-        | None, None, None, Some (l, _) -> Some l
+        | None, None, None, Some (l, _, _) -> Some l
         | None, None, None, None -> None
       in
       match chosen with
@@ -145,14 +149,14 @@ let order stratum (r : Ast.rule) ~delta_occurrence =
         Error
           (Printf.sprintf "cannot order rule body (unbound comparison?): %s"
              (Ast.rule_to_string r))
-      | Some lit ->
-        let remaining = List.filter (fun l -> l != lit) remaining in
+      | Some (pos, lit) ->
+        let remaining = List.filter (fun (p, _) -> p <> pos) remaining in
         let elem =
           match lit with
           | Ast.Pos a ->
             bind_atom a;
-            L_join { atom = a; recursive = is_rec a }
-          | Ast.Neg_lit a -> L_neg a
+            L_join { atom = a; recursive = is_rec a; pos }
+          | Ast.Neg_lit a -> L_neg { atom = a; pos }
           | Ast.Cmp (Ast.Eq, lhs, rhs) -> (
             match assign_target lhs rhs with
             | Some (x, e) ->
@@ -167,6 +171,26 @@ let order stratum (r : Ast.rule) ~delta_occurrence =
   match place [] remaining with
   | Error e -> Error e
   | Ok pipeline -> Ok { rule = r; scan; pipeline }
+
+let order stratum (r : Ast.rule) ~delta_occurrence =
+  let is_rec a = Analysis.is_recursive_atom stratum a in
+  let positions keep =
+    List.concat
+      (List.mapi (fun pos lit -> match lit with Ast.Pos a when keep a -> [ pos ] | _ -> []) r.body)
+  in
+  match delta_occurrence with
+  | Some k -> (
+    match List.nth_opt (positions is_rec) k with
+    | Some pos -> order_at stratum r (At_atom pos)
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Logical.order: rule has no recursive occurrence %d (%s)" k
+           (Ast.rule_to_string r)))
+  | None -> (
+    (* base rule: scan the first lower-stratum atom if any *)
+    match positions (fun a -> not (is_rec a)) with
+    | pos :: _ -> order_at stratum r (At_atom pos)
+    | [] -> order_at stratum r At_nothing)
 
 (* --- cyclic-body analysis (generic-join path selection) --- *)
 
@@ -262,13 +286,14 @@ let pp fmt { rule; scan; pipeline } =
   | Scan_base a -> Format.fprintf fmt "SCAN %s" a.Ast.pred
   | Scan_delta { atom; occurrence } ->
     Format.fprintf fmt "SCAN d.%s#%d" atom.Ast.pred occurrence
+  | Scan_head -> Format.fprintf fmt "SCAN head %s" rule.Ast.head_pred
   | Scan_unit -> Format.fprintf fmt "UNIT");
   List.iter
     (fun elem ->
       match elem with
-      | L_join { atom; recursive } ->
+      | L_join { atom; recursive; _ } ->
         Format.fprintf fmt " JOIN %s%s" (if recursive then "rec:" else "") atom.Ast.pred
-      | L_neg a -> Format.fprintf fmt " ANTIJOIN %s" a.Ast.pred
+      | L_neg { atom; _ } -> Format.fprintf fmt " ANTIJOIN %s" atom.Ast.pred
       | L_filter (op, lhs, rhs) ->
         Format.fprintf fmt " FILTER(%a)" Ast.pp_literal (Ast.Cmp (op, lhs, rhs))
       | L_assign (x, e) -> Format.fprintf fmt " COMPUTE(%s := %a)" x Ast.pp_expr e)

@@ -1,7 +1,8 @@
 open Dcd_datalog
 
 (** Logical planning: ordering a rule body into a left-deep pipeline
-    (paper §5.1).
+    (paper §5.1).  This is the only rule-body orderer: the engine's
+    plans and every incremental-maintenance kernel come from it.
 
     The optimizations applied here are the ones the paper calls out:
     - the recursive (delta) occurrence is moved to the leftmost, outer
@@ -12,7 +13,12 @@ open Dcd_datalog
     - assignments ([X = expr] with [X] unbound) are placed as soon as
       their inputs are available;
     - remaining atoms are ordered greedily by the number of bound
-      argument positions, i.e. most selective index access first. *)
+      argument positions, i.e. most selective index access first.
+
+    Incremental maintenance scans other things than a delta: any body
+    atom (a delta table of a lower or the same stratum), the head
+    (rederivation probes) or nothing (full evaluation), and breaks
+    score ties toward the smaller relation ({!order_at}). *)
 
 type scan_kind =
   | Scan_base of Ast.atom (** full scan of a base / lower-stratum relation *)
@@ -20,15 +26,22 @@ type scan_kind =
       atom : Ast.atom;
       occurrence : int; (** which recursive body occurrence is the delta *)
     }
-  | Scan_unit (** body without positive atoms (e.g. SSSP's exit rule) *)
+  | Scan_head
+      (** head-bound probe: the scanned rows are head tuples, which bind
+          the head's plain terms; every body atom is joined *)
+  | Scan_unit (** nothing scanned: every body atom is joined *)
 
 type pipe_elem =
   | L_join of {
       atom : Ast.atom;
       recursive : bool; (** same-stratum predicate: looked up in the local
                             partitioned copy rather than a shared base index *)
+      pos : int; (** the atom's position in the rule body *)
     }
-  | L_neg of Ast.atom
+  | L_neg of {
+      atom : Ast.atom;
+      pos : int;
+    }
   | L_filter of Ast.cmp_op * Ast.expr * Ast.expr
   | L_assign of string * Ast.expr
 
@@ -38,13 +51,36 @@ type rule_pipeline = {
   pipeline : pipe_elem list;
 }
 
+(** What a pipeline scans.  Body positions index the rule's literal
+    list. *)
+type scan_at =
+  | At_atom of int (** the positive atom at this body position *)
+  | At_head (** head tuples (rederivation probes) *)
+  | At_nothing (** nothing: full evaluation *)
+
+val order_at :
+  ?sizes:(string -> int) ->
+  Analysis.stratum ->
+  Ast.rule ->
+  scan_at ->
+  (rule_pipeline, string) result
+(** [order_at stratum rule at] linearizes the body around the scan
+    [at].  A scanned same-stratum atom is a [Scan_delta] (its
+    occurrence counts the same-stratum atoms before it), any other
+    scanned atom a [Scan_base].  With [sizes] (relation sizes by
+    predicate), a score tie between atoms goes to the smaller relation;
+    without, to the atom written first.
+    @raise Invalid_argument if [At_atom] names no positive atom. *)
+
 val order :
   Analysis.stratum -> Ast.rule -> delta_occurrence:int option -> (rule_pipeline, string) result
-(** [order stratum rule ~delta_occurrence] linearizes the body.  For a
-    recursive rule, [delta_occurrence = Some k] designates the [k]-th
-    recursive body atom (0-based, counting only same-stratum atoms) as
-    the delta to scan; the semi-naive rewriting generates one pipeline
-    per occurrence.  [None] treats the rule as a base rule. *)
+(** [order stratum rule ~delta_occurrence] linearizes the body for the
+    engine.  For a recursive rule, [delta_occurrence = Some k]
+    designates the [k]-th recursive body atom (0-based, counting only
+    same-stratum atoms) as the delta to scan; the semi-naive rewriting
+    generates one pipeline per occurrence.  [None] treats the rule as a
+    base rule: it scans the first lower-stratum atom, or nothing.  Ties
+    go to the atom written first. *)
 
 val recursive_occurrences : Analysis.stratum -> Ast.rule -> int
 (** Number of same-stratum atoms in the body. *)

@@ -22,16 +22,19 @@ type code =
   | C_bin of Ast.binop * code * code
   | C_neg of code
 
+type lookup = {
+  rel : rel_ref;
+  method_ : join_method;
+  key_cols : int array;
+  key_src : src array;
+  binds : (int * int) array;
+  checks : (int * src) array;
+  negated : bool;
+  pos : int;
+}
+
 type step =
-  | Lookup of {
-      rel : rel_ref;
-      method_ : join_method;
-      key_cols : int array;
-      key_src : src array;
-      binds : (int * int) array;
-      checks : (int * src) array;
-      negated : bool;
-    }
+  | Lookup of lookup
   | Filter of {
       op : Ast.cmp_op;
       lhs : code;
@@ -223,6 +226,23 @@ let compile_scan_match ctx args =
   let key, binds, checks = compile_match ctx args in
   (binds, Array.append (Array.of_list key) checks)
 
+(* An anti-join probe: every argument must already be bound. *)
+let compile_neg ctx (pl : Logical.rule_pipeline) (a : Ast.atom) pos =
+  let key, binds, checks = compile_match ctx a.Ast.args in
+  if Array.length binds > 0 then
+    fail "negated atom with unbound variables (%s)" (Ast.rule_to_string pl.rule);
+  Lookup
+    {
+      rel = R_base a.Ast.pred;
+      method_ = (if key <> [] then Index else Nested_loop);
+      key_cols = Array.of_list (List.map fst key);
+      key_src = Array.of_list (List.map snd key);
+      binds;
+      checks;
+      negated = true;
+      pos;
+    }
+
 let agg_value_pos (info : Analysis.info) pred =
   match List.assoc_opt pred info.aggregated with
   | Some (pos, _) -> Some pos
@@ -253,13 +273,13 @@ let analyze_routes (info : Analysis.info) (pl : Logical.rule_pipeline) =
   (match pl.scan with
   | Logical.Scan_base a -> bind_scan a
   | Logical.Scan_delta { atom; _ } -> bind_scan atom
-  | Logical.Scan_unit -> ());
+  | Logical.Scan_head | Logical.Scan_unit -> ());
   let scan_route = ref None in
   let lookup_routes = ref [] in
   List.iter
     (fun elem ->
       match elem with
-      | Logical.L_join { atom; recursive } ->
+      | Logical.L_join { atom; recursive; _ } ->
         let value_pos = agg_value_pos info atom.Ast.pred in
         if recursive then begin
           (* key = bound, non-value positions; each must trace back to a
@@ -313,7 +333,7 @@ let analyze_routes (info : Analysis.info) (pl : Logical.rule_pipeline) =
 
 let gj_joins (pl : Logical.rule_pipeline) =
   List.filter_map
-    (function Logical.L_join { atom; recursive } -> Some (atom, recursive) | _ -> None)
+    (function Logical.L_join { atom; recursive; _ } -> Some (atom, recursive) | _ -> None)
     pl.pipeline
 
 (* The generic path is restricted to bodies whose non-scan atoms are all
@@ -414,22 +434,9 @@ let build_generic ctx (pl : Logical.rule_pipeline) =
           let reg = reg_of ctx x in
           if l >= 0 then Hashtbl.replace var_level x l;
           put l (Compute { reg; code })
-        | Logical.L_neg a ->
-          let key, binds, checks = compile_match ctx a.Ast.args in
-          if Array.length binds > 0 then
-            fail "negated atom with unbound variables (%s)" (Ast.rule_to_string pl.rule);
+        | Logical.L_neg { atom = a; pos } ->
           let l = level_of_vars (List.concat_map Ast.vars_of_term a.Ast.args) in
-          put l
-            (Lookup
-               {
-                 rel = R_base a.Ast.pred;
-                 method_ = (if key <> [] then Index else Nested_loop);
-                 key_cols = Array.of_list (List.map fst key);
-                 key_src = Array.of_list (List.map snd key);
-                 binds;
-                 checks;
-                 negated = true;
-               }))
+          put l (compile_neg ctx pl a pos))
       pl.pipeline;
     let gj_levels =
       Array.of_list
@@ -464,16 +471,30 @@ let build_generic ctx (pl : Logical.rule_pipeline) =
       }
   end
 
-let compile_rule (info : Analysis.info) ctx (prep : prepared) ~scan_route_of ~gj_mode =
+(* [flat]: no partitioned copies, so every atom, same-stratum ones
+   included, is scanned or looked up as one whole relation. *)
+let compile_rule ?(flat = false) (info : Analysis.info) ctx (prep : prepared)
+    ~scan_route_of ~gj_mode =
   let pl = prep.p_pipeline in
+  let r = pl.rule in
   Hashtbl.reset ctx.regs;
   ctx.next_reg <- 0;
+  let scan_whole pred args =
+    let binds, checks = compile_scan_match ctx args in
+    S_base { pred; binds; checks }
+  in
   let scan =
     match pl.scan with
     | Logical.Scan_unit -> S_unit
-    | Logical.Scan_base a ->
-      let binds, checks = compile_scan_match ctx a.Ast.args in
-      S_base { pred = a.Ast.pred; binds; checks }
+    | Logical.Scan_base a -> scan_whole a.Ast.pred a.Ast.args
+    | Logical.Scan_delta { atom; _ } when flat -> scan_whole atom.Ast.pred atom.Ast.args
+    | Logical.Scan_head ->
+      scan_whole r.head_pred
+        (List.map
+           (function
+             | Ast.Plain t -> t
+             | Ast.Agg _ -> fail "cannot scan an aggregate head (%s)" (Ast.rule_to_string r))
+           r.head_args)
     | Logical.Scan_delta { atom; _ } ->
       let binds, checks = compile_scan_match ctx atom.Ast.args in
       let route =
@@ -500,24 +521,9 @@ let compile_rule (info : Analysis.info) ctx (prep : prepared) ~scan_route_of ~gj
         | Logical.L_assign (x, e) ->
           let code = code_of_expr ctx e in
           Compute { reg = reg_of ctx x; code }
-        | Logical.L_neg a ->
-          let key, binds, checks = compile_match ctx a.Ast.args in
-          if Array.length binds > 0 then
-            fail "negated atom with unbound variables (%s)" (Ast.rule_to_string pl.rule);
-          let key_cols = Array.of_list (List.map fst key) in
-          let key_src = Array.of_list (List.map snd key) in
-          Lookup
-            {
-              rel = R_base a.Ast.pred;
-              method_ = (if Array.length key_cols > 0 then Index else Nested_loop);
-              key_cols;
-              key_src;
-              binds;
-              checks;
-              negated = true;
-            }
-        | Logical.L_join { atom; recursive } ->
-          if recursive then begin
+        | Logical.L_neg { atom; pos } -> compile_neg ctx pl atom pos
+        | Logical.L_join { atom; recursive; pos } ->
+          if recursive && not flat then begin
             let value_pos = agg_value_pos info atom.Ast.pred in
             (* split bound positions into route key vs residual checks *)
             let key = ref [] and checks = ref [] and binds = ref [] in
@@ -549,6 +555,7 @@ let compile_rule (info : Analysis.info) ctx (prep : prepared) ~scan_route_of ~gj
                 binds = Array.of_list (List.rev !binds);
                 checks = Array.of_list (List.rev !checks);
                 negated = false;
+                pos;
               }
           end
           else begin
@@ -573,12 +580,12 @@ let compile_rule (info : Analysis.info) ctx (prep : prepared) ~scan_route_of ~gj
                 binds;
                 checks;
                 negated = false;
+                pos;
               }
           end)
       pl.pipeline
   in
   (* head projection *)
-  let r = pl.rule in
   let agg = ref None in
   let args =
     Array.of_list
@@ -693,6 +700,20 @@ let compile ?(params = []) ?(generic_join = `Auto) (info : Analysis.info) =
     in
     Ok { info; symbols; params; strata }
   with Plan_error msg -> Error msg
+
+let compile_scan ?(bind_extra = false) (t : t) stratum rule at ~sizes =
+  let ctx = { symbols = t.symbols; cparams = t.params; regs = Hashtbl.create 16; next_reg = 0 } in
+  match Logical.order_at ~sizes stratum rule at with
+  | Error e -> Error e
+  | Ok pl -> (
+    let prep = { p_pipeline = pl; p_scan_route = None; p_lookup_routes = [] } in
+    match compile_rule ~flat:true t.info ctx prep ~scan_route_of:(fun _ -> [||]) ~gj_mode:`Off with
+    | { scan = S_base s; nregs; _ } as cr when bind_extra ->
+      let extra = (List.assoc s.pred t.info.arities, nregs) in
+      let binds = Array.append s.binds [| extra |] in
+      Ok { cr with nregs = nregs + 1; scan = S_base { s with binds } }
+    | cr -> Ok cr
+    | exception Plan_error msg -> Error msg)
 
 (* --- auxiliary --- *)
 

@@ -1,6 +1,8 @@
 open Dcd_datalog
 
-(** Physical plans (paper §5.2).
+(** Physical plans (paper §5.2), the only rule-body compiler: the
+    engine's plans ({!compile}) and the incremental-maintenance kernels
+    ({!compile_scan}) both come from here.
 
     A compiled rule is a register machine: the scan binds registers from
     each delta (or base) tuple, each step refines the binding, and the
@@ -40,16 +42,19 @@ type code =
   | C_bin of Ast.binop * code * code
   | C_neg of code
 
+type lookup = {
+  rel : rel_ref;
+  method_ : join_method;
+  key_cols : int array; (** columns forming the lookup key *)
+  key_src : src array; (** value feeding each key column *)
+  binds : (int * int) array; (** (column, register) to bind on match *)
+  checks : (int * src) array; (** residual equality predicates *)
+  negated : bool; (** anti-join: succeed iff no match *)
+  pos : int; (** the atom's position in the rule body *)
+}
+
 type step =
-  | Lookup of {
-      rel : rel_ref;
-      method_ : join_method;
-      key_cols : int array; (** columns forming the lookup key *)
-      key_src : src array; (** value feeding each key column *)
-      binds : (int * int) array; (** (column, register) to bind on match *)
-      checks : (int * src) array; (** residual equality predicates *)
-      negated : bool; (** anti-join: succeed iff no match *)
-    }
+  | Lookup of lookup
   | Filter of {
       op : Ast.cmp_op;
       lhs : code;
@@ -163,6 +168,24 @@ val compile :
     of cyclicity (benchmarking and differential testing — e.g. SG's
     chain-shaped recursive body is acyclic but still profits when the
     binary plan's intermediate explodes). *)
+
+val compile_scan :
+  ?bind_extra:bool ->
+  t ->
+  Analysis.stratum ->
+  Ast.rule ->
+  Logical.scan_at ->
+  sizes:(string -> int) ->
+  (compiled_rule, string) result
+(** One rule of a stratum of [t], ordered by {!Logical.order_at} for
+    the given scan with [sizes] breaking score ties, and compiled with
+    [t]'s symbols and params.  There are no partitioned copies: the
+    scan is an [S_base] over the scanned atom's (or the head's)
+    relation, every positive atom a keyed [R_base] lookup over its
+    whole relation, and there is no generic join.  [bind_extra] binds
+    the scanned row's first column past the tuple to one more register,
+    the last.  This is how incremental maintenance compiles its
+    kernels. *)
 
 val eval_code : code -> int array -> int
 (** Evaluates compiled arithmetic against a register file.  Division and

@@ -8,14 +8,16 @@ module Vec = Dcd_util.Vec
 let make_ctx rels =
   let find name = List.assoc name rels in
   {
-    Eval.base_iter = (fun pred f -> Relation.iter_slices (find pred) f);
-    base_index =
-      (fun pred cols -> Relation.ensure_index (find pred) ~key_cols:cols);
+    Eval.lookup =
+      (fun (l : Ph.lookup) ->
+        match l.rel with
+        | Ph.R_rec { pred; _ } -> Alcotest.fail ("unexpected rec lookup " ^ pred)
+        | Ph.R_base pred ->
+          if Array.length l.key_cols = 0 then
+            Eval.Iter (fun _ f -> Relation.iter_slices (find pred) f)
+          else Eval.Index (Relation.ensure_index (find pred) ~key_cols:l.key_cols));
     base_sorted =
       (fun pred cols -> Relation.ensure_sorted_index (find pred) ~cols);
-    rec_resolve =
-      (fun ~pred ~route:_ -> Alcotest.fail ("unexpected rec lookup " ^ pred));
-    rec_matches = (fun _ ~key:_ _ -> Alcotest.fail "unexpected rec probe");
   }
 
 let rel name arity rows =
@@ -120,6 +122,52 @@ let test_scan_constant_check () =
     [ ([ 5 ], []) ]
     out
 
+(* A context that counts its resolutions and serves every lookup of
+   relation [f] from [access]. *)
+let counting_ctx f access =
+  let calls = ref 0 in
+  ( calls,
+    {
+      Eval.lookup =
+        (fun (l : Ph.lookup) ->
+          incr calls;
+          access f l);
+      base_sorted = (fun _ _ -> Alcotest.fail "unexpected trie");
+    } )
+
+let test_lookup_resolved_once () =
+  let cr = compile_single "p(X, Z) <- e(X, Y), f(Y, Z)." in
+  let _, f = rel "f" 2 [ [ 2; 20 ]; [ 2; 21 ]; [ 9; 90 ] ] in
+  let calls, ctx =
+    counting_ctx f (fun f l -> Eval.Index (Relation.ensure_index f ~key_cols:l.Ph.key_cols))
+  in
+  let n, out =
+    collect cr ctx (`Tuples (Vec.of_list [ [| 1; 2 |]; [| 3; 2 |]; [| 4; 9 |]; [| 5; 7 |] ]))
+  in
+  Alcotest.(check int) "four scan tuples" 4 n;
+  Alcotest.(check int) "five matches" 5 (List.length out);
+  Alcotest.(check int) "one resolution for one lookup step" 1 !calls
+
+let test_membership_access () =
+  (* f(X, Y) is fully bound after the scan: a membership probe serves
+     it, as the join and as the anti-join *)
+  let _, f = rel "f" 2 [ [ 1; 2 ] ] in
+  let mem f _ = Eval.Mem (fun key -> Relation.mem f key) in
+  let run src =
+    let _, ctx = counting_ctx f mem in
+    let out = ref [] in
+    let p =
+      Eval.prepare (compile_single src) ctx ~emit:(fun ~tuple ~contributor:_ ->
+          out := Array.to_list tuple :: !out)
+    in
+    (* one row at a time, the first read from the middle of a wider row *)
+    Eval.run_row p [| 7; 1; 2; 7 |] 1;
+    Eval.run_row p [| 3; 4 |] 0;
+    List.sort compare !out
+  in
+  Alcotest.(check (list (list int))) "join" [ [ 1 ] ] (run "p(X) <- e(X, Y), f(X, Y).");
+  Alcotest.(check (list (list int))) "anti-join" [ [ 3 ] ] (run "p(X) <- e(X, Y), !f(X, Y).")
+
 let () =
   Alcotest.run "eval"
     [
@@ -135,5 +183,7 @@ let () =
           Alcotest.test_case "unit scan" `Quick test_unit_scan;
           Alcotest.test_case "aggregate emit" `Quick test_agg_emit;
           Alcotest.test_case "constant in scan" `Quick test_scan_constant_check;
+          Alcotest.test_case "lookup resolved once" `Quick test_lookup_resolved_once;
+          Alcotest.test_case "membership access, one-row run" `Quick test_membership_access;
         ] );
     ]

@@ -1,5 +1,6 @@
 open Dcd_datalog
 module Logical = Dcd_planner.Logical
+module Physical = Dcd_planner.Physical
 
 let stratum_of src pred =
   let info = Result.get_ok (Analysis.analyze (Parser.parse_program src)) in
@@ -127,6 +128,75 @@ let test_to_string_mentions_scan () =
     Alcotest.(check bool) "mentions delta scan" true
       (String.length s >= 9 && String.sub s 0 9 = "SCAN d.sg")
 
+(* --- maintenance scans: any body atom, the head, or nothing --- *)
+
+let tc_src = "tc(X, Y) <- arc(X, Y).\ntc(X, Y) <- tc(X, Z), arc(Z, Y)."
+
+(* arc is the smaller relation, as in a transitive-closure session *)
+let arc_smaller p = if p = "arc" then 10 else 100
+
+let joins (pl : Logical.rule_pipeline) =
+  List.filter_map
+    (function
+      | Logical.L_join { atom; _ } -> Some (Format.asprintf "%a" Ast.pp_literal (Ast.Pos atom))
+      | _ -> None)
+    pl.pipeline
+
+let order_at ?sizes src pred n at =
+  match Logical.order_at ?sizes (stratum_of src pred) (rule_of src n) at with
+  | Ok pl -> pl
+  | Error e -> Alcotest.fail e
+
+let test_head_bound_tie_break () =
+  (* the head binds X and Y: tc(X, Z) and arc(Z, Y) both score one bound
+     column, so only the sizes can split them *)
+  let with_sizes = order_at ~sizes:arc_smaller tc_src "tc" 1 Logical.At_head in
+  Alcotest.(check bool) "scans the head" true (with_sizes.scan = Logical.Scan_head);
+  Alcotest.(check (list string))
+    "smaller arc first" [ "arc(Z, Y)"; "tc(X, Z)" ] (joins with_sizes);
+  Alcotest.(check (list string))
+    "first written without sizes" [ "tc(X, Z)"; "arc(Z, Y)" ]
+    (joins (order_at tc_src "tc" 1 Logical.At_head))
+
+let test_sg_head_bound_tie_break () =
+  (* after arc(A, X), sg(A, B) and arc(B, Y) each have one bound column *)
+  Alcotest.(check (list string))
+    "smaller arc before sg"
+    [ "arc(A, X)"; "arc(B, Y)"; "sg(A, B)" ]
+    (joins (order_at ~sizes:arc_smaller sg_src "sg" 1 Logical.At_head));
+  Alcotest.(check (list string))
+    "first written without sizes"
+    [ "arc(A, X)"; "sg(A, B)"; "arc(B, Y)" ]
+    (joins (order_at sg_src "sg" 1 Logical.At_head))
+
+let test_lower_atom_scan () =
+  (* a DRed seed scans the lower-stratum arc(Z, Y) of tc's recursive
+     rule: tc is then joined on Z, its second column *)
+  let pl = order_at ~sizes:arc_smaller tc_src "tc" 1 (Logical.At_atom 1) in
+  (match pl.scan with
+  | Logical.Scan_base a -> Alcotest.(check string) "scans arc" "arc" a.pred
+  | _ -> Alcotest.fail "expected a base scan");
+  (match pl.pipeline with
+  | [ Logical.L_join { atom; recursive = true; pos = 0 } ] ->
+    Alcotest.(check string) "joins tc" "tc" atom.pred
+  | _ -> Alcotest.fail ("unexpected pipeline: " ^ Logical.to_string pl));
+  let info = Result.get_ok (Analysis.analyze (Parser.parse_program tc_src)) in
+  let plan = Result.get_ok (Physical.compile info) in
+  match
+    Physical.compile_scan plan (stratum_of tc_src "tc") (rule_of tc_src 1) (Logical.At_atom 1)
+      ~sizes:arc_smaller
+  with
+  | Error e -> Alcotest.fail e
+  | Ok cr -> (
+    match cr.steps with
+    | [| Physical.Lookup { rel = Physical.R_base "tc"; key_cols = [| 1 |]; pos = 0; _ } |] -> ()
+    | _ -> Alcotest.fail "expected one lookup of tc keyed on column 1")
+
+let test_full_evaluation () =
+  let pl = order_at ~sizes:arc_smaller sg_src "sg" 1 Logical.At_nothing in
+  Alcotest.(check bool) "scans nothing" true (pl.scan = Logical.Scan_unit);
+  Alcotest.(check int) "joins every atom" 3 (List.length (joins pl))
+
 let () =
   Alcotest.run "logical"
     [
@@ -140,5 +210,12 @@ let () =
           Alcotest.test_case "occurrence selection" `Quick test_occurrence_selection;
           Alcotest.test_case "greedy bound-first" `Quick test_greedy_prefers_bound_atoms;
           Alcotest.test_case "to_string" `Quick test_to_string_mentions_scan;
+        ] );
+      ( "maintenance scans",
+        [
+          Alcotest.test_case "head-bound tc: size tie-break" `Quick test_head_bound_tie_break;
+          Alcotest.test_case "head-bound sg: size tie-break" `Quick test_sg_head_bound_tie_break;
+          Alcotest.test_case "lower-atom scan joins tc on Z" `Quick test_lower_atom_scan;
+          Alcotest.test_case "full evaluation joins every atom" `Quick test_full_evaluation;
         ] );
     ]

@@ -246,6 +246,36 @@ let bodyless_diff () =
   D.Session.close s;
   diff_case "bodyless" src [ "reach"; "small" ] [ ("arc", arcs) ] [ ("arc", 2) ] 113 ()
 
+(* The body shapes one rule-body compiler must get right under
+   maintenance: one predicate read at two positions of a counting rule
+   (New/Old visibility), a constant and a repeated variable in an atom,
+   an assignment feeding a filter, a sum with contributors (each
+   carrying one value), SG under DRed, and a negation stratum on the
+   recompute path.  Batches flip arc, src and node tuples. *)
+let body_shapes_diff () =
+  let src =
+    "two(X, Z) <- arc(X, Y), arc(Y, Z).\n\
+     loop(X) <- arc(X, X).\n\
+     from0(Y) <- arc(0, Y).\n\
+     hop(X, D) <- arc(X, Y), D = Y - X, D > 0.\n\
+     wsum(X, sum<(Y, D)>) <- arc(X, Y), D = Y * 2.\n\
+     sg(X, Y) <- arc(P, X), arc(P, Y), X != Y.\n\
+     sg(X, Y) <- arc(A, X), sg(A, B), arc(B, Y).\n\
+     reach(Y) <- src(Y).\n\
+     reach(Y) <- reach(X), arc(X, Y).\n\
+     unreach(X) <- node(X), !reach(X)."
+  in
+  let rng = Dcd_util.Rng.create 23 in
+  diff_case "body shapes" src
+    [ "two"; "loop"; "from0"; "hop"; "wsum"; "sg"; "reach"; "unreach" ]
+    [
+      ("arc", mk_edges rng 14 25);
+      ("src", [ [| 0 |]; [| 3 |] ]);
+      ("node", List.init 14 (fun v -> [| v |]));
+    ]
+    [ ("arc", 2); ("src", 1); ("node", 1) ]
+    127 ()
+
 (* QCheck: random schedules, random configs, TC only (the cheap cell) *)
 let prop_random_schedule =
   QCheck.Test.make ~name:"random schedule: incremental = cold oracle" ~count:25
@@ -343,6 +373,7 @@ let () =
           Alcotest.test_case "cc grid" `Slow cc_diff;
           Alcotest.test_case "reachstats grid" `Slow reachstats_diff;
           Alcotest.test_case "body-less rules grid" `Slow bodyless_diff;
+          Alcotest.test_case "body shapes grid" `Slow body_shapes_diff;
           QCheck_alcotest.to_alcotest prop_random_schedule;
         ] );
       ("footprint", [ Alcotest.test_case "words per resident tuple" `Quick test_footprint ]);
