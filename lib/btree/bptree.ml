@@ -233,46 +233,6 @@ let add_if_absent t k v =
   in
   descend t.root
 
-(* [add_if_absent] for callers whose value is scratch: the binding is
-   materialized by [make] only on an actual insert, so a probe that
-   finds an existing binding allocates nothing. *)
-let add_if_absent_lazy t k make =
-  t.version <- t.version + 1;
-  split_root t;
-  let rec descend node =
-    match node with
-    | Leaf l -> begin
-      match leaf_search l k with
-      | Ok _ -> None
-      | Error i ->
-        Array.blit l.lkeys i l.lkeys (i + 1) (l.ln - i);
-        Array.blit l.lvals i l.lvals (i + 1) (l.ln - i);
-        l.lkeys.(i) <- Array.copy k;
-        let v = make () in
-        l.lvals.(i) <- v;
-        l.ln <- l.ln + 1;
-        t.count <- t.count + 1;
-        Some v
-    end
-    | Internal n ->
-      let i = child_index n k in
-      let child = n.ichildren.(i) in
-      let child =
-        match child with
-        | Leaf l when leaf_full t l ->
-          let sep, r = split_leaf t l in
-          insert_sep n i sep (Leaf r);
-          if compare_key k sep >= 0 then Leaf r else child
-        | Internal c when internal_full t c ->
-          let sep, r = split_internal t c in
-          insert_sep n i sep (Internal r);
-          if compare_key k sep >= 0 then Internal r else child
-        | _ -> child
-      in
-      descend child
-  in
-  descend t.root
-
 (* --- deletion (preemptive borrow/merge on the way down) --- *)
 
 let leaf_min t = t.branching / 2

@@ -1,8 +1,8 @@
 (** B⁺-tree over composite integer keys (paper §3, Storage Layer).
 
-    The recursive relations of DCDatalog are indexed by a B⁺-tree on the
-    partition/join key; aggregates also use it to locate the current value
-    for a group key (§6.2.1).  Keys are [int array]s compared
+    DCDatalog's recursive aggregates use it to locate the current value
+    for a group key (§6.2.1); generic-join tries and sorted prefix scans
+    are B⁺-trees over permuted tuples.  Keys are [int array]s compared
     lexicographically (shorter array = prefix = smaller when equal so
     far), values are arbitrary.  All key arrays handed to the tree are
     copied defensively on insert, so callers may reuse scratch buffers.
@@ -34,12 +34,6 @@ val add_if_absent : 'a t -> key -> 'a -> bool
     binding existed; an existing binding is left untouched and [false]
     is returned.  One descent either way — the set-semantics merge
     primitive, replacing the [mem]-then-[insert] double descent. *)
-
-val add_if_absent_lazy : 'a t -> key -> (unit -> 'a) -> 'a option
-(** [add_if_absent_lazy t k make] is {!add_if_absent} with the value
-    materialized only on an actual insert; returns [Some v] (the stored
-    value) iff [k] was absent.  The probe path allocates nothing, which
-    lets callers pass scratch-backed candidates and copy on retention. *)
 
 val upsert : 'a t -> key -> ('a option -> 'a) -> unit
 (** [upsert t k f] binds [k] to [f (find_opt t k)] with a single

@@ -17,9 +17,11 @@
 
     Rules are {!prepare}d against a context once and then run many
     times: preparation resolves every lookup, once, to an {!access}
-    through {!context.lookup} — the engine resolves recursive lookups
-    to this worker's partitioned copy and base lookups to their slot
-    index; incremental maintenance resolves each body position to its
+    through {!context.lookup} — the engine resolves base lookups, and
+    recursive lookups into a set relation, to their slot index (the
+    worker's own partition of the recursive copy), and recursive
+    lookups into an aggregate relation to its partition's iterator;
+    incremental maintenance resolves each body position to its
     atom's Old- or Cur-visibility iterator or membership probe — and
     allocates the register file, the per-step lookup-key scratch
     buffers and the head/contributor emission buffers.  The per-tuple

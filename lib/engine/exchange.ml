@@ -16,16 +16,30 @@ type copy_info = {
   ci_route : int array;
   ci_arity : int;
   ci_agg : (int * Ast.agg_kind) option;
+  ci_probed : bool;
 }
 
 let build_copies (sp : Physical.stratum_plan) =
+  let probed = ref [] in
+  List.iter
+    (fun cr ->
+      Physical.iter_lookups cr (function
+        | { rel = Physical.R_rec { pred; route }; _ } -> probed := (pred, route) :: !probed
+        | { rel = Physical.R_base _; _ } -> ()))
+    (sp.init_rules @ sp.delta_rules);
   let copies = ref [] in
   List.iter
     (fun (pp : Physical.pred_plan) ->
       List.iter
         (fun route ->
           copies :=
-            { ci_pred = pp.pred; ci_route = route; ci_arity = pp.arity; ci_agg = pp.agg }
+            {
+              ci_pred = pp.pred;
+              ci_route = route;
+              ci_arity = pp.arity;
+              ci_agg = pp.agg;
+              ci_probed = List.mem (pp.pred, route) !probed;
+            }
             :: !copies)
         pp.routes)
     sp.pred_plans;

@@ -31,6 +31,7 @@ type copy_info = {
   ci_route : int array;
   ci_arity : int;
   ci_agg : (int * Dcd_datalog.Ast.agg_kind) option;
+  ci_probed : bool; (** some rule of the stratum looks this copy up *)
 }
 
 val build_copies : Physical.stratum_plan -> copy_info array

@@ -24,16 +24,6 @@ let find t key =
 
 let put t key v = Key_tbl.replace t.table key v
 
-(* Bulk refresh from a merge pass: the batch-sorted path answers
-   existence for a whole run out of one B⁺-tree walk and warms the cache
-   from the results here, instead of per-probe.  Keys are retained as
-   given (the merge pass hands over the arrays the tree adopted, which
-   are immutable from then on). *)
-let warm t ~n ~key ~value =
-  for i = 0 to n - 1 do
-    Key_tbl.replace t.table (key i) (value i)
-  done
-
 (* Recovery rollback: cached values may describe state newer than the
    restored store (for a monotone aggregate even a *bound* that no
    longer holds, which would wrongly absorb re-derived candidates), so

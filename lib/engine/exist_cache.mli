@@ -1,13 +1,15 @@
-(** Constant-time existence-check cache (paper §6.2.2).
+(** Constant-time existence-check cache (paper §6.2.2), in front of an
+    aggregate store.
 
     At each semi-naive iteration the engine must decide, per candidate
-    tuple, whether the key already exists in the recursive table — an
-    O(log n) B⁺-tree probe.  This cache sits in front: a hash table from
-    key to the last-known aggregate value (or presence marker), checked
-    in O(1).  A hit with a value at least as good as the candidate lets
-    the engine drop the candidate without touching the index at all;
-    anything else falls through to the authoritative store, whose answer
-    refreshes the cache. *)
+    tuple, whether its group already holds a value at least as good —
+    an O(log n) probe of the aggregate table's B⁺-tree.  This cache sits
+    in front: a hash table from group key to the last-known aggregate
+    value, checked in O(1).  A hit with a value at least as good as the
+    candidate lets the engine drop the candidate without touching the
+    index at all; anything else falls through to the authoritative
+    store, whose answer refreshes the cache.  A set store needs no
+    cache: its hash table's probe is the existence check. *)
 
 type t
 
@@ -17,12 +19,6 @@ val find : t -> Dcd_storage.Tuple.t -> int option
 (** Last value cached for this key, if any. *)
 
 val put : t -> Dcd_storage.Tuple.t -> int -> unit
-
-val warm : t -> n:int -> key:(int -> Dcd_storage.Tuple.t) -> value:(int -> int) -> unit
-(** Bulk refresh after a batch-sorted merge pass: caches [key i ↦
-    value i] for [i < n] without touching the hit/miss counters.  Keys
-    are retained as given — callers pass the (now immutable) arrays the
-    B⁺-tree adopted. *)
 
 val clear : t -> unit
 (** Drops every cached entry (hit/miss counters survive).  Required on

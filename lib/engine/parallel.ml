@@ -84,23 +84,15 @@ let arity_of (plan : Physical.t) pred =
    any worker starts (the shared catalog is read-only during parallel
    execution). *)
 let prebuild_indexes (plan : Physical.t) catalog (sp : Physical.stratum_plan) =
-  let note_steps steps =
-    Array.iter
-      (fun step ->
-        match step with
-        | Physical.Lookup { rel = Physical.R_base pred; key_cols; _ } ->
-          (* scanned and nested-loop relations must at least exist *)
-          let rel = Catalog.ensure catalog ~name:pred ~arity:(arity_of plan pred) in
-          if Array.length key_cols > 0 then ignore (Relation.ensure_index rel ~key_cols)
-        | Physical.Lookup _ | Physical.Filter _ | Physical.Compute _ -> ())
-      steps
-  in
   let note cr =
-    note_steps cr.Physical.steps;
+    Physical.iter_lookups cr (function
+      | { rel = Physical.R_base pred; key_cols; _ } ->
+        (* scanned and nested-loop relations must at least exist *)
+        let rel = Catalog.ensure catalog ~name:pred ~arity:(arity_of plan pred) in
+        if Array.length key_cols > 0 then ignore (Relation.ensure_index rel ~key_cols)
+      | { rel = Physical.R_rec _; _ } -> ());
     (match cr.Physical.gj with
     | Some g ->
-      note_steps g.Physical.gj_prelude;
-      Array.iter (fun lv -> note_steps lv.Physical.gv_steps) g.Physical.gj_levels;
       (* sorted trie indexes, one per generic-join atom, bulk-loaded
          here so workers only ever read them *)
       Array.iter
@@ -164,13 +156,6 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
       Some (Checkpoint.create ~workers:n ~every:config.checkpoint_every)
     else None
   in
-  (* Set-store snapshots are watermarks into the canonical-tuple log,
-     so both the cut path and the base snapshots need the log armed. *)
-  let store_opts =
-    if recovery_on || Option.is_some ckpt then
-      { config.store_opts with Rec_store.track_log = true }
-    else config.store_opts
-  in
   let shared =
     Worker.make_shared ~exch ~token ~fault ~max_iterations:config.max_iterations ~steal ~ckpt
   in
@@ -179,7 +164,7 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
         Array.map
           (fun (ci : Exchange.copy_info) ->
             Rec_store.create ~arity:ci.ci_arity ~agg:ci.ci_agg ~route:ci.ci_route
-              ~opts:store_opts ())
+              ~indexed:ci.ci_probed ~opts:config.store_opts ())
           copies)
   in
   (* epoch-0 rollback target: the empty stores, before any init rule
@@ -405,13 +390,10 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
         total := !total + Rec_store.length stores.(w).(cid)
       done;
       let rel = Relation.create ~size_hint:!total ~name:pp.pred ~arity:pp.arity () in
-      (* one bulk add per predicate: partitions are disjoint, and any
-         sorted trie index present refreshes from one sorted run *)
-      let batch = Vec.create ~capacity:!total () in
+      let add data off = ignore (Relation.add_slice rel data off) in
       for w = 0 to n - 1 do
-        Rec_store.iter stores.(w).(cid) (fun tup -> Vec.push batch tup)
+        Rec_store.iter stores.(w).(cid) add
       done;
-      ignore (Relation.add_batch rel batch);
       Catalog.add_relation catalog rel)
     sp.pred_plans;
   let materialize = Clock.now () -. t2 in

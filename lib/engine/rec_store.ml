@@ -1,19 +1,17 @@
 open Dcd_datalog
-module Tuple = Dcd_storage.Tuple
-module Arena = Dcd_storage.Arena
 module Agg_table = Dcd_storage.Agg_table
 module Run_buffer = Dcd_storage.Run_buffer
-module Bptree = Dcd_btree.Bptree
+module Tuple_table = Dcd_storage.Tuple_table
+module Slot_index = Dcd_storage.Slot_index
 
 type opts = {
   agg_backend : Agg_table.backend;
   use_cache : bool;
-  track_log : bool;
 }
 
-let default_opts = { agg_backend = Agg_table.Indexed; use_cache = true; track_log = false }
+let default_opts = { agg_backend = Agg_table.Indexed; use_cache = true }
 
-let unoptimized_opts = { agg_backend = Agg_table.Scan; use_cache = false; track_log = false }
+let unoptimized_opts = { agg_backend = Agg_table.Scan; use_cache = false }
 
 let agg_kind_of_ast = function
   | Ast.Min -> Agg_table.Min
@@ -21,35 +19,37 @@ let agg_kind_of_ast = function
   | Ast.Count -> Agg_table.Count
   | Ast.Sum -> Agg_table.Sum
 
+(* A set store never frees a slot, so its table's arena holds the tuples
+   back to back in arrival order, and the tuples no [merge_run] has
+   reported yet are the slots [mark, slots).  [candidates] counts the
+   folds since the last [merge_run]. *)
+type set = {
+  table : Tuple_table.t; (* canonical order *)
+  index : Slot_index.t option; (* on the route columns *)
+  mutable mark : int;
+  mutable candidates : int;
+}
+
 type store =
-  | Set of Tuple.t Bptree.t (* permuted tuple -> canonical tuple *)
+  | Set of set
   | Agg of {
       table : Agg_table.t; (* keyed by route-permuted group *)
       kind : Ast.agg_kind;
       value_pos : int;
+      (* batch-sorted merge scratch: candidates staged during a drain,
+         then sorted and folded in one co-sequential index walk *)
+      run : Run_buffer.t;
+      cache : Exist_cache.t option;
     }
 
 type t = {
   arity : int;
-  (* canonical column ids in permuted (route-first) order; excludes the
-     aggregate value position for aggregate stores *)
+  (* canonical column ids in permuted (route-first) order, without an
+     aggregate's value column: an aggregate store's group key *)
   order : int array;
-  mutable store : store; (* reassigned only by checkpoint [rollback] *)
-  (* append-only insertion log of canonical tuples (Set stores under
-     [track_log] only): a checkpoint of a set store is just this log's
-     length, and rollback is truncate + index rebuild from the surviving
-     prefix.  Invariant: [Arena.length log = Bptree.length tree]. *)
-  log : Arena.t option;
-  (* batch-sorted merge scratch: candidates staged during a drain, then
-     sorted and folded in one co-sequential index walk (merge_run) *)
-  run : Run_buffer.t;
-  cache : Exist_cache.t option;
-  (* reusable permuted-key buffer: a merge probe that is absorbed (cache
-     hit or existing tuple) allocates nothing.  Everything the scratch
-     key is handed to either uses it transiently (B⁺-tree search,
-     hashtable probe) or copies it on retention (B⁺-tree insert); the
-     sites that retain keys themselves (existence cache, flat agg table)
-     copy explicitly. *)
+  store : store;
+  (* reusable permuted-key buffer: an absorbed aggregate candidate
+     allocates nothing; the sites that retain a key copy it *)
   scratch : int array;
 }
 
@@ -61,39 +61,31 @@ let permuted_order ~arity ~route ~skip =
   done;
   Array.append route (Array.of_list !rest)
 
-let create ~arity ~agg ~route ~opts () =
-  let store, skip =
+let create ~arity ~agg ~route ?(indexed = true) ~opts () =
+  let order = permuted_order ~arity ~route ~skip:(Option.map fst agg) in
+  let store =
     match agg with
-    | None -> (Set (Bptree.create ()), None)
+    | None ->
+      let table = Tuple_table.create ~arity () in
+      let index = if indexed then Some (Slot_index.create table ~cols:route) else None in
+      Set { table; index; mark = 0; candidates = 0 }
     | Some (value_pos, kind) ->
-      ( Agg
-          {
-            table =
-              Agg_table.create ~backend:opts.agg_backend ~kind:(agg_kind_of_ast kind)
-                ~group_arity:(arity - 1) ();
-            kind;
-            value_pos;
-          },
-        Some value_pos )
+      Agg
+        {
+          table =
+            Agg_table.create ~backend:opts.agg_backend ~kind:(agg_kind_of_ast kind)
+              ~group_arity:(arity - 1) ();
+          kind;
+          value_pos;
+          (* aggregate copies' frames carry a contributor suffix (empty
+             for min/max), matching Exchange.contrib *)
+          run = Run_buffer.create ~arity ~contrib:true ~key_cols:order ();
+          cache = (if opts.use_cache then Some (Exist_cache.create ()) else None);
+        }
   in
-  let order = permuted_order ~arity ~route ~skip in
-  {
-    arity;
-    order;
-    store;
-    log =
-      (match store with
-      | Set _ when opts.track_log -> Some (Arena.create ~arity ())
-      | _ -> None);
-    run =
-      (* aggregate copies' frames carry a contributor suffix (empty for
-         min/max), matching Exchange.contrib *)
-      Run_buffer.create ~arity
-        ~contrib:(match store with Agg _ -> true | Set _ -> false)
-        ~key_cols:order ();
-    cache = (if opts.use_cache then Some (Exist_cache.create ()) else None);
-    scratch = Array.make (Array.length order) 0;
-  }
+  { arity; order; store; scratch = Array.make (Array.length order) 0 }
+
+let index t = match t.store with Set s -> s.index | Agg _ -> None
 
 (* Fills the scratch buffer with the route-permuted key of the tuple
    stored flat at [data.(off ..)] and returns it.  Valid until the next
@@ -119,34 +111,40 @@ let absorbed_by_cache kind cached candidate =
   | Ast.Max -> candidate <= cached
   | Ast.Count | Ast.Sum -> false (* contributor dedup must still run *)
 
+(* One hash probe: the tuple is new exactly when the table grows.  The
+   slot if new, else -1. *)
+let fold s data off =
+  let n = Tuple_table.slots s.table in
+  let slot = Tuple_table.add_slice s.table data off in
+  if slot < n then -1
+  else begin
+    (match s.index with Some ix -> Slot_index.add ix slot | None -> ());
+    slot
+  end
+
 (* Core merge over flat cursors: [data.(off ..)] is the candidate in
    canonical order, [cdata.(coff .. coff+clen-1)] its contributor key
    (clen = 0 for none).  Both are read transiently — everything retained
-   (B⁺-tree value, cache key, agg contributor) is copied here, so the
+   (table row, cache key, agg contributor) is copied here, so the
    caller may pass scratch buffers or packed-frame slices directly. *)
 let merge_slice t ~data ~off ~cdata ~coff ~clen =
   match t.store with
-  | Set tree -> (
-    let key = permute t data off in
-    match t.cache with
-    | Some cache when Exist_cache.find cache key <> None -> None
-    | _ ->
-      (* single descent: probe and insert in one pass; the stored value
-         is materialized only on an actual insert *)
-      let stored = Bptree.add_if_absent_lazy tree key (fun () -> Array.sub data off t.arity) in
-      (* the cache retains its key beyond this call: materialize the scratch *)
-      (match t.cache with Some c -> Exist_cache.put c (Array.copy key) 1 | None -> ());
-      (match stored, t.log with
-      | Some tuple, Some log -> ignore (Arena.push log tuple)
-      | _ -> ());
-      stored)
-  | Agg { table; kind; value_pos } -> (
+  | Set s ->
+    if s.mark < Tuple_table.slots s.table then
+      invalid_arg "Rec_store.merge_slice: staged folds not yet reported by merge_run";
+    let slot = fold s data off in
+    if slot < 0 then None
+    else begin
+      s.mark <- slot + 1;
+      Some (Array.sub data off t.arity)
+    end
+  | Agg { table; kind; value_pos; cache; _ } -> (
     let group = permute t data off in
     let v = data.(off + value_pos) in
     let cache_absorbs =
-      match t.cache with
-      | Some cache -> (
-        match Exist_cache.find cache group with
+      match cache with
+      | Some c -> (
+        match Exist_cache.find c group with
         | Some cached -> absorbed_by_cache kind cached v
         | None -> false)
       | None -> false
@@ -158,7 +156,7 @@ let merge_slice t ~data ~off ~cdata ~coff ~clen =
       | None -> None (* cache entries are only refreshed on change: any
                         cached value remains a sound monotone bound *)
       | Some updated ->
-        (match t.cache with Some c -> Exist_cache.put c (Array.copy group) updated | None -> ());
+        (match cache with Some c -> Exist_cache.put c (Array.copy group) updated | None -> ());
         Some (canonical_of_group t group updated value_pos)
     end)
 
@@ -166,196 +164,166 @@ let merge t ~tuple ~contributor =
   merge_slice t ~data:tuple ~off:0 ~cdata:contributor ~coff:0
     ~clen:(Array.length contributor)
 
-(* --- batch-sorted merge path --- *)
+(* --- the drain's path --- *)
 
-(* Stages one candidate into the run instead of merging it immediately.
-   The existence cache is still probed here — a hit drops the candidate
-   without staging it, exactly like the per-tuple path's front cache —
-   but the authoritative index is not touched until [merge_run]. *)
+(* A set store folds the candidate at once.  An aggregate store stages
+   it into the run unless the existence cache absorbs it; the index is
+   not touched until [merge_run]. *)
 let stage_slice t ~data ~off ~cdata ~coff ~clen =
   match t.store with
-  | Set _ -> (
-    match t.cache with
-    | Some cache when Exist_cache.find cache (permute t data off) <> None -> ()
-    | _ -> Run_buffer.stage_slice t.run ~data ~off ~cdata ~coff ~clen)
-  | Agg { kind; value_pos; _ } ->
+  | Set s ->
+    s.candidates <- s.candidates + 1;
+    ignore (fold s data off)
+  | Agg { kind; value_pos; run; cache; _ } ->
     let absorbed =
-      match t.cache with
-      | Some cache -> (
-        match Exist_cache.find cache (permute t data off) with
+      match cache with
+      | Some c -> (
+        match Exist_cache.find c (permute t data off) with
         | Some cached -> absorbed_by_cache kind cached data.(off + value_pos)
         | None -> false)
       | None -> false
     in
-    if not absorbed then Run_buffer.stage_slice t.run ~data ~off ~cdata ~coff ~clen
+    if not absorbed then Run_buffer.stage_slice run ~data ~off ~cdata ~coff ~clen
 
-let staged t = Run_buffer.length t.run
+let staged t =
+  match t.store with Set s -> s.candidates | Agg { run; _ } -> Run_buffer.length run
 
-(* Folds the staged run into the store in one sorted pass: sort by
-   permuted key (stable on ties), self-dedup inside the run, then one
-   co-sequential B⁺-tree walk ([Bptree.merge_sorted_slice] /
-   [Agg_table.apply_sorted]) instead of one descent per tuple.  Calls
-   [on_fresh] with the canonical delta tuple for every store change and
-   returns [(merged, dup_dropped)]: candidates handed to the index walk
-   after self-dedup / contributor absorption, and candidates dropped
-   before reaching it. *)
+(* An aggregate run is sorted by permuted key (stable on ties),
+   normalized and pre-combined per group, then folded in one
+   co-sequential B⁺-tree walk ([Agg_table.apply_sorted]). *)
+let merge_agg_run t table value_pos run cache ~on_fresh =
+  let n = Run_buffer.length run in
+  Run_buffer.sort run;
+  let pool = Run_buffer.data run in
+  let akind = Agg_table.kind table in
+  let groups = Array.make n [||] in
+  let values = Array.make n 0 in
+  let g = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    let s = !i in
+    let group = Run_buffer.key run s in
+    (* normalize the group's candidates in staging order (the sort is
+       stable), so Sum's last-contribution-wins replacement matches the
+       per-tuple path, then pre-combine survivors *)
+    let acc = ref None in
+    let j = ref s in
+    let more = ref true in
+    while !more do
+      let o = Run_buffer.off run !j in
+      let v = pool.(o + value_pos) in
+      let cl = Run_buffer.clen run !j in
+      let contributor =
+        if cl = 0 then None else Some (Array.sub pool (Run_buffer.coff run !j) cl)
+      in
+      (match Agg_table.normalize_candidate table ~group ?contributor v with
+      | None -> ()
+      | Some nv -> acc := Some (match !acc with None -> nv | Some a -> Agg_table.combine akind a nv));
+      incr j;
+      if !j >= n || not (Run_buffer.equal_keys run (!j - 1) !j) then more := false
+    done;
+    (match !acc with
+    | Some v ->
+      groups.(!g) <- group;
+      values.(!g) <- v;
+      incr g
+    | None -> ());
+    i := !j
+  done;
+  let m = !g in
+  Agg_table.apply_sorted table ~n:m
+    ~group:(fun i -> groups.(i))
+    ~value:(fun i -> values.(i))
+    ~changed:(fun i v' ->
+      (* cache refreshed only on change, like the per-tuple path: stale
+         cached values stay sound monotone bounds *)
+      (match cache with Some c -> Exist_cache.put c groups.(i) v' | None -> ());
+      on_fresh (canonical_of_group t groups.(i) v' value_pos) 0);
+  Run_buffer.clear run;
+  (m, n - m)
+
 let merge_run t ~on_fresh =
-  let rb = t.run in
-  let n = Run_buffer.length rb in
-  if n = 0 then (0, 0)
-  else begin
-    Run_buffer.sort rb;
-    let pool = Run_buffer.data rb in
-    let result =
-      match t.store with
-      | Set tree ->
-        (* the key covers every column, so equal keys are identical
-           tuples: keep the first, like repeated add_if_absent would *)
-        let ukeys = Array.make n [||] in
-        let uoff = Array.make n 0 in
-        let u = ref 0 in
-        for i = 0 to n - 1 do
-          if i = 0 || not (Run_buffer.equal_keys rb (i - 1) i) then begin
-            ukeys.(!u) <- Run_buffer.key rb i;
-            uoff.(!u) <- Run_buffer.off rb i;
-            incr u
-          end
-        done;
-        let m = !u in
-        Bptree.merge_sorted_slice tree ~n:m
-          ~key:(fun i -> ukeys.(i))
-          ~merge:(fun i existing ->
-            match existing with
-            | Some _ -> None
-            | None ->
-              let tuple = Array.sub pool uoff.(i) t.arity in
-              (match t.log with Some log -> ignore (Arena.push log tuple) | None -> ());
-              on_fresh tuple;
-              Some tuple);
-        (* every probed key now has a known answer: bulk-refresh the
-           cache from the walk instead of per-probe puts *)
-        (match t.cache with
-        | Some c -> Exist_cache.warm c ~n:m ~key:(fun i -> ukeys.(i)) ~value:(fun _ -> 1)
-        | None -> ());
-        (m, n - m)
-      | Agg { table; value_pos; _ } ->
-        let akind = Agg_table.kind table in
-        let groups = Array.make n [||] in
-        let values = Array.make n 0 in
-        let g = ref 0 in
-        let i = ref 0 in
-        while !i < n do
-          let s = !i in
-          let group = Run_buffer.key rb s in
-          (* normalize the group's candidates in staging order (the sort
-             is stable), so Sum's last-contribution-wins replacement
-             matches the per-tuple path, then pre-combine survivors *)
-          let acc = ref None in
-          let j = ref s in
-          let more = ref true in
-          while !more do
-            let o = Run_buffer.off rb !j in
-            let v = pool.(o + value_pos) in
-            let cl = Run_buffer.clen rb !j in
-            let contributor =
-              if cl = 0 then None else Some (Array.sub pool (Run_buffer.coff rb !j) cl)
-            in
-            (match Agg_table.normalize_candidate table ~group ?contributor v with
-            | None -> ()
-            | Some nv ->
-              acc := Some (match !acc with None -> nv | Some a -> Agg_table.combine akind a nv));
-            incr j;
-            if !j >= n || not (Run_buffer.equal_keys rb (!j - 1) !j) then more := false
-          done;
-          (match !acc with
-          | Some v ->
-            groups.(!g) <- group;
-            values.(!g) <- v;
-            incr g
-          | None -> ());
-          i := !j
-        done;
-        let m = !g in
-        Agg_table.apply_sorted table ~n:m
-          ~group:(fun i -> groups.(i))
-          ~value:(fun i -> values.(i))
-          ~changed:(fun i v' ->
-            (* cache refreshed only on change, like the per-tuple path:
-               stale cached values stay sound monotone bounds *)
-            (match t.cache with Some c -> Exist_cache.put c groups.(i) v' | None -> ());
-            on_fresh (canonical_of_group t groups.(i) v' value_pos));
-        (m, n - m)
-    in
-    Run_buffer.clear rb;
-    result
-  end
+  match t.store with
+  | Set s ->
+    let slots = Tuple_table.slots s.table in
+    let data = Tuple_table.data s.table and stride = Tuple_table.stride s.table in
+    for slot = s.mark to slots - 1 do
+      on_fresh data (slot * stride)
+    done;
+    let fresh = slots - s.mark in
+    let dups = s.candidates - fresh in
+    s.mark <- slots;
+    s.candidates <- 0;
+    (fresh, dups)
+  | Agg { table; value_pos; run; cache; _ } ->
+    if Run_buffer.is_empty run then (0, 0)
+    else merge_agg_run t table value_pos run cache ~on_fresh
 
 let iter_matches t ~key f =
   match t.store with
-  | Set tree -> Bptree.iter_prefix tree ~prefix:key (fun _ tuple -> f tuple 0)
+  | Set { index = Some ix; _ } -> Slot_index.iter ix key f
+  | Set { index = None; _ } -> invalid_arg "Rec_store.iter_matches: set store without an index"
   | Agg { table; value_pos; _ } ->
     Agg_table.iter_prefix table ~prefix:key (fun group v ->
         f (canonical_of_group t group v value_pos) 0)
 
 let iter t f =
   match t.store with
-  | Set tree -> Bptree.iter tree (fun _ tuple -> f tuple)
+  | Set s -> Tuple_table.iter_slices s.table f
   | Agg { table; value_pos; _ } ->
-    Agg_table.iter table (fun group v -> f (canonical_of_group t group v value_pos))
+    Agg_table.iter table (fun group v -> f (canonical_of_group t group v value_pos) 0)
 
 let length t =
   match t.store with
-  | Set tree -> Bptree.length tree
+  | Set s -> Tuple_table.length s.table
   | Agg { table; _ } -> Agg_table.length table
 
 let cache_stats t =
-  Option.map (fun c -> (Exist_cache.hits c, Exist_cache.misses c)) t.cache
+  match t.store with
+  | Agg { cache = Some c; _ } -> Some (Exist_cache.hits c, Exist_cache.misses c)
+  | Agg { cache = None; _ } | Set _ -> None
 
 (* --- checkpoint snapshot / rollback --- *)
 
 type snapshot =
-  | Snap_set of int (* insertion-log watermark *)
+  | Snap_set of int (* slot count *)
   | Snap_agg of Agg_table.snapshot
 
 let snapshot t =
   match t.store with
-  | Set _ -> (
-    match t.log with
-    | Some log -> Snap_set (Arena.length log)
-    | None -> invalid_arg "Rec_store.snapshot: set store created without track_log")
+  | Set s -> Snap_set (Tuple_table.slots s.table)
   | Agg { table; _ } -> Snap_agg (Agg_table.snapshot table)
 
 (* Restores the store to the snapshotted state, returning the number of
-   tuples (set) / groups (aggregate) rolled back.  The existence cache
-   is dropped wholesale: a cached entry can describe state newer than
-   the restored store — for a monotone aggregate even a bound that no
-   longer holds — and would silently absorb candidates that must
-   re-derive.  Any candidates staged in the run buffer belong to the
-   crashed round and are dropped too. *)
+   tuples (set) / groups (aggregate) rolled back.  A set store refills
+   its table and index in place from a copy of the surviving prefix of
+   its arena, so pipelines that hold its index stay valid.  An
+   aggregate store drops its existence cache wholesale: a cached entry
+   can describe state newer than the restored store — for a monotone
+   aggregate even a bound that no longer holds — and would silently
+   absorb candidates that must re-derive.  Candidates staged or folded
+   but not yet reported belong to the crashed round and are dropped
+   too. *)
 let rollback t snap =
-  Run_buffer.clear t.run;
-  (match t.cache with Some c -> Exist_cache.clear c | None -> ());
   match (t.store, snap) with
-  | Set _, Snap_set wm ->
-    let log =
-      match t.log with
-      | Some l -> l
-      | None -> invalid_arg "Rec_store.rollback: set store created without track_log"
-    in
-    let rolled = Arena.length log - wm in
-    if rolled < 0 then invalid_arg "Rec_store.rollback: watermark ahead of log";
-    Arena.truncate log ~count:wm;
-    (* index rebuild from the surviving log prefix; [Bptree] copies keys
-       defensively, so the permute scratch is safe to pass *)
-    let tree = Bptree.create () in
-    Arena.iter_slices log (fun data off ->
-        let key = permute t data off in
-        ignore (Bptree.add_if_absent_lazy tree key (fun () -> Array.sub data off t.arity)));
-    t.store <- Set tree;
+  | Set s, Snap_set wm ->
+    let rolled = Tuple_table.slots s.table - wm in
+    if rolled < 0 then invalid_arg "Rec_store.rollback: snapshot ahead of the store";
+    let stride = Tuple_table.stride s.table in
+    let prefix = Array.sub (Tuple_table.data s.table) 0 (wm * stride) in
+    Tuple_table.clear s.table;
+    Option.iter Slot_index.clear s.index;
+    for slot = 0 to wm - 1 do
+      ignore (fold s prefix (slot * stride))
+    done;
+    s.mark <- wm;
+    s.candidates <- 0;
     rolled
-  | Agg agg, Snap_agg sn ->
-    let before = Agg_table.length agg.table in
-    Agg_table.restore agg.table sn;
-    max 0 (before - Agg_table.length agg.table)
+  | Agg { table; run; cache; _ }, Snap_agg sn ->
+    Run_buffer.clear run;
+    (match cache with Some c -> Exist_cache.clear c | None -> ());
+    let before = Agg_table.length table in
+    Agg_table.restore table sn;
+    max 0 (before - Agg_table.length table)
   | Set _, Snap_agg _ | Agg _, Snap_set _ ->
     invalid_arg "Rec_store.rollback: snapshot shape mismatch"

@@ -285,22 +285,24 @@ let shared t = t.sh
 
 let stats t = t.ws
 
-let push_delta w cid (fresh : Tuple.t) =
+let push_delta w cid data off =
+  let delta = w.deltas.(cid) in
   match w.delta_groups.(cid) with
-  | None -> ignore (Arena.push w.deltas.(cid) fresh)
+  | None -> ignore (Arena.push_slice delta data off)
   | Some groups -> (
     let pos, _ = Option.get w.sx.sx_copies.(cid).Exchange.ci_agg in
-    let group = Tuple.group_key fresh ~agg_pos:pos in
+    let group = Tuple.group_key data off ~arity:(Arena.arity delta) ~agg_pos:pos in
     match Hashtbl.find_opt groups group with
-    | Some slot -> Arena.set_slot w.deltas.(cid) slot fresh
+    | Some slot -> Arena.set_slot delta slot data off
     | None ->
-      Hashtbl.add groups group (Arena.length w.deltas.(cid));
-      ignore (Arena.push w.deltas.(cid) fresh))
+      Hashtbl.add groups group (Arena.length delta);
+      ignore (Arena.push_slice delta data off))
 
-(* The drain only *stages* candidates into the store's scratch run,
-   straight from the packed frame (the existence cache still filters
-   here); the sorted fold into the index happens once per drain in
-   [drain_and_merge], after the termination counters are updated. *)
+(* The drain folds every record straight from the packed frame: a set
+   store inserts it with one hash probe, an aggregate store stages it
+   into its scratch run (the existence cache still filters here).  The
+   new tuples reach the deltas once per drain in [drain_and_merge],
+   after the termination counters are updated. *)
 let stage_batch w (b : Exchange.batch) =
   w.sh.inject Fault.Merge ~worker:w.me;
   w.sh.heartbeats.(w.me) <- w.sh.heartbeats.(w.me) + 1;
@@ -332,9 +334,11 @@ let create ~shared:sh ~scratch:sc ~stratum:sx ~me ~stores:all_stores ~ws =
       Eval.lookup =
         (fun (l : Physical.lookup) ->
           match l.rel with
-          | Physical.R_rec { pred; route } ->
+          | Physical.R_rec { pred; route } -> (
             let store = row_stores.(Exchange.copy_id copies pred route) in
-            Eval.Iter (fun key f -> Rec_store.iter_matches store ~key f)
+            match Rec_store.index store with
+            | Some idx -> Eval.Index idx
+            | None -> Eval.Iter (fun key f -> Rec_store.iter_matches store ~key f))
           | Physical.R_base pred -> (
             let rel = Catalog.get sx.sx_catalog pred in
             if Array.length l.key_cols = 0 then Eval.Iter (fun _ f -> Relation.iter_slices rel f)
@@ -423,10 +427,11 @@ let drain_and_merge w =
     Termination.set_active (Exchange.term w.sh.exch) ~worker:w.me true;
     Termination.consumed (Exchange.term w.sh.exch) ~worker:w.me total;
     w.ws.tuples_drained <- w.ws.tuples_drained + total;
-    (* Fold every staged run now, with this worker already visibly
-       active for the drained tuples — safe, because only the worker
-       itself ever clears its own active flag.  One sorted pass per
-       store replaces one index descent per drained tuple. *)
+    (* Report every store's changes into the deltas now, with this
+       worker already visibly active for the drained tuples — safe,
+       because only the worker itself ever clears its own active flag.
+       An aggregate store folds its staged run here, in one sorted
+       pass. *)
     let stores = w.stores in
     for cid = 0 to Array.length stores - 1 do
       if Rec_store.staged stores.(cid) > 0 then begin
@@ -690,8 +695,11 @@ let restore w =
             | Some groups ->
               let pos, _ = Option.get w.sx.sx_copies.(cid).Exchange.ci_agg in
               let arena = w.deltas.(cid) in
+              let arity = Arena.arity arena in
               for slot = 0 to Arena.length arena - 1 do
-                Hashtbl.replace groups (Tuple.group_key (Arena.get arena slot) ~agg_pos:pos) slot
+                Hashtbl.replace groups
+                  (Tuple.group_key (Arena.data arena) (slot * arity) ~arity ~agg_pos:pos)
+                  slot
               done
           end)
         bank.Checkpoint.bk_deltas;

@@ -141,11 +141,12 @@ val finish_nonrecursive : t -> unit
 val drain_and_merge : t -> int
 (** Drains this worker's inbox, folds every batch into its stores
     (new-delta tuples land in the delta arenas), feeds the arrival
-    model, and updates the termination counters.  Under the
-    batch-sorted merge path the drain stages candidates into per-store
-    runs and the fold happens here, after the termination counters, as
-    one sorted index walk per store ({!Rec_store.merge_run}).  Returns
-    the tuple count drained. *)
+    model, and updates the termination counters.  The drain folds each
+    record into a set store with one hash probe, and stages it into an
+    aggregate store's run; after the termination counters,
+    {!Rec_store.merge_run} reports each store's new tuples into the
+    deltas (a set store's in arrival order) and folds each aggregate
+    run with one sorted index walk.  Returns the tuple count drained. *)
 
 val run_iteration : t -> unit
 (** One local semi-naive iteration: evaluate every delta rule group over

@@ -717,30 +717,26 @@ let compile_scan ?(bind_extra = false) (t : t) stratum rule at ~sizes =
 
 (* --- auxiliary --- *)
 
+let iter_lookups cr f =
+  let steps = Array.iter (function Lookup l -> f l | Filter _ | Compute _ -> ()) in
+  steps cr.steps;
+  match cr.gj with
+  | Some g ->
+    steps g.gj_prelude;
+    Array.iter (fun lv -> steps lv.gv_steps) g.gj_levels
+  | None -> ()
+
 let base_relations_needed t =
   let acc = ref [] in
-  let note pred cols =
-    if Array.length cols > 0 && not (List.mem (pred, cols) !acc) then
-      acc := (pred, cols) :: !acc
-  in
-  let note_steps steps =
-    Array.iter
-      (fun step ->
-        match step with
-        | Lookup { rel = R_base pred; key_cols; _ } -> note pred key_cols
-        | Lookup _ | Filter _ | Compute _ -> ())
-      steps
-  in
   List.iter
     (fun sp ->
       List.iter
         (fun cr ->
-          note_steps cr.steps;
-          match cr.gj with
-          | Some g ->
-            note_steps g.gj_prelude;
-            Array.iter (fun lv -> note_steps lv.gv_steps) g.gj_levels
-          | None -> ())
+          iter_lookups cr (function
+            | { rel = R_base pred; key_cols; _ } ->
+              if Array.length key_cols > 0 && not (List.mem (pred, key_cols) !acc) then
+                acc := (pred, key_cols) :: !acc
+            | { rel = R_rec _; _ } -> ()))
         (sp.init_rules @ sp.delta_rules))
     t.strata;
   !acc

@@ -21,9 +21,11 @@ type src =
   | Reg of int
 
 (** Paper §5.2.1's three join implementations.  [Hash] and [Index] both
-    execute as index lookups (hash multimap for base relations, B⁺-tree
-    for recursive ones); the label records which heuristic case fired,
-    and [Nested_loop] scans the whole relation with residual checks. *)
+    execute as slot-index lookups (on the shared base relation, or on
+    the worker's partition of a recursive set relation; an aggregate
+    partition answers through its B⁺-tree); the label records which
+    heuristic case fired, and [Nested_loop] scans the whole relation
+    with residual checks. *)
 type join_method =
   | Hash
   | Index
@@ -192,6 +194,10 @@ val eval_code : code -> int array -> int
     modulo by zero raise [Division_by_zero]. *)
 
 val eval_cmp : Ast.cmp_op -> int -> int -> bool
+
+val iter_lookups : compiled_rule -> (lookup -> unit) -> unit
+(** Every lookup step of a rule: its pipeline, or its generic-join
+    prelude and levels. *)
 
 val base_relations_needed : t -> (string * int array) list
 (** Distinct (predicate, key columns) pairs for which the engine should

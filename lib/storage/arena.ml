@@ -67,10 +67,9 @@ let append_block t (src : int array) ~off ~tuples =
   t.count <- first + tuples;
   first
 
-let set_slot t slot (tup : Tuple.t) =
+let set_slot t slot (src : int array) off =
   if slot < 0 || slot >= t.count then invalid_arg "Arena.set_slot";
-  if Array.length tup <> t.arity then invalid_arg "Arena.set_slot: arity mismatch";
-  Array.blit tup 0 t.data (slot * t.arity) t.arity
+  Array.blit src off t.data (slot * t.arity) t.arity
 
 let get t slot =
   if slot < 0 || slot >= t.count then invalid_arg "Arena.get";

@@ -58,8 +58,9 @@ val append_block : t -> int array -> off:int -> tuples:int -> slot
 (** Appends [tuples] consecutive tuples from a flat source buffer with
     one blit; returns the first new slot. *)
 
-val set_slot : t -> slot -> Tuple.t -> unit
-(** Overwrites a tuple in place (delta-group replacement). *)
+val set_slot : t -> slot -> int array -> int -> unit
+(** [set_slot t slot src off] overwrites a tuple in place with [arity t]
+    ints from [src.(off)] (delta-group replacement). *)
 
 val get : t -> slot -> Tuple.t
 (** Materializes a boxed copy — API edges only. *)

@@ -40,60 +40,36 @@ let check_arity t what tup =
       (Printf.sprintf "Relation.%s: arity mismatch on %s (got %d, want %d)" what t.name
          (Array.length tup) t.arity)
 
-(* Inserts without touching the sorted indexes; the slot if fresh,
-   else -1. *)
-let insert t data off =
-  let n = Tuple_table.length t.tuples in
-  let s = Tuple_table.add_slice t.tuples data off in
-  if Tuple_table.length t.tuples = n then -1
-  else begin
-    List.iter (fun ix -> Slot_index.add ix s) t.indexes;
-    s
-  end
+(* Links a fresh slot into every index.  Top-level loops, not
+   [List.iter] closures: these run once per inserted tuple. *)
+let rec link_slot s = function
+  | [] -> ()
+  | ix :: rest ->
+    Slot_index.add ix s;
+    link_slot s rest
+
+let rec add_sorted (data : int array) off = function
+  | [] -> ()
+  | si :: rest ->
+    for i = 0 to Array.length si.si_cols - 1 do
+      si.si_scratch.(i) <- data.(off + si.si_cols.(i))
+    done;
+    ignore (Bptree.add_if_absent si.si_tree si.si_scratch ());
+    add_sorted data off rest
 
 let add_slice t data off =
-  let s = insert t data off in
-  if s >= 0 then
-    List.iter
-      (fun si ->
-        for i = 0 to Array.length si.si_cols - 1 do
-          si.si_scratch.(i) <- data.(off + si.si_cols.(i))
-        done;
-        ignore (Bptree.add_if_absent si.si_tree si.si_scratch ()))
-      t.sorted;
-  s >= 0
+  let n = Tuple_table.length t.tuples in
+  let s = Tuple_table.add_slice t.tuples data off in
+  let fresh = Tuple_table.length t.tuples > n in
+  if fresh then begin
+    link_slot s t.indexes;
+    add_sorted data off t.sorted
+  end;
+  fresh
 
 let add t tup =
   check_arity t "add" tup;
   add_slice t tup 0
-
-(* Bulk add: fold a whole batch into the table first, then refresh
-   every sorted trie index from the fresh subset as one sorted run — a
-   full column permutation keeps distinct tuples distinct, so the sorted
-   keys are strictly increasing and the B⁺-tree takes them in one
-   co-sequential merge instead of one descent per tuple. *)
-let add_batch t batch =
-  let first = Tuple_table.slots t.tuples in
-  Vec.iter
-    (fun tup ->
-      check_arity t "add_batch" tup;
-      ignore (insert t tup 0))
-    batch;
-  let n = Tuple_table.slots t.tuples - first in
-  if n > 0 then begin
-    let data = Tuple_table.data t.tuples and stride = Tuple_table.stride t.tuples in
-    List.iter
-      (fun si ->
-        let keys =
-          Array.init n (fun i -> Array.map (fun c -> data.(((first + i) * stride) + c)) si.si_cols)
-        in
-        Array.sort Bptree.compare_key keys;
-        Bptree.merge_sorted_slice si.si_tree ~n
-          ~key:(fun i -> keys.(i))
-          ~merge:(fun _ -> function Some () -> None | None -> Some ()))
-      t.sorted
-  end;
-  n
 
 let mem_slice t data off = Tuple_table.mem_slice t.tuples data off
 

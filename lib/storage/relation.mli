@@ -29,15 +29,6 @@ val add_slice : t -> int array -> int -> bool
 (** [add_slice t data off] inserts the tuple stored flat at
     [data.(off .. off+arity-1)] without boxing it; [true] iff new. *)
 
-val add_batch : t -> Tuple.t Dcd_util.Vec.t -> int
-(** Bulk {!add}: copies the whole batch into the tuple table and its
-    slot indexes, then refreshes every sorted trie index from the fresh
-    subset as {e one} sorted run merged co-sequentially into the tree
-    ({!Dcd_btree.Bptree.merge_sorted_slice}) — one descent per leaf
-    segment instead of one per tuple.  Returns the number of new
-    tuples; same result as repeated {!add}.
-    @raise Invalid_argument on arity mismatch. *)
-
 val mem : t -> Tuple.t -> bool
 
 val mem_slice : t -> int array -> int -> bool

@@ -1,4 +1,4 @@
-(** Per-store scratch run for the batch-sorted merge path.
+(** Per-store scratch run for an aggregate store's batch-sorted merge.
 
     A worker's drain stages every surviving candidate record — canonical
     tuple fields plus an optional contributor key — flat into this pool,

@@ -85,6 +85,8 @@ let create ?(linked = true) tbl ~cols =
   Tuple_table.iter tbl (add t);
   t
 
+let clear t = Tuple_table.clear t.keys
+
 let head t key =
   let ks = Tuple_table.find_slice t.keys key 0 in
   if ks < 0 then -1 else Tuple_table.get t.keys ks c_head

@@ -30,6 +30,9 @@ val remove : t -> Tuple_table.slot -> unit
 (** Unlinks member slot [s] before its table frees it.
     @raise Invalid_argument if its key has no chain. *)
 
+val clear : t -> unit
+(** Drops every member, for a table being cleared and refilled. *)
+
 val head : t -> int array -> Tuple_table.slot
 (** [head t key] is the first member of the chain under [key] (one int
     per key column), or [-1].  Linked indexes only. *)

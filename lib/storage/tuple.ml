@@ -68,8 +68,8 @@ let project (tup : t) cols = Array.map (fun c -> tup.(c)) cols
 
 let group_sentinel = min_int
 
-let group_key (tup : t) ~agg_pos =
-  let g = Array.copy tup in
+let group_key (data : int array) off ~arity ~agg_pos =
+  let g = Array.sub data off arity in
   g.(agg_pos) <- group_sentinel;
   g
 

@@ -59,9 +59,10 @@ val group_sentinel : int
 (** The value standing in for the aggregate position of a group key
     ([min_int]). *)
 
-val group_key : t -> agg_pos:int -> t
-(** [group_key tup ~agg_pos] is [tup] with the aggregate value position
-    masked by {!group_sentinel}: the key under which aggregate
+val group_key : int array -> int -> arity:int -> agg_pos:int -> t
+(** [group_key data off ~arity ~agg_pos] is a copy of the tuple stored
+    flat at [data.(off .. off+arity-1)] with the aggregate value
+    position masked by {!group_sentinel}: the key under which aggregate
     candidates for the same group collide.  Every site that groups
     aggregate tuples (Gather delta dedup, Distribute partial
     aggregation) must build keys with this one helper so the sentinels

@@ -3,10 +3,11 @@ module Rs = Dcd_engine.Rec_store
 
 let tuple_list = Alcotest.(list (list int))
 
-let matches store key =
+(* a cursor is valid only during the call, and its array may hold more
+   than the one tuple *)
+let matches ?(arity = 2) store key =
   let out = ref [] in
-  Rs.iter_matches store ~key (fun data off ->
-      out := Array.to_list (Array.sub data off (Array.length data - off)) :: !out);
+  Rs.iter_matches store ~key (fun data off -> out := Array.to_list (Array.sub data off arity) :: !out);
   List.sort compare !out
 
 let all_opts = [ ("optimized", Rs.default_opts); ("unoptimized", Rs.unoptimized_opts) ]
@@ -51,10 +52,11 @@ let test_agg_value_not_in_route opts =
   ignore (Rs.merge s ~tuple:[| 1; 6; 30 |] ~contributor:[||]);
   Alcotest.check tuple_list "prefix by routed group col"
     [ [ 1; 5; 10 ]; [ 2; 5; 20 ] ]
-    (matches s [| 5 |]);
+    (matches ~arity:3 s [| 5 |]);
   (* improving one group does not disturb the other *)
   ignore (Rs.merge s ~tuple:[| 2; 5; 15 |] ~contributor:[||]);
-  Alcotest.check tuple_list "after improvement" [ [ 1; 5; 10 ]; [ 2; 5; 15 ] ] (matches s [| 5 |])
+  Alcotest.check tuple_list "after improvement" [ [ 1; 5; 10 ]; [ 2; 5; 15 ] ]
+    (matches ~arity:3 s [| 5 |])
 
 let test_agg_count opts =
   let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Count)) ~route:[| 0 |] ~opts () in
@@ -67,21 +69,24 @@ let test_agg_count opts =
   | Some t -> Alcotest.(check (list int)) "count 2" [ 7; 2 ] (Array.to_list t)
   | None -> Alcotest.fail "second contributor"
 
+(* the existence cache sits in front of aggregate stores only: a set
+   store's table probe is its existence check *)
 let test_cache_stats () =
-  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~opts:Rs.default_opts () in
+  let min_store opts = Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] ~opts () in
+  let s = min_store Rs.default_opts in
   ignore (Rs.merge s ~tuple:[| 1; 1 |] ~contributor:[||]);
   ignore (Rs.merge s ~tuple:[| 1; 1 |] ~contributor:[||]);
   (match Rs.cache_stats s with
   | Some (hits, _) -> Alcotest.(check bool) "cache hit recorded" true (hits >= 1)
   | None -> Alcotest.fail "cache should be on by default");
-  let s2 = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~opts:Rs.unoptimized_opts () in
+  let s2 = min_store Rs.unoptimized_opts in
   Alcotest.(check bool) "no cache when off" true (Rs.cache_stats s2 = None)
 
-(* --- batch-sorted staging path ------------------------------------ *)
+(* --- the drain's path: stage_slice + merge_run --------------------- *)
 
-let dump s =
+let dump ?(arity = 2) s =
   let out = ref [] in
-  Rs.iter s (fun t -> out := Array.to_list t :: !out);
+  Rs.iter s (fun data off -> out := Array.to_list (Array.sub data off arity) :: !out);
   List.sort compare !out
 
 let test_stage_and_merge_run opts =
@@ -95,19 +100,20 @@ let test_stage_and_merge_run opts =
   (* in-run duplicate *)
   stage [| 2; 9 |];
   Alcotest.(check int) "staged counts candidates" 4 (Rs.staged s);
-  Alcotest.(check int) "index untouched before merge_run" 0 (Rs.length s);
+  Alcotest.(check int) "staging folds at once" 3 (Rs.length s);
   let fresh = ref [] in
-  let merged, dups = Rs.merge_run s ~on_fresh:(fun t -> fresh := Array.to_list t :: !fresh) in
+  let on_fresh acc data off = acc := Array.to_list (Array.sub data off 2) :: !acc in
+  let merged, dups = Rs.merge_run s ~on_fresh:(on_fresh fresh) in
   Alcotest.(check int) "staged drained" 0 (Rs.staged s);
   Alcotest.(check int) "merged = unique candidates" 3 merged;
   Alcotest.(check int) "in-run duplicate dropped" 1 dups;
-  Alcotest.check tuple_list "deltas in key order" [ [ 1; 2 ]; [ 2; 9 ]; [ 3; 1 ] ]
+  Alcotest.check tuple_list "deltas in arrival order" [ [ 3; 1 ]; [ 1; 2 ]; [ 2; 9 ] ]
     (List.rev !fresh);
   (* a second run: cross-run duplicates absorbed, fresh tuples kept *)
   stage [| 1; 2 |];
   stage [| 4; 4 |];
   let fresh2 = ref [] in
-  let merged2, _ = Rs.merge_run s ~on_fresh:(fun t -> fresh2 := Array.to_list t :: !fresh2) in
+  let merged2, _ = Rs.merge_run s ~on_fresh:(on_fresh fresh2) in
   Alcotest.(check bool) "cross-run duplicate absorbed" true (merged2 <= 2);
   Alcotest.check tuple_list "only the new tuple is a delta" [ [ 4; 4 ] ] !fresh2;
   Alcotest.check (Alcotest.list (Alcotest.list Alcotest.int)) "store contents"
@@ -176,8 +182,9 @@ let merge_run_matches_per_tuple ~agg ~contrib name =
               Rs.stage_slice b ~data:tup ~off:0 ~cdata ~coff:0
                 ~clen:(Array.length cdata))
             run;
-          let _ = Rs.merge_run b ~on_fresh:(fun d ->
-              Hashtbl.replace deltas_b (group_of (Array.to_list d)) (Array.to_list d))
+          let _ = Rs.merge_run b ~on_fresh:(fun data off ->
+              let d = Array.to_list (Array.sub data off 2) in
+              Hashtbl.replace deltas_b (group_of d) d)
           in
           let db = dump b in
           let is_sum = match agg with Some (_, Ast.Sum) -> true | _ -> false in
@@ -195,6 +202,23 @@ let merge_run_matches_per_tuple ~agg ~contrib name =
           in
           b_matches_a && a_only_are_sum_noops && dump a = db)
         runs)
+
+(* Mixing the two fold paths on a set store must fail loudly: a
+   [merge_slice] moves the report mark, which would hide folds staged
+   before it from [merge_run]. *)
+let test_merge_slice_after_stage opts =
+  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~opts () in
+  let merge_slice tup = Rs.merge_slice s ~data:tup ~off:0 ~cdata:tup ~coff:0 ~clen:0 in
+  Rs.stage_slice s ~data:[| 1; 2 |] ~off:0 ~cdata:[||] ~coff:0 ~clen:0;
+  (match merge_slice [| 3; 4 |] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "merge_slice must refuse folds merge_run has not reported");
+  Alcotest.(check int) "the refused candidate is not stored" 1 (Rs.length s);
+  let fresh = ref 0 in
+  ignore (Rs.merge_run s ~on_fresh:(fun _ _ -> incr fresh));
+  Alcotest.(check int) "the staged fold is still reported" 1 !fresh;
+  Alcotest.(check bool) "merge_slice folds once the mark caught up" true
+    (merge_slice [| 3; 4 |] <> None)
 
 let test_merge_run_set = merge_run_matches_per_tuple ~agg:None ~contrib:false "set: merge_run = per-tuple merges"
 let test_merge_run_min = merge_run_matches_per_tuple ~agg:(Some (1, Ast.Min)) ~contrib:false "min: merge_run = per-tuple merges"
@@ -214,12 +238,82 @@ let test_optimized_and_unoptimized_agree =
           let rb = Rs.merge b ~tuple:[| g; v |] ~contributor:[||] in
           assert ((ra = None) = (rb = None)))
         candidates;
-      let dump s =
-        let out = ref [] in
-        Rs.iter s (fun t -> out := Array.to_list t :: !out);
-        List.sort compare !out
-      in
       dump a = dump b)
+
+(* A set store against a model: a random candidate stream folded in
+   drain-sized rounds, checked after every round, then rolled back to a
+   snapshot taken mid-stream.  The model is the list of distinct
+   tuples in arrival order. *)
+let prop_set_store_model =
+  let shape = QCheck.Gen.(pair (oneofl [ 2; 3 ]) (oneofl [ [| 0 |]; [| 1 |]; [| 1; 0 |] ])) in
+  let gen =
+    QCheck.Gen.(
+      shape >>= fun (arity, route) ->
+      map
+        (fun (cands, rounds, cut) -> (arity, route, cands, rounds, cut))
+        (triple
+           (list_size (int_range 0 120) (array_size (return arity) (int_range 0 4)))
+           (list_size (int_range 1 4) (int_range 1 30))
+           (int_range 0 6)))
+  in
+  let print (arity, route, cands, rounds, cut) =
+    Printf.sprintf "arity %d, route [%s], rounds [%s], cut after %d, %s" arity
+      (String.concat ";" (Array.to_list (Array.map string_of_int route)))
+      (String.concat ";" (List.map string_of_int rounds))
+      cut
+      (String.concat " " (List.map (fun c -> QCheck.Print.(array int) c) cands))
+  in
+  QCheck.Test.make ~name:"set store = model set, each new tuple reported once" ~count:300
+    (QCheck.make ~print gen)
+    (fun (arity, route, cands, rounds, cut) ->
+      let s = Rs.create ~arity ~agg:None ~route ~opts:Rs.default_opts () in
+      let tuples l = List.map Array.to_list l in
+      let agrees model =
+        let keys = List.sort_uniq compare (List.map (fun t -> Array.map (fun c -> t.(c)) route) model) in
+        Rs.length s = List.length model
+        && dump ~arity s = List.sort compare (tuples model)
+        && List.for_all
+             (fun key ->
+               matches ~arity s key
+               = List.sort compare
+                   (tuples (List.filter (fun t -> Array.map (fun c -> t.(c)) route = key) model)))
+             (Array.make (Array.length route) 5 :: keys)
+      in
+      let model = ref [] and reported = ref [] and snap = ref None in
+      let rec go round rest sizes =
+        if round = cut then snap := Some (Rs.snapshot s, !model);
+        match rest with
+        | [] -> true
+        | _ ->
+          let size = List.hd sizes in
+          let batch = List.filteri (fun i _ -> i < size) rest in
+          let rest = List.filteri (fun i _ -> i >= size) rest in
+          List.iter
+            (fun t ->
+              Rs.stage_slice s ~data:t ~off:0 ~cdata:t ~coff:0 ~clen:0;
+              if not (List.mem t !model) then model := !model @ [ t ])
+            batch;
+          let fresh, dups =
+            Rs.merge_run s ~on_fresh:(fun data off -> reported := Array.sub data off arity :: !reported)
+          in
+          fresh + dups = List.length batch
+          && List.rev !reported = !model
+          && agrees !model
+          && go (round + 1) rest (List.tl sizes @ [ size ])
+      in
+      go 0 cands rounds
+      &&
+      match !snap with
+      | None -> true
+      | Some (sn, prefix) ->
+        ignore (Rs.rollback s sn);
+        agrees prefix
+        &&
+        (* the rolled-back tuples are new again, and only they *)
+        let again = ref [] in
+        List.iter (fun t -> Rs.stage_slice s ~data:t ~off:0 ~cdata:t ~coff:0 ~clen:0) !model;
+        ignore (Rs.merge_run s ~on_fresh:(fun data off -> again := Array.sub data off arity :: !again));
+        List.rev !again = List.filter (fun t -> not (List.mem t prefix)) !model && agrees !model)
 
 let () =
   Alcotest.run "rec_store"
@@ -233,11 +327,14 @@ let () =
           Alcotest.test_case "agg count" `Quick (for_all_opts test_agg_count);
           Alcotest.test_case "cache stats" `Quick test_cache_stats;
           Alcotest.test_case "stage + merge_run" `Quick (for_all_opts test_stage_and_merge_run);
+          Alcotest.test_case "merge_slice after stage_slice" `Quick
+            (for_all_opts test_merge_slice_after_stage);
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
           [
-            test_optimized_and_unoptimized_agree; test_merge_run_set; test_merge_run_min;
+            prop_set_store_model; test_optimized_and_unoptimized_agree; test_merge_run_set;
+            test_merge_run_min;
             test_merge_run_max; test_merge_run_count; test_merge_run_sum;
           ] );
     ]

@@ -112,6 +112,23 @@ let test_footprint () =
   let per_tuple = float_of_int (Obj.reachable_words (Obj.repr r)) /. float_of_int n in
   if per_tuple > 12. then Alcotest.failf "%.1f words per tuple, bound 12" per_tuple
 
+(* Inserting into a pre-sized relation allocates nothing per tuple:
+   linking a fresh slot into the indexes builds no closure. *)
+let test_insert_allocation () =
+  let n = 10_000 in
+  let r = R.create ~size_hint:n ~name:"a" ~arity:2 () in
+  ignore (R.ensure_index r ~key_cols:[| 0 |]);
+  let row = [| 0; 0 |] in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    row.(0) <- i mod 100;
+    row.(1) <- i;
+    ignore (R.add_slice r row 0)
+  done;
+  let per_tuple = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "all inserted" n (R.length r);
+  if per_tuple >= 1. then Alcotest.failf "%.2f minor words per inserted tuple, bound 1" per_tuple
+
 let () =
   Alcotest.run "relation"
     [
@@ -125,6 +142,7 @@ let () =
           Alcotest.test_case "ensure_index idempotent" `Quick test_ensure_index_idempotent;
           Alcotest.test_case "iter/to_vec" `Quick test_iter_to_vec;
           Alcotest.test_case "footprint" `Quick test_footprint;
+          Alcotest.test_case "insert allocates nothing" `Quick test_insert_allocation;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_matches_filter ]);
     ]
