@@ -41,11 +41,25 @@ let sample_stats = function
     (best, mean, sqrt var)
 
 (* Machine-readable result blocks, accumulated across whichever
-   experiments ran and written once at exit as a timestamped history
-   file under bench/results/ plus a latest.json copy — so successive
-   runs build a perf trajectory instead of overwriting one file. *)
+   experiments ran and written once at exit: this run's blocks as a
+   timestamped history file under bench/results/, and merged into
+   latest.json, which keeps the newest block of every experiment ever
+   run, each with its own timestamp and core count. *)
 let json_blocks : (string * string) list ref = ref []
 let add_json_block name block = json_blocks := (name, block) :: !json_blocks
+
+(* Speed-bar failures are collected, not fatal: a failing bar keeps its
+   own result block, the remaining selected experiments still run, and
+   the harness exits 1 once the results are written.  A wrong fixpoint
+   still exits at once, recording nothing: its timings mean nothing. *)
+let gate_failures : string list ref = ref []
+
+let fail_gate fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      gate_failures := msg :: !gate_failures)
+    fmt
 
 let rec mkdir_p d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -64,7 +78,7 @@ module Json = struct
     | Arr of t list
     | Num of float
     | Str of string
-    | Lit (* true/false/null — never compared *)
+    | Lit of string (* true/false/null — never compared *)
 
   exception Bad of string
 
@@ -144,9 +158,8 @@ module Json = struct
           elems []
         end
       | '"' -> Str (parse_string ())
-      | 't' -> pos := !pos + 4; Lit
-      | 'f' -> pos := !pos + 5; Lit
-      | 'n' -> pos := !pos + 4; Lit
+      | ('t' | 'n') as c -> pos := !pos + 4; Lit (if c = 't' then "true" else "null")
+      | 'f' -> pos := !pos + 5; Lit "false"
       | _ ->
         let start = !pos in
         let is_num c =
@@ -164,7 +177,7 @@ module Json = struct
     let out = ref [] in
     let rec go path = function
       | Num f -> out := (path, f) :: !out
-      | Str _ | Lit -> ()
+      | Str _ | Lit _ -> ()
       | Obj kvs ->
         List.iter (fun (k, v) -> go (if path = "" then k else path ^ "." ^ k) v) kvs
       | Arr vs ->
@@ -183,19 +196,70 @@ module Json = struct
     in
     go "" t;
     List.rev !out
+
+  (* Objects, and arrays holding objects, print one member per line
+     down to [depth] levels of nesting; deeper values print on one
+     line. *)
+  let rec print ?(indent = 0) ~depth v =
+    let pad = String.make indent ' ' in
+    let nested f items =
+      String.concat ",\n" (List.map (fun x -> pad ^ "  " ^ f x) items) ^ "\n" ^ pad
+    in
+    let sub = print ~indent:(indent + 2) ~depth:(depth - 1) in
+    match v with
+    | Obj (_ :: _ as kvs) when depth > 0 ->
+      "{\n" ^ nested (fun (k, x) -> Printf.sprintf "%S: %s" k (sub x)) kvs ^ "}"
+    | Arr vs when depth > 0 && List.exists (function Obj _ -> true | _ -> false) vs ->
+      "[\n" ^ nested sub vs ^ "]"
+    | Obj kvs ->
+      "{"
+      ^ String.concat ", "
+          (List.map (fun (k, x) -> Printf.sprintf "%S: %s" k (print ~depth:0 x)) kvs)
+      ^ "}"
+    | Arr vs -> "[" ^ String.concat ", " (List.map (print ~depth:0) vs) ^ "]"
+    | Num f ->
+      if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+      else Printf.sprintf "%.12g" f
+    | Str x -> Printf.sprintf "%S" x
+    | Lit l -> l
 end
 
-(* Snapshot of the previous latest.json, taken at startup so this run's
-   own [write_results] cannot clobber the baseline first. *)
-let previous_latest =
+(* A result block carries its run's metadata (timestamp, core count)
+   first; its own members of the same names give way. *)
+let with_meta meta members =
+  Json.Obj (meta @ List.filter (fun (k, _) -> not (List.mem_assoc k meta)) members)
+
+(* The experiment blocks of a results file: a plain object of blocks,
+   each carrying its own metadata. *)
+let blocks_of_results = function
+  | Json.Obj kvs ->
+    List.filter_map (function name, (Json.Obj _ as b) -> Some (name, b) | _ -> None) kvs
+  | _ -> []
+
+let block_meta block key =
+  match block with Json.Obj kvs -> List.assoc_opt key kvs | _ -> None
+
+let block_cores block =
+  match block_meta block "cores" with Some (Json.Num c) -> Some (int_of_float c) | _ -> None
+
+let block_stamp block =
+  match block_meta block "timestamp" with Some (Json.Str s) -> s | _ -> "unknown time"
+
+(* The blocks of the previous latest.json, read at startup so this
+   run's own [write_results] cannot clobber the baseline first. *)
+let previous_blocks =
   let path = "bench/results/latest.json" in
-  if Sys.file_exists path then begin
+  if not (Sys.file_exists path) then []
+  else begin
     let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    Some s
+    match Json.parse s with
+    | j -> blocks_of_results j
+    | exception Json.Bad msg ->
+      Printf.printf "%s is unreadable (%s): nothing to compare against or merge into\n" path msg;
+      []
   end
-  else None
 
 (* Regression threshold (percent slowdown) past which the compare step
    exits non-zero; BENCH_REGRESSION_PCT overrides. *)
@@ -204,88 +268,94 @@ let regression_threshold_pct =
   | Some s -> ( try float_of_string s with Failure _ -> 25.)
   | None -> 25.
 
-(* Per-experiment deltas vs the previous latest.json.  Every shared
-   timing leaf ([*_s]) is compared; stable best-of means — the perf
-   workloads' wall_mean_s and the merge microbench's *_mean_s — are the
-   gated subset: a slowdown beyond max(threshold, 2σ noise allowance)
-   fails the run.  Single-shot metrics (skew/gj best-of-3, sweep grid
-   cells) are reported but never gate: on a shared vCPU their spread
-   owns the margin.  The gate itself arms only on multi-core runners,
-   same convention as the skew/gj bars. *)
-let compare_with_previous current =
-  match previous_latest with
-  | None ->
-    Printf.printf "no previous bench/results/latest.json — this run is the new baseline\n"
-  | Some old_text -> (
-    match (Json.parse old_text, Json.parse current) with
-    | exception Json.Bad msg ->
-      Printf.printf "regression compare skipped (unreadable results JSON: %s)\n" msg
-    | old_j, new_j ->
-      let old_leaves = Json.leaves old_j in
-      let new_leaves = Json.leaves new_j in
-      let gated path =
-        String.ends_with ~suffix:"_mean_s" path
-        && (String.starts_with ~prefix:"perf." path
-           || String.starts_with ~prefix:"merge." path)
-      in
-      let stddev_for leaves path =
-        (* wall_mean_s -> wall_stddev_s sibling, when recorded *)
-        if String.ends_with ~suffix:"_mean_s" path then
-          let stem = String.sub path 0 (String.length path - String.length "_mean_s") in
-          List.assoc_opt (stem ^ "_stddev_s") leaves
-        else None
-      in
-      let compared = ref 0 in
-      let failures = ref [] in
-      let t =
-        Report.create ~title:"Regression compare vs previous latest.json"
-          ~header:[ "metric"; "prev (s)"; "now (s)"; "delta"; "±σ"; "gate" ]
-      in
-      List.iter
-        (fun (path, now) ->
-          match List.assoc_opt path old_leaves with
-          | None -> ()
-          | Some prev when String.ends_with ~suffix:"_s" path && prev > 1e-9 ->
-            incr compared;
-            let delta_pct = (now -. prev) /. prev *. 100. in
-            let sigma =
-              match (stddev_for old_leaves path, stddev_for new_leaves path) with
-              | Some a, Some b -> Some (a +. b)
-              | _ -> None
-            in
-            let allow =
-              max regression_threshold_pct
-                (match sigma with Some s -> 2. *. s /. prev *. 100. | None -> 0.)
-            in
-            let is_gated = gated path in
-            let failed = is_gated && delta_pct > allow in
-            if failed then failures := (path, delta_pct) :: !failures;
-            (* keep the table readable: gated metrics always shown, the
-               rest only when they moved past the threshold *)
-            if is_gated || Float.abs delta_pct >= regression_threshold_pct then
-              Report.add_row t
-                [ path; Printf.sprintf "%.4f" prev; Printf.sprintf "%.4f" now;
-                  Printf.sprintf "%+.1f%%" delta_pct;
-                  (match sigma with Some s -> Printf.sprintf "%.4f" s | None -> "-");
-                  (if not is_gated then "info"
-                   else if failed then "FAIL"
-                   else "ok") ]
-          | Some _ -> ())
-        new_leaves;
-      Report.print t;
-      Printf.printf "%d shared timing metrics compared (threshold %.0f%%)\n" !compared
-        regression_threshold_pct;
-      if !failures <> [] then begin
-        let cores = Domain.recommended_domain_count () in
-        List.iter
-          (fun (path, pct) ->
-            Printf.eprintf "bench-regression: %s slowed down %.1f%% vs previous run\n" path pct)
-          (List.rev !failures);
-        if cores >= 2 then exit 1
-        else
+(* Per-experiment deltas vs the previous latest.json.  A block is
+   compared only with the previous block of the same experiment on the
+   same core count; otherwise the harness says why it skipped.  Every
+   shared timing leaf ([*_s]) is compared; stable best-of means — the
+   perf workloads' wall_mean_s and the merge microbench's *_mean_s —
+   are the gated subset: a slowdown beyond max(threshold, 2σ noise
+   allowance) fails the run.  Single-shot metrics (skew/gj best-of-3,
+   sweep grid cells) are reported but never gate: on a shared vCPU
+   their spread owns the margin.  The gate itself arms only on
+   multi-core runners, same convention as the skew/gj bars. *)
+let compare_with_previous blocks =
+  let gated path =
+    String.ends_with ~suffix:"_mean_s" path
+    && (String.starts_with ~prefix:"perf." path || String.starts_with ~prefix:"merge." path)
+  in
+  let stddev_for leaves path =
+    (* wall_mean_s -> wall_stddev_s sibling, when recorded *)
+    if String.ends_with ~suffix:"_mean_s" path then
+      let stem = String.sub path 0 (String.length path - String.length "_mean_s") in
+      List.assoc_opt (stem ^ "_stddev_s") leaves
+    else None
+  in
+  let compared = ref 0 in
+  let failures = ref [] in
+  let t =
+    Report.create ~title:"Regression compare vs previous latest.json"
+      ~header:[ "metric"; "prev (s)"; "now (s)"; "delta"; "±σ"; "gate" ]
+  in
+  let compare_block name old_b new_b =
+    let old_leaves = Json.leaves (Json.Obj [ (name, old_b) ]) in
+    let new_leaves = Json.leaves (Json.Obj [ (name, new_b) ]) in
+    List.iter
+      (fun (path, now) ->
+        match List.assoc_opt path old_leaves with
+        | Some prev when String.ends_with ~suffix:"_s" path && prev > 1e-9 ->
+          incr compared;
+          let delta_pct = (now -. prev) /. prev *. 100. in
+          let sigma =
+            match (stddev_for old_leaves path, stddev_for new_leaves path) with
+            | Some a, Some b -> Some (a +. b)
+            | _ -> None
+          in
+          let allow =
+            max regression_threshold_pct
+              (match sigma with Some s -> 2. *. s /. prev *. 100. | None -> 0.)
+          in
+          let is_gated = gated path in
+          let failed = is_gated && delta_pct > allow in
+          if failed then failures := (path, delta_pct) :: !failures;
+          (* keep the table readable: gated metrics always shown, the
+             rest only when they moved past the threshold *)
+          if is_gated || Float.abs delta_pct >= regression_threshold_pct then
+            Report.add_row t
+              [ path; Printf.sprintf "%.4f" prev; Printf.sprintf "%.4f" now;
+                Printf.sprintf "%+.1f%%" delta_pct;
+                (match sigma with Some s -> Printf.sprintf "%.4f" s | None -> "-");
+                (if not is_gated then "info" else if failed then "FAIL" else "ok") ]
+        | Some _ | None -> ())
+      new_leaves
+  in
+  List.iter
+    (fun (name, block) ->
+      match List.assoc_opt name previous_blocks with
+      | None -> Printf.printf "%s: no previous block — this run is its baseline\n" name
+      | Some old_b ->
+        let show = function Some c -> string_of_int c | None -> "an unknown number of" in
+        if block_cores old_b <> block_cores block then
           Printf.printf
-            "(1 hardware thread: the regression gate is informational only on this machine)\n"
-      end)
+            "%s: not compared — the previous block (%s) ran on %s cores, this run on %s\n" name
+            (block_stamp old_b) (show (block_cores old_b)) (show (block_cores block))
+        else compare_block name old_b block)
+    blocks;
+  if !compared > 0 then begin
+    Report.print t;
+    Printf.printf "%d shared timing metrics compared (threshold %.0f%%)\n" !compared
+      regression_threshold_pct
+  end;
+  if !failures <> [] then begin
+    let cores = Domain.recommended_domain_count () in
+    if cores >= 2 then
+      List.iter
+        (fun (path, pct) ->
+          fail_gate "bench-regression: %s slowed down %.1f%% vs previous run" path pct)
+        (List.rev !failures)
+    else
+      Printf.printf
+        "(1 hardware thread: the regression gate is informational only on this machine)\n"
+  end
 
 let write_results () =
   if !json_blocks <> [] then begin
@@ -297,26 +367,36 @@ let write_results () =
         tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
     in
     let file = Filename.concat dir (stamp ^ ".json") in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf (Printf.sprintf "  \"timestamp\": %S,\n" stamp);
-    Buffer.add_string buf (Printf.sprintf "  \"file\": %S,\n" file);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"cores\": %d,\n  \"bench_workers\": %d"
-         (Domain.recommended_domain_count ()) !bench_workers);
-    List.iter
-      (fun (name, block) -> Buffer.add_string buf (Printf.sprintf ",\n  %S: %s" name block))
-      (List.rev !json_blocks);
-    Buffer.add_string buf "\n}\n";
-    let write path =
+    let meta =
+      [ ("timestamp", Json.Str stamp); ("file", Json.Str file);
+        ("cores", Json.Num (float_of_int (Domain.recommended_domain_count ())));
+        ("bench_workers", Json.Num (float_of_int !bench_workers)) ]
+    in
+    let blocks =
+      List.filter_map
+        (fun (name, text) ->
+          match Json.parse text with
+          | Json.Obj members -> Some (name, with_meta meta members)
+          | _ | (exception Json.Bad _) ->
+            Printf.printf "result block %s is not a JSON object; not recorded\n" name;
+            None)
+        (List.rev !json_blocks)
+    in
+    let merged =
+      List.map
+        (fun (name, b) -> (name, Option.value (List.assoc_opt name blocks) ~default:b))
+        previous_blocks
+      @ List.filter (fun (name, _) -> not (List.mem_assoc name previous_blocks)) blocks
+    in
+    let write path blocks =
       let oc = open_out path in
-      output_string oc (Buffer.contents buf);
+      output_string oc (Json.print ~depth:3 (Json.Obj blocks) ^ "\n");
       close_out oc
     in
-    write file;
-    write (Filename.concat dir "latest.json");
-    Printf.printf "\nresults recorded in %s (and %s/latest.json)\n" file dir;
-    compare_with_previous (Buffer.contents buf)
+    write file blocks;
+    write (Filename.concat dir "latest.json") merged;
+    Printf.printf "\nresults recorded in %s (and merged into %s/latest.json)\n" file dir;
+    compare_with_previous blocks
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1057,10 +1137,7 @@ let pool () =
   let gain = (spawn_secs -. persist_secs) /. spawn_secs *. 100. in
   Printf.printf
     "persistent pool dispatch is %.1f%% faster than per-round spawning (target: >= 10%%)\n" gain;
-  if gain < 10. then begin
-    Printf.eprintf "bench-pool: persistent pool gain %.1f%% below the 10%% bar\n" gain;
-    exit 1
-  end
+  if gain < 10. then fail_gate "bench-pool: persistent pool gain %.1f%% below the 10%% bar" gain
 
 (* ------------------------------------------------------------------ *)
 (* smoke: one tiny workload per coordination strategy, for CI          *)
@@ -1223,10 +1300,8 @@ let skew () =
   add_json_block "skew" block;
   let cores = Domain.recommended_domain_count () in
   if cores >= 2 then begin
-    if gain_z < 10. then begin
-      Printf.eprintf "bench-skew: stealing gain %.1f%% on zipf below the 10%% bar\n" gain_z;
-      exit 1
-    end
+    if gain_z < 10. then
+      fail_gate "bench-skew: stealing gain %.1f%% on zipf below the 10%% bar" gain_z
   end
   else
     Printf.printf
@@ -1339,11 +1414,8 @@ let gj () =
        tb_n tb tb_sd tg tg_sd tri_speedup sb_n sb sg_t sg_speedup);
   let cores = Domain.recommended_domain_count () in
   if cores >= 2 then begin
-    if tri_speedup < 2. then begin
-      Printf.eprintf "bench-gj: triangle generic-join speedup %.2fx below the 2x bar\n"
-        tri_speedup;
-      exit 1
-    end
+    if tri_speedup < 2. then
+      fail_gate "bench-gj: triangle generic-join speedup %.2fx below the 2x bar" tri_speedup
   end
   else
     Printf.printf
@@ -1464,10 +1536,8 @@ let merge_bench () =
        pt pt_mean pt_sd bt bt_mean bt_sd speedup);
   let cores = Domain.recommended_domain_count () in
   if cores >= 2 then begin
-    if speedup < 1.3 then begin
-      Printf.eprintf "bench-merge: set-store fold speedup %.2fx below the 1.3x bar\n" speedup;
-      exit 1
-    end
+    if speedup < 1.3 then
+      fail_gate "bench-merge: set-store fold speedup %.2fx below the 1.3x bar" speedup
   end
   else
     Printf.printf
@@ -1709,10 +1779,8 @@ let recover_bench () =
         recovered.D.Run_stats.recoveries recovered.D.Run_stats.rolled_back_tuples ];
   Report.print t;
   Printf.printf "crash-free checkpoint overhead: %.1f%%\n" (100. *. overhead);
-  if recovered.D.Run_stats.recoveries = 0 then begin
-    Printf.eprintf "bench-recover: the seeded fault schedule never triggered a recovery\n";
-    exit 1
-  end;
+  if recovered.D.Run_stats.recoveries = 0 then
+    fail_gate "bench-recover: the seeded fault schedule never triggered a recovery";
   add_json_block "recover"
     (Printf.sprintf
        "{\"dataset\": \"%s\", \"workers\": %d, \"reps\": %d, \"cores\": %d,\n\
@@ -1729,11 +1797,8 @@ let recover_bench () =
        recovered.D.Run_stats.rolled_back_tuples recovered.D.Run_stats.rerun_iterations);
   let cores = Domain.recommended_domain_count () in
   if cores >= 2 then begin
-    if overhead > 0.05 then begin
-      Printf.eprintf "bench-recover: checkpoint overhead %.1f%% above the 5%% bar\n"
-        (100. *. overhead);
-      exit 1
-    end
+    if overhead > 0.05 then
+      fail_gate "bench-recover: checkpoint overhead %.1f%% above the 5%% bar" (100. *. overhead)
   end
   else
     Printf.printf
@@ -1870,10 +1935,8 @@ let serve_bench () =
        m.D.Run_stats.resident_tuples words_per_tuple);
   let cores = Domain.recommended_domain_count () in
   if cores >= 2 then begin
-    if speedup < 5.0 then begin
-      Printf.eprintf "bench-serve: incremental speedup %.1fx below the 5x bar\n" speedup;
-      exit 1
-    end
+    if speedup < 5.0 then
+      fail_gate "bench-serve: incremental speedup %.1fx below the 5x bar" speedup
   end
   else
     Printf.printf
@@ -2046,11 +2109,8 @@ let serve_scaling_bench () =
     gate;
   let cores = Domain.recommended_domain_count () in
   if cores >= 2 then begin
-    if gate < 2.0 then begin
-      Printf.eprintf
-        "bench-serve-scaling: parallel maintenance speedup %.2fx below the 2x bar\n" gate;
-      exit 1
-    end
+    if gate < 2.0 then
+      fail_gate "bench-serve-scaling: parallel maintenance speedup %.2fx below the 2x bar" gate
   end
   else
     Printf.printf
@@ -2118,4 +2178,9 @@ let () =
       Printf.printf "[%s completed in %.1fs]\n%!" id secs)
     to_run;
   write_results ();
-  Printf.printf "\nAll experiments done in %.1fs.\n" (Clock.elapsed total)
+  Printf.printf "\nAll experiments done in %.1fs.\n" (Clock.elapsed total);
+  if !gate_failures <> [] then begin
+    Printf.eprintf "\n%d gate(s) failed:\n" (List.length !gate_failures);
+    List.iter (Printf.eprintf "  %s\n") (List.rev !gate_failures);
+    exit 1
+  end

@@ -180,8 +180,9 @@ let fault_max_crashes_arg =
 
 let checkpoint_every_arg =
   Arg.(value & opt int 0 & info [ "checkpoint-every" ] ~docv:"N"
-         ~doc:"Cut a crash-recovery epoch every N fixpoint iterations (0 = off).  An epoch \
-               is a consistent cut of the recursive stratum's state taken at a globally \
+         ~doc:"Cut a crash-recovery epoch every N fixpoint iterations (0 = off; under SSP \
+               and DWS, once every active worker has run N iterations since the last cut).  \
+               An epoch is a consistent cut of the recursive stratum's state taken at a globally \
                quiescent point; after a worker crash the run can roll back to the last \
                committed epoch instead of aborting.")
 

@@ -78,7 +78,8 @@ type config = Parallel.config = {
   fault : Fault.spec option;
   checkpoint_every : int;
       (** cut a crash-recovery epoch every [n] fixpoint iterations
-          ([0] = off) *)
+          ([0] = off); under SSP/DWS, once every active worker has run
+          [n] iterations since the last cut *)
   max_recoveries : int;
       (** worker crashes one run may recover from by rolling back to
           the last epoch and re-running ([0] = fail fast) *)

@@ -28,8 +28,9 @@ module Arena = Dcd_storage.Arena
    worker mutates post-cut state.
 
    The [requested] flag is the asynchronous strategies' rendezvous: a
-   worker whose local iteration count is [every] past its last cut
-   raises it, and every worker polls it at its loop top and briefly
+   worker raises it once every active worker's local iteration count
+   is [every] past the last cut ([cut_iterations]), and every worker
+   polls it at its loop top and briefly
    forces global quiescence ([Worker.join_cut]) to take the cut.  The
    Global strategy needs neither flag nor extra quiescence — every
    barrier already is a quiescent point, so it cuts in lockstep on a
@@ -73,6 +74,10 @@ let bank t ~worker ~epoch =
   t.banks.(worker).(epoch land 1)
 
 let commit t ~epoch = Atomic.set t.committed epoch
+
+let cut_iterations t ~worker =
+  let e = epoch t in
+  if e = 0 then 0 else (bank t ~worker ~epoch:e).bk_iterations
 
 let request t = Atomic.set t.requested true
 

@@ -49,9 +49,14 @@ val write_bank :
 val commit : t -> epoch:int -> unit
 (** Worker 0 only, after a barrier has collected every bank write. *)
 
+val cut_iterations : t -> worker:int -> int
+(** [worker]'s local iteration count at the committed epoch's cut; [0]
+    before the first commit. *)
+
 val request : t -> unit
-(** Raise the asynchronous cut-request flag (SSP/DWS: a worker [every]
-    iterations past its last cut asks everyone to rendezvous). *)
+(** Raise the asynchronous cut-request flag (SSP/DWS: once every active
+    worker is [every] iterations past the last cut, the worker that
+    sees it asks everyone to rendezvous). *)
 
 val requested : t -> bool
 

@@ -9,11 +9,13 @@ type t = {
   exch : Exchange.t;
   h : Partition.t;
   partial_agg : bool;
+  stores : Rec_store.t array; (* the owner's own store row, by copy id *)
+  ws : Run_stats.worker;
   take_frame : arity:int -> contrib:bool -> Frame.t;
   outbuf : Frame.t array array; (* outbuf.(copy).(dest) *)
 }
 
-let create ~exch ~me ~h ~partial_agg ~take_frame =
+let create ~exch ~me ~h ~partial_agg ~stores ~ws ~take_frame =
   let copies = Exchange.copies exch in
   let n = Exchange.workers exch in
   let outbuf =
@@ -21,20 +23,34 @@ let create ~exch ~me ~h ~partial_agg ~take_frame =
         Array.init n (fun _ ->
             take_frame ~arity:copies.(cid).Exchange.ci_arity ~contrib:(Exchange.contrib exch cid)))
   in
-  { me; exch; h; partial_agg; take_frame; outbuf }
+  { me; exch; h; partial_agg; stores; ws; take_frame; outbuf }
 
-(* [tuple]/[contributor] are Eval's emission scratch: Frame.push copies
-   them into the packed buffer before returning.  The single-target case
-   (the overwhelmingly common one) is specialized so the emit path
-   allocates nothing and does no list traversal — [targets] is the
-   head's copy-id array, resolved once at rule-compile time. *)
-let emitter t ~targets =
+(* Local delivery: one hash probe into the owner's own set store, in
+   place of the frame push, the flush's dedup table, the queue and the
+   drain.  The fold waits in the store for the owner's next
+   [Worker.drain_and_merge] to report it into the deltas. *)
+let fold_local t cid tuple =
+  t.ws.Run_stats.tuples_local <- t.ws.Run_stats.tuples_local + 1;
+  Rec_store.stage_slice t.stores.(cid) ~data:tuple ~off:0 ~cdata:tuple ~coff:0 ~clen:0
+
+(* [tuple]/[contributor] are Eval's emission scratch: Frame.push and the
+   local fold copy them before returning.  The single-target case (the
+   overwhelmingly common one) is specialized so the emit path allocates
+   nothing and does no list traversal — [targets] is the head's copy-id
+   array, resolved once at rule-compile time.  Only that case delivers
+   locally: a multi-copy head ships every copy. *)
+let emitter t ~targets ~local =
   let copies = Exchange.copies t.exch in
   if Array.length targets = 1 then begin
     let cid = targets.(0) in
     let bufs = t.outbuf.(cid) and route = copies.(cid).Exchange.ci_route in
-    fun ~tuple ~contributor ->
-      Frame.push bufs.(Partition.of_tuple t.h ~cols:route tuple) tuple contributor
+    if local && copies.(cid).Exchange.ci_local then
+      fun ~tuple ~contributor ->
+        let dest = Partition.of_tuple t.h ~cols:route tuple in
+        if dest = t.me then fold_local t cid tuple else Frame.push bufs.(dest) tuple contributor
+    else
+      fun ~tuple ~contributor ->
+        Frame.push bufs.(Partition.of_tuple t.h ~cols:route tuple) tuple contributor
   end
   else
     fun ~tuple ~contributor ->
@@ -44,7 +60,8 @@ let emitter t ~targets =
         Frame.push t.outbuf.(cid).(dest) tuple contributor
       done
 
-let flush t ~ws =
+let flush t =
+  let ws = t.ws in
   let copies = Exchange.copies t.exch in
   let n = Exchange.workers t.exch in
   for cid = 0 to Array.length copies - 1 do

@@ -17,6 +17,7 @@ type copy_info = {
   ci_arity : int;
   ci_agg : (int * Ast.agg_kind) option;
   ci_probed : bool;
+  ci_local : bool;
 }
 
 let build_copies (sp : Physical.stratum_plan) =
@@ -32,13 +33,18 @@ let build_copies (sp : Physical.stratum_plan) =
     (fun (pp : Physical.pred_plan) ->
       List.iter
         (fun route ->
+          let ci_probed = List.mem (pp.pred, route) !probed in
           copies :=
             {
               ci_pred = pp.pred;
               ci_route = route;
               ci_arity = pp.arity;
               ci_agg = pp.agg;
-              ci_probed = List.mem (pp.pred, route) !probed;
+              ci_probed;
+              (* no thief reads an unprobed set copy during the
+                 stratum, so its owner may fold into it while morsels
+                 are out (see Distribute.emitter) *)
+              ci_local = pp.agg = None && not ci_probed;
             }
             :: !copies)
         pp.routes)

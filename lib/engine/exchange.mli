@@ -32,10 +32,17 @@ type copy_info = {
   ci_arity : int;
   ci_agg : (int * Dcd_datalog.Ast.agg_kind) option;
   ci_probed : bool; (** some rule of the stratum looks this copy up *)
+  ci_local : bool;
+      (** a set copy no rule looks up: a worker's own pipelines fold the
+          tuples a single-target head routes to that worker straight
+          into its store ({!Distribute.emitter}) instead of shipping
+          them here *)
 }
 
 val build_copies : Physical.stratum_plan -> copy_info array
-(** One copy per (predicate, route), in plan order. *)
+(** One copy per (predicate, route), in plan order.  [ci_local] is
+    derived here from the plan ([ci_agg = None] and not [ci_probed]);
+    nothing else sets it. *)
 
 val copy_id : copy_info array -> string -> int array -> int
 (** Resolves a (pred, route) pair to its copy id by linear scan.  Only

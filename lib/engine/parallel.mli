@@ -78,7 +78,8 @@ type config = {
       (** cut a recovery epoch every [n] fixpoint iterations ([0], the
           default, disables checkpointing).  Under the Global strategy
           the cut is taken at the vote barrier — already a quiescent
-          point; SSP/DWS briefly rendezvous to force one. *)
+          point; SSP/DWS briefly rendezvous to force one, once every
+          active worker has run [n] iterations since the last cut. *)
   max_recoveries : int;
       (** how many worker crashes one run may transparently recover
           from by rolling back to the last committed epoch (or the

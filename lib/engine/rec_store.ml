@@ -289,9 +289,16 @@ type snapshot =
   | Snap_set of int (* slot count *)
   | Snap_agg of Agg_table.snapshot
 
+(* A set store's cut must hold only reported tuples: a fold that no
+   [merge_run] reported is in no delta the epoch banks, so a run
+   resumed from the cut would keep the tuple but never derive its
+   consequences. *)
 let snapshot t =
   match t.store with
-  | Set s -> Snap_set (Tuple_table.slots s.table)
+  | Set s ->
+    let slots = Tuple_table.slots s.table in
+    if s.mark < slots then invalid_arg "Rec_store.snapshot: folds not yet reported by merge_run";
+    Snap_set slots
   | Agg { table; _ } -> Snap_agg (Agg_table.snapshot table)
 
 (* Restores the store to the snapshotted state, returning the number of

@@ -138,6 +138,15 @@ type snapshot
     ({!Dcd_storage.Agg_table.snapshot}). *)
 
 val snapshot : t -> snapshot
+(** The store's state for a checkpoint cut.  Every cut follows a
+    {!Worker.drain_and_merge}, which reports every fold, drained or
+    locally delivered; a set store therefore holds no unreported tuple
+    when it is snapshotted, and a tuple folded after the cut lies past
+    the slot count, so {!rollback} drops it.
+    @raise Invalid_argument on a set store holding folds that no
+    {!merge_run} has reported: the cut would keep tuples that no banked
+    delta carries, and a run resumed from it would silently lose their
+    consequences. *)
 
 val rollback : t -> snapshot -> int
 (** Restores the store to exactly the snapshotted state: a set store

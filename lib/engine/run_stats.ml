@@ -2,6 +2,7 @@ type worker = {
   mutable iterations : int;
   mutable tuples_processed : int;
   mutable tuples_sent : int;
+  mutable tuples_local : int;
   mutable batches_sent : int;
   mutable words_sent : int;
   mutable tuples_drained : int;
@@ -108,6 +109,7 @@ let fresh_worker () =
     iterations = 0;
     tuples_processed = 0;
     tuples_sent = 0;
+    tuples_local = 0;
     batches_sent = 0;
     words_sent = 0;
     tuples_drained = 0;
@@ -142,6 +144,8 @@ let total_wait t =
     0. t.strata
 
 let total_sent t = sum_strata t (fun w -> w.tuples_sent)
+
+let total_local t = sum_strata t (fun w -> w.tuples_local)
 
 let total_words t = sum_strata t (fun w -> w.words_sent)
 
@@ -205,10 +209,10 @@ let stratum_imbalance s =
 
 let pp fmt t =
   Format.fprintf fmt
-    "total wall %.3fs, %d global iterations, %.3fs idle, %d tuples sent, %d steals (%d tuples), \
-     busy imbalance %.2f@."
-    t.total_wall (total_iterations t) (total_wait t) (total_sent t) (total_steals t)
-    (total_stolen_tuples t) (busy_imbalance t);
+    "total wall %.3fs, %d global iterations, %.3fs idle, %d tuples sent, %d delivered locally, \
+     %d steals (%d tuples), busy imbalance %.2f@."
+    t.total_wall (total_iterations t) (total_wait t) (total_sent t) (total_local t)
+    (total_steals t) (total_stolen_tuples t) (busy_imbalance t);
   let r = t.recovery in
   if r.recoveries > 0 || r.epochs_cut > 0 then
     Format.fprintf fmt
@@ -243,9 +247,10 @@ let pp fmt t =
       Array.iteri
         (fun i w ->
           Format.fprintf fmt
-            "    w%d: %d iters, %d in, %d out (%d batches, %d words), %d morsels (%d stolen, %d \
-             tuples), busy %.3fs, idle %.3fs@."
+            "    w%d: %d iters, %d in, %d out (%d batches, %d words), %d local, %d morsels (%d \
+             stolen, %d tuples), busy %.3fs, idle %.3fs@."
             i w.iterations w.tuples_processed w.tuples_sent w.batches_sent w.words_sent
+            w.tuples_local
             w.morsels_executed w.steals w.stolen_tuples w.busy_time w.wait_time;
           Format.fprintf fmt
             "        merge %.3fs: %d merged, %d dups dropped, cache %d hit / %d miss@."

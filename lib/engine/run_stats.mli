@@ -8,7 +8,12 @@
 type worker = {
   mutable iterations : int; (** local iterations executed *)
   mutable tuples_processed : int;
-  mutable tuples_sent : int;
+  mutable tuples_sent : int; (** tuples pushed through the exchange *)
+  mutable tuples_local : int;
+      (** tuples this worker's own pipelines routed to itself and folded
+          straight into its own store, bypassing the exchange (local
+          delivery: set copies no rule looks up).  Never counted in
+          [tuples_sent] or [tuples_drained] *)
   mutable batches_sent : int;
       (** batch objects pushed into the exchange; each batch costs one
           queue push and one termination-counter update regardless of
@@ -140,6 +145,10 @@ val total_wait : t -> float
 (** Total idle time across all workers and strata. *)
 
 val total_sent : t -> int
+
+val total_local : t -> int
+(** Tuples delivered locally (folded by their deriving worker into its
+    own store) across all workers and strata. *)
 
 val total_words : t -> int
 (** Exchange payload ints across all workers and strata. *)

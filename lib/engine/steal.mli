@@ -11,8 +11,10 @@
     Safety rests on two invariants, enforced by {!Worker}:
 
     - {e frozen-victim window}: between publishing morsels and the
-      pending counter returning to zero, the owner mutates neither its
-      recursive stores nor the published arenas, so a thief may execute
+      pending counter returning to zero, the owner mutates neither the
+      recursive stores thieves read (the copies some rule looks up) nor
+      the published arenas — its local deliveries touch only copies no
+      rule looks up — so a thief may execute
       stolen morsels against pipelines bound to the {e victim's} stores
       (recursive lookups must probe the victim's partition — the
       discriminating hash put the matching tuples there) while emitting

@@ -254,6 +254,10 @@ type t = {
   me : int;
   ws : Run_stats.worker;
   stores : Rec_store.t array; (* own partition: stores.(me) of the run matrix *)
+  local_cids : int array;
+      (* copies whose stores may hold local folds (Exchange.ci_local):
+         the ones [drain_and_merge] must report even when the exchange
+         delivered nothing; empty for a stratum without such copies *)
   deltas : Arena.t array;
   (* Per-iteration group index for aggregate copies: the Gather operator
      emits ONE delta entry per changed group, holding the current
@@ -276,7 +280,6 @@ type t = {
   steal_delta_pipes : Eval.prepared list array array;
   steal_init_pipes : Eval.prepared list array array;
   mutable on_batch : Exchange.batch -> unit;
-  mutable last_cut : int; (* local iteration count at the last epoch cut *)
 }
 
 let me t = t.me
@@ -324,6 +327,7 @@ let create ~shared:sh ~scratch:sc ~stratum:sx ~me ~stores:all_stores ~ws =
   in
   let dist =
     Distribute.create ~exch:sh.exch ~me ~h:sx.sx_h ~partial_agg:sx.sx_partial_agg
+      ~stores:own_stores ~ws
       ~take_frame:(fun ~arity ~contrib -> take_frame sc ~arity ~contrib)
   in
   (* one evaluation context per store row the pipelines may probe: own
@@ -359,19 +363,26 @@ let create ~shared:sh ~scratch:sc ~stratum:sx ~me ~stores:all_stores ~ws =
   in
   (* Rules prepared once per worker and stratum: lookups resolve to
      their store or index, and the scanned copy and the head's
-     distribution targets to integer ids, here, at setup time. *)
-  let prep ctx (rules : (Physical.compiled_rule * int array) list) =
+     distribution targets to integer ids, here, at setup time.  Own
+     pipelines deliver self-routed tuples locally; steal pipelines ship
+     everything (see Distribute.emitter). *)
+  let prep ~local ctx (rules : (Physical.compiled_rule * int array) list) =
     List.map
       (fun ((cr : Physical.compiled_rule), targets) ->
-        Eval.prepare cr ctx ~emit:(Distribute.emitter dist ~targets))
+        Eval.prepare cr ctx ~emit:(Distribute.emitter dist ~targets ~local))
       rules
   in
-  let own_ctx = ctx_for own_stores in
+  let own_prep = prep ~local:true (ctx_for own_stores) in
   let steal_on = Steal.enabled sh.steal in
   let steal_pipes_of groups =
     Array.init sh.n (fun v ->
         if (not steal_on) || v = me then [||]
-        else Array.map (fun (_, rules) -> prep (ctx_for all_stores.(v)) rules) groups)
+        else Array.map (fun (_, rules) -> prep ~local:false (ctx_for all_stores.(v)) rules) groups)
+  in
+  let local_cids =
+    List.init (Array.length copies) Fun.id
+    |> List.filter (fun cid -> copies.(cid).Exchange.ci_local)
+    |> Array.of_list
   in
   let w =
     {
@@ -381,17 +392,17 @@ let create ~shared:sh ~scratch:sc ~stratum:sx ~me ~stores:all_stores ~ws =
       me;
       ws;
       stores = own_stores;
+      local_cids;
       deltas;
       delta_groups;
       dist;
-      delta_pipes = Array.map (fun (_, rules) -> prep own_ctx rules) sx.sx_delta_groups;
-      init_pipes = Array.map (fun (_, rules) -> prep own_ctx rules) sx.sx_init_groups;
+      delta_pipes = Array.map (fun (_, rules) -> own_prep rules) sx.sx_delta_groups;
+      init_pipes = Array.map (fun (_, rules) -> own_prep rules) sx.sx_init_groups;
       init_arenas = Array.map fst sx.sx_init_groups;
-      unit_pipes = prep own_ctx sx.sx_init_unit;
+      unit_pipes = own_prep sx.sx_init_unit;
       steal_delta_pipes = steal_pipes_of sx.sx_delta_groups;
       steal_init_pipes = steal_pipes_of sx.sx_init_groups;
       on_batch = ignore;
-      last_cut = 0;
     }
   in
   w.on_batch <- stage_batch w;
@@ -407,7 +418,20 @@ let frozen w = w.sh.max_iterations > 0 && w.ws.iterations >= w.sh.max_iterations
 
 let flush_outgoing w =
   w.sh.inject Fault.Flush ~worker:w.me;
-  Distribute.flush w.dist ~ws:w.ws
+  Distribute.flush w.dist
+
+(* Reports one store's folds since its last [merge_run] into the
+   deltas: drained and locally delivered tuples alike. *)
+let report_store w cid =
+  let store = w.stores.(cid) in
+  if Rec_store.staged store > 0 then begin
+    let merged, dups = Rec_store.merge_run store ~on_fresh:(push_delta w cid) in
+    w.ws.merged_tuples <- w.ws.merged_tuples + merged;
+    w.ws.dup_dropped <- w.ws.dup_dropped + dups
+  end
+
+let holds_local_folds w =
+  Array.exists (fun cid -> Rec_store.staged w.stores.(cid) > 0) w.local_cids
 
 let drain_and_merge w =
   let t0 = Clock.now () in
@@ -432,14 +456,21 @@ let drain_and_merge w =
        because only the worker itself ever clears its own active flag.
        An aggregate store folds its staged run here, in one sorted
        pass. *)
-    let stores = w.stores in
-    for cid = 0 to Array.length stores - 1 do
-      if Rec_store.staged stores.(cid) > 0 then begin
-        let merged, dups = Rec_store.merge_run stores.(cid) ~on_fresh:(push_delta w cid) in
-        w.ws.merged_tuples <- w.ws.merged_tuples + merged;
-        w.ws.dup_dropped <- w.ws.dup_dropped + dups
-      end
+    for cid = 0 to Array.length w.stores - 1 do
+      report_store w cid
     done;
+    w.ws.merge_time <- w.ws.merge_time +. (Clock.now () -. t0)
+  end
+  else if holds_local_folds w then begin
+    (* Nothing arrived, but this worker's own pipelines folded tuples
+       locally: report them now, or the delta check that follows would
+       miss them.  The worker is still Termination-active (it folds
+       only while active), and local folds touch no counter.  The merge
+       fault site stays reachable on a run where every tuple is
+       local. *)
+    w.sh.inject Fault.Merge ~worker:w.me;
+    w.sh.heartbeats.(w.me) <- w.sh.heartbeats.(w.me) + 1;
+    Array.iter (report_store w) w.local_cids;
     w.ws.merge_time <- w.ws.merge_time +. (Clock.now () -. t0)
   end;
   total
@@ -498,7 +529,7 @@ let try_steal w =
          pinned active by this outstanding morsel — otherwise a peer's
          quiescence snapshot could certify an empty system with stolen
          tuples still privately buffered here. *)
-      Distribute.flush w.dist ~ws:w.ws;
+      Distribute.flush w.dist;
       Steal.complete st m;
       let dt = Clock.now () -. t0 in
       w.ws.busy_time <- w.ws.busy_time +. dt;
@@ -580,7 +611,8 @@ let run_iteration w =
       w.sx.sx_delta_groups;
   let own = Clock.now () -. t0 in
   (* join before clearing: stolen morsels still range over our delta
-     arenas, and our stores must stay frozen until the last one is back *)
+     arenas, and the stores they probe must stay frozen until the last
+     one is back *)
   if Steal.enabled st then join_morsels w;
   let t1 = Clock.now () in
   clear_deltas w;
@@ -619,7 +651,6 @@ let cut_epoch_local w =
     Checkpoint.write_bank bank
       ~snaps:(Array.map Rec_store.snapshot w.stores)
       ~deltas:w.deltas ~iterations:w.ws.iterations;
-    w.last_cut <- w.ws.iterations;
     w.ws.checkpoint_time <- w.ws.checkpoint_time +. (Clock.now () -. t0)
 
 (* The commit dance: everyone cuts into the uncommitted bank, a barrier
@@ -649,10 +680,26 @@ let cut_due_global w ~pass =
 let cut_pending w =
   match w.sh.ckpt with Some c -> Checkpoint.requested c | None -> false
 
+(* A cut stops every worker until the slowest has finished the
+   iteration it is in, so it is requested only once every
+   Termination-active worker, this one included, has run [every]
+   iterations since the last cut.  Counted on this worker alone, a fast
+   worker racing through small late deltas would stop its peers in the
+   middle of their large ones, once per [every] of its own
+   iterations. *)
 let maybe_request_cut w =
   match w.sh.ckpt with
-  | Some c when w.ws.iterations - w.last_cut >= Checkpoint.every c -> Checkpoint.request c
-  | Some _ | None -> ()
+  | None -> ()
+  | Some c ->
+    let term = Exchange.term w.sh.exch in
+    let rec due j =
+      j = w.sh.n
+      || ((j <> w.me && not (Termination.is_active term ~worker:j))
+         || Atomic.get w.sh.iter_counts.(j) - Checkpoint.cut_iterations c ~worker:j
+            >= Checkpoint.every c)
+         && due (j + 1)
+    in
+    if due 0 then Checkpoint.request c
 
 (* SSP/DWS cut rendezvous: the asynchronous strategies have no natural
    quiescent point, so a pending request briefly forces one.  Barrier 1
@@ -704,7 +751,6 @@ let restore w =
           end)
         bank.Checkpoint.bk_deltas;
       w.ws.iterations <- bank.Checkpoint.bk_iterations;
-      w.last_cut <- bank.Checkpoint.bk_iterations;
       Atomic.set w.sh.iter_counts.(w.me) bank.Checkpoint.bk_iterations;
       true
     end

@@ -146,13 +146,29 @@ val drain_and_merge : t -> int
     aggregate store's run; after the termination counters,
     {!Rec_store.merge_run} reports each store's new tuples into the
     deltas (a set store's in arrival order) and folds each aggregate
-    run with one sorted index walk.  Returns the tuple count drained. *)
+    run with one sorted index walk.
+
+    It also reports the tuples this worker's own pipelines delivered
+    locally ({!Distribute.emitter}), even when the exchange delivered
+    nothing: without that, the next {!delta_size} read, or Global's
+    vote, would miss them.  Only the copies that can hold local folds
+    ([ci_local]) are checked, so a stratum with none runs exactly the
+    exchange drain.  A drain that reports local folds alone evaluates
+    the [Merge] fault site once and touches no termination counter:
+    local folds are never sent, so they are never consumed.  Returns
+    the tuple count drained from the exchange. *)
 
 val run_iteration : t -> unit
 (** One local semi-naive iteration: evaluate every delta rule group over
     the current delta arenas (publishing large scans as stealable
     morsels and joining on their completion when the board is on), clear
-    them, flush the produced tuples. *)
+    them, flush the produced tuples.  A tuple the own pipelines route to
+    this worker for a [ci_local] copy is folded into its store during
+    the iteration instead and waits there for the next
+    {!drain_and_merge}.  The caller must hold the worker
+    Termination-active (SSP and DWS set the flag first; Global never
+    clears it), so a quiescence check cannot certify the run while the
+    folds are unreported. *)
 
 val steal_enabled : t -> bool
 (** The morsel board is on for this stratum (workers > 1 and the config
@@ -162,7 +178,10 @@ val try_steal : t -> bool
 (** One steal attempt: claim a morsel from the most-loaded peer, execute
     it against the victim's stores, flush the emissions through this
     worker's own exchange row, then release it.  Returns [false] when
-    nothing was claimed.  Accounts its own busy time, steal counters and
+    nothing was claimed.  A stolen morsel delivers nothing locally, not
+    even tuples routed to the thief: the thief may be
+    Termination-inactive, and only sent tuples keep the quiescence check
+    honest.  Accounts its own busy time, steal counters and
     service-model samples. *)
 
 val await_barrier : t -> unit
@@ -208,8 +227,11 @@ val cut_due_global : t -> pass:int -> bool
 (** Whether the Global strategy's lockstep pass count says to cut. *)
 
 val maybe_request_cut : t -> unit
-(** SSP/DWS: raise the cut-request flag when this worker is
-    [checkpoint_every] local iterations past its last cut. *)
+(** SSP/DWS, after an iteration: raise the cut-request flag once every
+    Termination-active worker, this one included, is
+    [checkpoint_every] local iterations past the last cut.  The
+    rendezvous waits for the slowest worker's current iteration, so the
+    slowest active worker's progress sets the pace. *)
 
 val cut_pending : t -> bool
 

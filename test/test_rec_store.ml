@@ -220,6 +220,32 @@ let test_merge_slice_after_stage opts =
   Alcotest.(check bool) "merge_slice folds once the mark caught up" true
     (merge_slice [| 3; 4 |] <> None)
 
+(* A cut must not keep a fold that no delta carries: a set store
+   refuses to snapshot while it holds tuples merge_run has not reported
+   (a local delivery, or a drained candidate), accepts once they are
+   reported, and is not bothered by duplicates, which add no slot. *)
+let test_snapshot_refuses_unreported opts =
+  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~indexed:false ~opts () in
+  let stage tup = Rs.stage_slice s ~data:tup ~off:0 ~cdata:tup ~coff:0 ~clen:0 in
+  let refuses label =
+    match Rs.snapshot s with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (label ^ ": snapshot must refuse unreported folds")
+  in
+  stage [| 1; 2 |];
+  refuses "first fold";
+  let fresh = ref 0 in
+  ignore (Rs.merge_run s ~on_fresh:(fun _ _ -> incr fresh));
+  Alcotest.(check int) "the refused snapshot left the fold to report" 1 !fresh;
+  let snap = Rs.snapshot s in
+  stage [| 1; 2 |];
+  ignore (Rs.snapshot s);
+  stage [| 3; 4 |];
+  refuses "fold after a duplicate";
+  ignore (Rs.merge_run s ~on_fresh:(fun _ _ -> ()));
+  Alcotest.(check int) "rollback drops the fold made after the cut" 1 (Rs.rollback s snap);
+  Alcotest.(check int) "back to the cut" 1 (Rs.length s)
+
 let test_merge_run_set = merge_run_matches_per_tuple ~agg:None ~contrib:false "set: merge_run = per-tuple merges"
 let test_merge_run_min = merge_run_matches_per_tuple ~agg:(Some (1, Ast.Min)) ~contrib:false "min: merge_run = per-tuple merges"
 let test_merge_run_max = merge_run_matches_per_tuple ~agg:(Some (1, Ast.Max)) ~contrib:false "max: merge_run = per-tuple merges"
@@ -329,6 +355,8 @@ let () =
           Alcotest.test_case "stage + merge_run" `Quick (for_all_opts test_stage_and_merge_run);
           Alcotest.test_case "merge_slice after stage_slice" `Quick
             (for_all_opts test_merge_slice_after_stage);
+          Alcotest.test_case "snapshot refuses unreported folds" `Quick
+            (for_all_opts test_snapshot_refuses_unreported);
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest

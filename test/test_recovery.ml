@@ -110,6 +110,32 @@ let test_agg_min_rollback () =
   | Some t -> Alcotest.(check (list int)) "improvement re-derives" [ 1; 3 ] (tuple_of t)
   | None -> Alcotest.fail "rolled-back improvement must re-derive"
 
+(* --- the cut trigger's baseline --- *)
+
+(* SSP/DWS request a cut once every active worker is [every] iterations
+   past the last cut, counted from the committed epoch's banks: 0 before
+   the first commit, each worker's own count at the cut after it, and a
+   bank written for an epoch not yet committed moves nothing. *)
+let test_cut_iterations () =
+  let module C = Dcd_engine.Checkpoint in
+  let c = C.create ~workers:2 ~every:4 in
+  let cut epoch counts =
+    List.iteri
+      (fun worker n ->
+        C.write_bank (C.bank c ~worker ~epoch) ~snaps:[||] ~deltas:[||] ~iterations:n)
+      counts
+  in
+  let base () = List.init 2 (fun worker -> C.cut_iterations c ~worker) in
+  Alcotest.(check (list int)) "before the first commit" [ 0; 0 ] (base ());
+  cut 1 [ 5; 7 ];
+  Alcotest.(check (list int)) "epoch 1 written, not committed" [ 0; 0 ] (base ());
+  C.commit c ~epoch:1;
+  Alcotest.(check (list int)) "epoch 1 committed" [ 5; 7 ] (base ());
+  cut 2 [ 9; 8 ];
+  Alcotest.(check (list int)) "epoch 2 written, not committed" [ 5; 7 ] (base ());
+  C.commit c ~epoch:2;
+  Alcotest.(check (list int)) "epoch 2 committed" [ 9; 8 ] (base ())
+
 (* --- domain replacement --- *)
 
 exception Boom
@@ -215,6 +241,40 @@ let test_recovered_nonlinear_matches_oracle () =
     Alcotest.(check bool) "tuples were rolled back" true (rcv.D.Run_stats.rolled_back_tuples > 0)
   | Error e -> Alcotest.fail ("front end: " ^ e)
 
+(* Linear TC delivers every recursive derivation locally: a worker's
+   own pipelines fold it into its own store, and only the next drain
+   reports it.  With an epoch cut every iteration and crashes at the
+   loop top, the flush and the merge (the site a drain that reports
+   only local folds still passes), a crash lands between a fold and
+   its report, and rollback must drop what the cut did not cover. *)
+let test_recovered_local_delivery_matches_oracle () =
+  let expected = oracle D.Queries.tc.D.Queries.source [ ("arc", graph) ] "tc" in
+  let config =
+    recovery_config ~strategy:D.Coord.dws ~steal:true ~workers:4 ~crash_prob:0.05 ~max_crashes:3
+  in
+  let config =
+    {
+      config with
+      checkpoint_every = 1;
+      fault =
+        Option.map
+          (fun f -> { f with D.Fault.crash_sites = [ D.Fault.Loop; D.Fault.Flush; D.Fault.Merge ] })
+          config.D.fault;
+    }
+  in
+  match run_tc ~config with
+  | Ok r ->
+    let st = r.D.Parallel.stats in
+    Alcotest.(check (list (list int)))
+      "recovered fixpoint equals oracle" expected
+      (List.sort compare (D.relation r "tc"));
+    Alcotest.(check bool) "at least one recovery happened" true
+      (st.D.Run_stats.recovery.D.Run_stats.recoveries >= 1);
+    Alcotest.(check bool) "tuples were rolled back" true
+      (st.D.Run_stats.recovery.D.Run_stats.rolled_back_tuples > 0);
+    Alcotest.(check bool) "tuples were delivered locally" true (D.Run_stats.total_local st > 0)
+  | Error e -> Alcotest.fail ("front end: " ^ e)
+
 let test_crash_free_checkpoints_are_invisible () =
   let expected = oracle D.Queries.tc.D.Queries.source [ ("arc", graph) ] "tc" in
   List.iter
@@ -294,6 +354,7 @@ let () =
           Alcotest.test_case "agg count rollback" `Quick test_agg_count_rollback;
           Alcotest.test_case "agg sum rollback" `Quick test_agg_sum_rollback;
           Alcotest.test_case "agg min rollback" `Quick test_agg_min_rollback;
+          Alcotest.test_case "cut trigger baseline" `Quick test_cut_iterations;
         ] );
       ("pool", [ Alcotest.test_case "replace crashed domain" `Quick test_pool_replace ]);
       ( "end-to-end",
@@ -302,6 +363,8 @@ let () =
             test_recovered_run_matches_oracle;
           Alcotest.test_case "recovered non-linear run matches oracle" `Quick
             test_recovered_nonlinear_matches_oracle;
+          Alcotest.test_case "recovered local-delivery run matches oracle" `Quick
+            test_recovered_local_delivery_matches_oracle;
           Alcotest.test_case "crash-free checkpoints invisible" `Quick
             test_crash_free_checkpoints_are_invisible;
           Alcotest.test_case "recovery disabled fails fast" `Quick
