@@ -402,9 +402,8 @@ let write_results () =
 (* ------------------------------------------------------------------ *)
 (* engine helpers                                                      *)
 
-let config ?(max_iterations = 0) ?(opts = D.Rec_store.default_opts) ?(workers = !bench_workers)
-    strategy =
-  { D.default_config with workers; strategy; max_iterations; store_opts = opts }
+let config ?(max_iterations = 0) ?(optimized = true) ?(workers = !bench_workers) strategy =
+  { D.default_config with workers; strategy; max_iterations; optimized_stores = optimized }
 
 let time_run prepared edb cfg =
   let result, elapsed = Clock.time (fun () -> D.run prepared ~edb ~config:cfg ()) in
@@ -427,10 +426,10 @@ let strategies =
   [ ("Seq", `Seq); ("Global", `Global); ("SSP(5)", `Ssp); ("DWS", `Dws) ]
 
 let cfg_of = function
-  | `Seq -> config ~workers:1 D.Coord.dws
+  | `Seq -> config ~workers:1 D.Coord.Dws
   | `Global -> config D.Coord.Global
   | `Ssp -> config (D.Coord.Ssp 5)
-  | `Dws -> config D.Coord.dws
+  | `Dws -> config D.Coord.Dws
 
 (* ------------------------------------------------------------------ *)
 (* dataset assembly                                                    *)
@@ -474,7 +473,7 @@ let fig1 () =
   let sims =
     List.map
       (fun (name, strat) -> (name, (Sim.run spec ~strategy:strat ~params:Sim.default_params).makespan))
-      [ ("Global", D.Coord.Global); ("SSP(5)", D.Coord.Ssp 5); ("DWS", D.Coord.dws) ]
+      [ ("Global", D.Coord.Global); ("SSP(5)", D.Coord.Ssp 5); ("DWS", D.Coord.Dws) ]
   in
   let dws = List.assoc "DWS" sims in
   List.iter
@@ -575,10 +574,8 @@ let tab4 () =
       List.iter
         (fun ds ->
           let edb = edb_of ds in
-          let unopt, n1 =
-            run_query spec edb (config ~opts:D.Rec_store.unoptimized_opts D.Coord.dws)
-          in
-          let opt, n2 = run_query spec edb (config D.Coord.dws) in
+          let unopt, n1 = run_query spec edb (config ~optimized:false D.Coord.Dws) in
+          let opt, n2 = run_query spec edb (config D.Coord.Dws) in
           assert (n1 = n2);
           Report.add_row t
             [ qname; ds; Report.cell_time unopt; Report.cell_time opt;
@@ -617,7 +614,7 @@ let fig3 () =
       (fun (name, strat) ->
         let o = Sim.run spec ~strategy:strat ~params:Sim.default_params in
         (name, o))
-      [ ("Global", D.Coord.Global); ("SSP(1)", D.Coord.Ssp 1); ("DWS", D.Coord.dws) ]
+      [ ("Global", D.Coord.Global); ("SSP(1)", D.Coord.Ssp 1); ("DWS", D.Coord.Dws) ]
   in
   let global = (snd (List.hd results)).makespan in
   List.iter
@@ -666,7 +663,7 @@ let fig8 () =
   List.iter
     (fun (qname, spec) ->
       let m strat = (Sim.run spec ~strategy:strat ~params:Sim.default_params).makespan in
-      let global = m D.Coord.Global and ssp = m (D.Coord.Ssp 5) and dws = m D.Coord.dws in
+      let global = m D.Coord.Global and ssp = m (D.Coord.Ssp 5) and dws = m D.Coord.Dws in
       Report.add_row t2
         [ qname; Report.cell_float ~decimals:0 global; Report.cell_float ~decimals:0 ssp;
           Report.cell_float ~decimals:0 dws; Report.cell_speedup (global /. dws) ])
@@ -686,7 +683,7 @@ let fig9a () =
   in
   let workers = [ 1; 2; 4; 8; 16; 32; 64 ] in
   let curve make =
-    Sim.speedup_curve make ~strategy:D.Coord.dws ~params:Sim.default_params ~workers
+    Sim.speedup_curve make ~strategy:D.Coord.Dws ~params:Sim.default_params ~workers
   in
   let cc = curve (fun ~workers -> Sim.cc ~graph:g ~workers) in
   let sssp = curve (fun ~workers -> Sim.sssp ~graph:g ~source:1 ~workers) in
@@ -709,7 +706,7 @@ let fig9a () =
   let edb = cc_edb "livejournal-sim" in
   List.iter
     (fun w ->
-      let secs, _ = run_query D.Queries.cc edb (config ~workers:w D.Coord.dws) in
+      let secs, _ = run_query D.Queries.cc edb (config ~workers:w D.Coord.Dws) in
       Report.add_row t2 [ string_of_int w; Report.cell_time secs ])
     [ 1; 2; 4 ];
   Report.print t2;
@@ -836,7 +833,7 @@ let join_alloc () =
 let micro () =
   let open Bechamel in
   let module Bptree = Dcd_btree.Bptree in
-  let module Spsc = Dcd_concurrent.Spsc_queue in
+  let module Chunk = Dcd_concurrent.Chunk_queue in
   let module Locked = Dcd_concurrent.Locked_queue in
   let keys = Array.init 10_000 (fun i -> [| (i * 7919) mod 10_000; i |]) in
   let prefilled = lazy (
@@ -852,12 +849,12 @@ let micro () =
       Test.make ~name:"btree-probe-10k" (Staged.stage (fun () ->
           let t = Lazy.force prefilled in
           Array.iter (fun k -> ignore (Bptree.find_opt t k)) keys));
-      Test.make ~name:"spsc-queue-xfer-10k" (Staged.stage (fun () ->
-          let q = Spsc.create ~capacity:16384 in
+      Test.make ~name:"chunk-queue-xfer-10k" (Staged.stage (fun () ->
+          let q = Chunk.create ~chunk:64 () in
           for i = 1 to 10_000 do
-            ignore (Spsc.try_push q i)
+            Chunk.push q i
           done;
-          ignore (Spsc.drain q (fun _ -> ()))));
+          ignore (Chunk.drain q (fun _ -> ()))));
       Test.make ~name:"locked-queue-xfer-10k" (Staged.stage (fun () ->
           let q = Locked.create () in
           for i = 1 to 10_000 do
@@ -891,7 +888,8 @@ let micro () =
     tests;
   Report.print t;
   print_endline
-    "ablation notes: the SPSC queue vs the lock-based queue is the SS6.1 claim;\n\
+    "ablation notes: the SPSC chunk queue (the exchange's buffers) vs the\n\
+     lock-based queue is the SS6.1 claim;\n\
      the B-tree probe cost motivates the SS6.2.2 existence cache.";
   join_alloc ()
 
@@ -969,7 +967,7 @@ let gc_words () =
   (s.Gc.minor_words, s.Gc.major_words, s.Gc.promoted_words)
 
 let perf_row name dataset (spec : D.Queries.spec) edb =
-  let cfg = config ~workers:4 D.Coord.dws in
+  let cfg = config ~workers:4 D.Coord.Dws in
   let best = ref None in
   let times = ref [] in
   for _ = 1 to bench_reps ~default:3 do
@@ -1115,7 +1113,7 @@ let pool () =
   let edb =
     [ ("seed", D.tuples [ [ 1 ] ]); ("e", List.assoc "arc" (D.Queries.arc_edb (D.Datasets.rmat 200))) ]
   in
-  let result, secs = time_run prepared edb (config ~workers:pool_workers D.Coord.dws) in
+  let result, secs = time_run prepared edb (config ~workers:pool_workers D.Coord.Dws) in
   let stats = result.D.Parallel.stats in
   let t2 =
     Report.create
@@ -1148,7 +1146,7 @@ let smoke () =
   let g = D.Datasets.rmat 80 in
   let edb = D.Queries.warc_edb g in
   let expected =
-    let _, n = run_query D.Queries.sssp edb (config ~workers:1 D.Coord.dws) in
+    let _, n = run_query D.Queries.sssp edb (config ~workers:1 D.Coord.Dws) in
     n
   in
   let check name cfg =
@@ -1161,9 +1159,9 @@ let smoke () =
   in
   check "Global/spsc" (config ~workers:2 D.Coord.Global);
   check "SSP(5)/spsc" (config ~workers:2 (D.Coord.Ssp 5));
-  check "DWS/spsc" (config ~workers:2 D.Coord.dws);
+  check "DWS/spsc" (config ~workers:2 D.Coord.Dws);
   check "DWS/locked"
-    { (config ~workers:2 D.Coord.dws) with D.exchange = D.Parallel.Locked_exchange };
+    { (config ~workers:2 D.Coord.Dws) with D.exchange = D.Parallel.Locked_exchange };
   print_endline "bench-smoke: all coordination strategies agree"
 
 (* ------------------------------------------------------------------ *)
@@ -1188,7 +1186,7 @@ let ablation () =
       let base = ref 0. in
       List.iter
         (fun (vname, tweak) ->
-          let secs, _ = run_query spec edb (tweak (config D.Coord.dws)) in
+          let secs, _ = run_query spec edb (tweak (config D.Coord.Dws)) in
           if vname = "default (SPSC+pagg)" then base := secs;
           Report.add_row t
             [ qname; ds; vname; Report.cell_time secs; Report.cell_speedup (secs /. !base) ])
@@ -1229,7 +1227,7 @@ let skew () =
     let edb = D.Queries.arc_edb graph in
     (* smaller-than-default morsels: container-scale deltas must still
        split into enough pieces for the board to matter *)
-    let cfg = { (config ~workers D.Coord.dws) with D.steal; D.morsel_tuples = 512 } in
+    let cfg = { (config ~workers D.Coord.Dws) with D.steal; D.morsel_tuples = 512 } in
     let best = ref None in
     for _ = 1 to skew_repeats do
       let result, secs = time_run prepared edb cfg in
@@ -1335,7 +1333,7 @@ let gj () =
       | Ok p -> p
       | Error e -> failwith (spec.name ^ ": " ^ e)
     in
-    let cfg = config ~workers D.Coord.dws in
+    let cfg = config ~workers D.Coord.Dws in
     let times = ref [] and count = ref 0 in
     for _ = 1 to reps do
       let result, secs = time_run prepared edb cfg in
@@ -1467,9 +1465,7 @@ let merge_bench () =
     (secs, !fresh, Bptree.length tree)
   in
   let run_store () =
-    let store =
-      D.Rec_store.create ~arity ~agg:None ~route:[| 0 |] ~opts:D.Rec_store.default_opts ()
-    in
+    let store = D.Rec_store.create ~arity ~agg:None ~route:[| 0 |] () in
     let fresh = ref 0 in
     let on_fresh _ _ = incr fresh in
     let (), secs =
@@ -1546,9 +1542,9 @@ let merge_bench () =
 (* ------------------------------------------------------------------ *)
 (* sweep: knob grid + data-scaling curve (ROADMAP item 4)               *)
 
-(* One TC workload swept over workers x strategy x steal x batch_tuples
-   x morsel_tuples (morsel size only matters with stealing on, so the
-   off rows fix it), every cell checked against the same fixpoint — a
+(* One TC workload swept over workers x strategy x steal x morsel_tuples
+   (morsel size only matters with stealing on, so the off rows fix
+   it), every cell checked against the same fixpoint — a
    correctness sweep and a tuning map in one.  A per-workload scaling
    curve (TC/CC/SSSP over growing rmat inputs) rides along so the
    recorded history tracks how evaluation time grows with data size. *)
@@ -1570,7 +1566,7 @@ let sweep () =
     let best, mean, stddev = sample_stats !times in
     (best, mean, stddev, !count)
   in
-  let strategy_axis = [ ("global", D.Coord.Global); ("ssp5", D.Coord.Ssp 5); ("dws", D.Coord.dws) ] in
+  let strategy_axis = [ ("global", D.Coord.Global); ("ssp5", D.Coord.Ssp 5); ("dws", D.Coord.Dws) ] in
   let cells = ref [] in
   let expected = ref (-1) in
   List.iter
@@ -1581,38 +1577,31 @@ let sweep () =
             (fun steal ->
               let morsel_axis = if steal then [ 512; 2048 ] else [ 2048 ] in
               List.iter
-                (fun batch_tuples ->
-                  List.iter
-                    (fun morsel_tuples ->
-                      let cfg =
-                        { (config ~workers strat) with D.steal; D.batch_tuples; D.morsel_tuples }
-                      in
-                      let best, mean, stddev, count = measure cfg in
-                      if !expected < 0 then expected := count
-                      else if count <> !expected then begin
-                        Printf.eprintf
-                          "bench-sweep: fixpoint changed under w=%d %s steal=%b b=%d m=%d (%d \
-                           vs %d tuples)\n"
-                          workers sname steal batch_tuples morsel_tuples count !expected;
-                        exit 1
-                      end;
-                      let name =
-                        Printf.sprintf "w%d-%s-steal%d-b%d-m%d" workers sname
-                          (if steal then 1 else 0)
-                          batch_tuples morsel_tuples
-                      in
-                      cells :=
-                        (name, workers, sname, steal, batch_tuples, morsel_tuples, best, mean,
-                         stddev)
-                        :: !cells)
-                    morsel_axis)
-                [ 0; 1024 ])
+                (fun morsel_tuples ->
+                  let cfg = { (config ~workers strat) with D.steal; D.morsel_tuples } in
+                  let best, mean, stddev, count = measure cfg in
+                  if !expected < 0 then expected := count
+                  else if count <> !expected then begin
+                    Printf.eprintf
+                      "bench-sweep: fixpoint changed under w=%d %s steal=%b m=%d (%d vs %d \
+                       tuples)\n"
+                      workers sname steal morsel_tuples count !expected;
+                    exit 1
+                  end;
+                  let name =
+                    Printf.sprintf "w%d-%s-steal%d-m%d" workers sname
+                      (if steal then 1 else 0)
+                      morsel_tuples
+                  in
+                  cells :=
+                    (name, workers, sname, steal, morsel_tuples, best, mean, stddev) :: !cells)
+                morsel_axis)
             [ false; true ])
         strategy_axis)
     [ 1; 4 ];
   let cells = List.rev !cells in
   let best_cells =
-    List.sort (fun (_, _, _, _, _, _, a, _, _) (_, _, _, _, _, _, b, _, _) -> compare a b) cells
+    List.sort (fun (_, _, _, _, _, a, _, _) (_, _, _, _, _, b, _, _) -> compare a b) cells
   in
   let t =
     Report.create
@@ -1622,7 +1611,7 @@ let sweep () =
       ~header:[ "config"; "time (s)"; "±σ" ]
   in
   List.iteri
-    (fun i (name, _, _, _, _, _, best, _, stddev) ->
+    (fun i (name, _, _, _, _, best, _, stddev) ->
       if i < 8 then
         Report.add_row t [ name; Report.cell_time best; Printf.sprintf "%.3f" stddev ])
     best_cells;
@@ -1644,7 +1633,7 @@ let sweep () =
         let pts =
           List.map
             (fun n ->
-              let secs, count = run_query spec (edb_of n) (config D.Coord.dws) in
+              let secs, count = run_query spec (edb_of n) (config D.Coord.Dws) in
               (n, secs, count))
             sizes
         in
@@ -1662,13 +1651,13 @@ let sweep () =
        (Domain.recommended_domain_count ())
        !expected);
   List.iteri
-    (fun i (name, workers, sname, steal, batch_tuples, morsel_tuples, best, mean, stddev) ->
+    (fun i (name, workers, sname, steal, morsel_tuples, best, mean, stddev) ->
       Buffer.add_string buf
         (Printf.sprintf
            "      {\"name\": %S, \"workers\": %d, \"strategy\": %S, \"steal\": %b, \
-            \"batch_tuples\": %d, \"morsel_tuples\": %d, \"wall_s\": %.6f, \"wall_mean_s\": \
-            %.6f, \"wall_stddev_s\": %.6f}%s\n"
-           name workers sname steal batch_tuples morsel_tuples best mean stddev
+            \"morsel_tuples\": %d, \"wall_s\": %.6f, \"wall_mean_s\": %.6f, \
+            \"wall_stddev_s\": %.6f}%s\n"
+           name workers sname steal morsel_tuples best mean stddev
            (if i = List.length cells - 1 then "" else ",")))
     cells;
   Buffer.add_string buf "    ],\n    \"scaling\": [\n";
@@ -1723,7 +1712,7 @@ let recover_bench () =
     (best, mean, stddev, !count, Option.get !last)
   in
   let base_cfg =
-    { (config D.Coord.dws) with D.max_iterations = spec.max_iterations }
+    { (config D.Coord.Dws) with D.max_iterations = spec.max_iterations }
   in
   let ckpt_cfg = { base_cfg with D.checkpoint_every = every } in
   let crash_cfg =
@@ -1860,7 +1849,7 @@ let serve_bench () =
         | D.Maintain.Delete (p, t) -> D.Maintain.Insert (p, t))
       batch
   in
-  let cfg = { (config D.Coord.dws) with D.max_iterations = spec.max_iterations } in
+  let cfg = { (config D.Coord.Dws) with D.max_iterations = spec.max_iterations } in
   let prepared = prepare_spec spec in
   let session = D.open_session prepared ~edb ~config:cfg () in
   let incr_times = ref [] in
@@ -2007,7 +1996,7 @@ let serve_scaling_bench () =
     (fun mw ->
       let cfg =
         {
-          (config D.Coord.dws) with
+          (config D.Coord.Dws) with
           D.workers = 4;
           D.maintain_workers = mw;
           D.max_iterations = spec.max_iterations;
@@ -2048,7 +2037,7 @@ let serve_scaling_bench () =
     let updated_edb =
       [ ("arc", D.Vec.of_list (Hashtbl.fold (fun (a, b) () acc -> [| a; b |] :: acc) upd [])) ]
     in
-    let cfg = { (config D.Coord.dws) with D.max_iterations = spec.max_iterations } in
+    let cfg = { (config D.Coord.Dws) with D.max_iterations = spec.max_iterations } in
     let result, secs = time_run prepared updated_edb cfg in
     ignore size;
     (D.relation result spec.output, secs)
@@ -2140,7 +2129,7 @@ let experiments =
         serve_bench ();
         serve_scaling_bench ()),
       "Resident session: incremental maintenance vs full recompute + scaling grid" );
-    ("sweep", sweep, "Knob grid (workers/strategy/steal/batch/morsel) + data-scaling curve");
+    ("sweep", sweep, "Knob grid (workers/strategy/steal/morsel) + data-scaling curve");
     ("smoke", smoke, "CI smoke: tiny workload per coordination strategy");
   ]
 

@@ -36,7 +36,7 @@ let strategy_conv =
   let parse s =
     match String.lowercase_ascii s with
     | "global" -> Ok D.Coord.Global
-    | "dws" -> Ok D.Coord.dws
+    | "dws" -> Ok D.Coord.Dws
     | s when String.length s > 4 && String.sub s 0 4 = "ssp:" -> (
       match int_of_string_opt (String.sub s 4 (String.length s - 4)) with
       | Some k when k >= 0 -> Ok (D.Coord.Ssp k)
@@ -97,7 +97,7 @@ let workers_arg =
          ~doc:"Number of parallel workers (OCaml domains).")
 
 let strategy_arg =
-  Arg.(value & opt strategy_conv D.Coord.dws & info [ "strategy"; "s" ] ~docv:"STRAT"
+  Arg.(value & opt strategy_conv D.Coord.Dws & info [ "strategy"; "s" ] ~docv:"STRAT"
          ~doc:"Coordination strategy: global, ssp:<n>, or dws.")
 
 let no_steal_arg =
@@ -285,8 +285,7 @@ let run_cmd query program dataset rmat edges_file edb_files workers strategy no_
               strategy;
               steal = not no_steal;
               max_iterations = (match spec with Some s -> s.max_iterations | None -> 0);
-              store_opts =
-                (if unopt then D.Rec_store.unoptimized_opts else D.Rec_store.default_opts);
+              optimized_stores = not unopt;
               checkpoint_every;
               max_recoveries;
               coord = { D.Coord.default_config with timeout; stall_window };
@@ -403,8 +402,7 @@ let open_serving_session query program dataset rmat edges_file edb_files workers
               strategy;
               steal = not no_steal;
               maintain_workers;
-              store_opts =
-                (if unopt then D.Rec_store.unoptimized_opts else D.Rec_store.default_opts);
+              optimized_stores = not unopt;
             }
           in
           match D.open_session prepared ~edb ~config () with

@@ -23,7 +23,7 @@ let () =
   Printf.printf "RMAT graph: %d vertices, %d edges\n\n" (D.Graph.max_vertex graph + 1)
     (D.Graph.edge_count graph);
 
-  let strategies = [ ("global", D.Coord.Global); ("ssp(2)", D.Coord.Ssp 2); ("dws", D.Coord.dws) ] in
+  let strategies = [ ("global", D.Coord.Global); ("ssp(2)", D.Coord.Ssp 2); ("dws", D.Coord.Dws) ] in
 
   (* Connected components (undirected view of the graph) *)
   let cc_edb = D.Queries.arc_sym_edb graph in

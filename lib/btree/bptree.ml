@@ -233,125 +233,6 @@ let add_if_absent t k v =
   in
   descend t.root
 
-(* --- deletion (preemptive borrow/merge on the way down) --- *)
-
-let leaf_min t = t.branching / 2
-
-let internal_min t = (t.branching - 2) / 2 (* 2*min+1 <= b-1: preemptive merge cannot overflow *)
-
-let remove t k =
-  t.version <- t.version + 1;
-  let removed = ref false in
-  let rec descend node =
-    match node with
-    | Leaf l -> begin
-      match leaf_search l k with
-      | Error _ -> ()
-      | Ok i ->
-        Array.blit l.lkeys (i + 1) l.lkeys i (l.ln - i - 1);
-        Array.blit l.lvals (i + 1) l.lvals i (l.ln - i - 1);
-        l.lkeys.(l.ln - 1) <- dummy_key;
-        l.lvals.(l.ln - 1) <- Obj.magic 0;
-        l.ln <- l.ln - 1;
-        t.count <- t.count - 1;
-        removed := true
-    end
-    | Internal n ->
-      let i = child_index n k in
-      let i = ensure_roomy n i in
-      descend n.ichildren.(i)
-  and ensure_roomy n i =
-    let child = n.ichildren.(i) in
-    let is_leaf = match child with Leaf _ -> true | Internal _ -> false in
-    let min_sz = if is_leaf then leaf_min t else internal_min t in
-    let size c = match c with Leaf l -> l.ln | Internal m -> m.ik in
-    if size child > min_sz then i
-    else if i > 0 && size n.ichildren.(i - 1) > min_sz then begin
-      borrow_left n i;
-      i
-    end
-    else if i < n.ik && size n.ichildren.(i + 1) > min_sz then begin
-      borrow_right n i;
-      i
-    end
-    else if i > 0 then merge_at n (i - 1)
-    else begin
-      ignore (merge_at n i);
-      i
-    end
-  and borrow_left n i =
-    match (n.ichildren.(i - 1), n.ichildren.(i)) with
-    | Leaf left, Leaf child ->
-      Array.blit child.lkeys 0 child.lkeys 1 child.ln;
-      Array.blit child.lvals 0 child.lvals 1 child.ln;
-      child.lkeys.(0) <- left.lkeys.(left.ln - 1);
-      child.lvals.(0) <- left.lvals.(left.ln - 1);
-      left.lkeys.(left.ln - 1) <- dummy_key;
-      left.lvals.(left.ln - 1) <- Obj.magic 0;
-      left.ln <- left.ln - 1;
-      child.ln <- child.ln + 1;
-      n.ikeys.(i - 1) <- child.lkeys.(0)
-    | Internal left, Internal child ->
-      Array.blit child.ikeys 0 child.ikeys 1 child.ik;
-      Array.blit child.ichildren 0 child.ichildren 1 (child.ik + 1);
-      child.ikeys.(0) <- n.ikeys.(i - 1);
-      child.ichildren.(0) <- left.ichildren.(left.ik);
-      n.ikeys.(i - 1) <- left.ikeys.(left.ik - 1);
-      left.ikeys.(left.ik - 1) <- dummy_key;
-      left.ichildren.(left.ik) <- Obj.magic 0;
-      left.ik <- left.ik - 1;
-      child.ik <- child.ik + 1
-    | _ -> assert false
-  and borrow_right n i =
-    match (n.ichildren.(i), n.ichildren.(i + 1)) with
-    | Leaf child, Leaf right ->
-      child.lkeys.(child.ln) <- right.lkeys.(0);
-      child.lvals.(child.ln) <- right.lvals.(0);
-      child.ln <- child.ln + 1;
-      Array.blit right.lkeys 1 right.lkeys 0 (right.ln - 1);
-      Array.blit right.lvals 1 right.lvals 0 (right.ln - 1);
-      right.lkeys.(right.ln - 1) <- dummy_key;
-      right.lvals.(right.ln - 1) <- Obj.magic 0;
-      right.ln <- right.ln - 1;
-      n.ikeys.(i) <- right.lkeys.(0)
-    | Internal child, Internal right ->
-      child.ikeys.(child.ik) <- n.ikeys.(i);
-      child.ichildren.(child.ik + 1) <- right.ichildren.(0);
-      child.ik <- child.ik + 1;
-      n.ikeys.(i) <- right.ikeys.(0);
-      Array.blit right.ikeys 1 right.ikeys 0 (right.ik - 1);
-      Array.blit right.ichildren 1 right.ichildren 0 right.ik;
-      right.ikeys.(right.ik - 1) <- dummy_key;
-      right.ichildren.(right.ik) <- Obj.magic 0;
-      right.ik <- right.ik - 1
-    | _ -> assert false
-  and merge_at n j =
-    (match (n.ichildren.(j), n.ichildren.(j + 1)) with
-    | Leaf left, Leaf right ->
-      Array.blit right.lkeys 0 left.lkeys left.ln right.ln;
-      Array.blit right.lvals 0 left.lvals left.ln right.ln;
-      left.ln <- left.ln + right.ln;
-      left.next <- right.next
-    | Internal left, Internal right ->
-      left.ikeys.(left.ik) <- n.ikeys.(j);
-      Array.blit right.ikeys 0 left.ikeys (left.ik + 1) right.ik;
-      Array.blit right.ichildren 0 left.ichildren (left.ik + 1) (right.ik + 1);
-      left.ik <- left.ik + 1 + right.ik
-    | _ -> assert false);
-    Array.blit n.ikeys (j + 1) n.ikeys j (n.ik - j - 1);
-    Array.blit n.ichildren (j + 2) n.ichildren (j + 1) (n.ik - j - 1);
-    n.ikeys.(n.ik - 1) <- dummy_key;
-    n.ichildren.(n.ik) <- Obj.magic 0;
-    n.ik <- n.ik - 1;
-    j
-  in
-  descend t.root;
-  (* collapse a root that lost all separators *)
-  (match t.root with
-  | Internal n when n.ik = 0 -> t.root <- n.ichildren.(0)
-  | _ -> ());
-  !removed
-
 (* --- traversal --- *)
 
 let rec leftmost_leaf = function
@@ -373,21 +254,6 @@ let fold t ~init ~f =
   let acc = ref init in
   iter t (fun k v -> acc := f !acc k v);
   !acc
-
-let iter_range t ~lo ~hi f =
-  let l = find_leaf t.root lo in
-  let start = match leaf_search l lo with Ok i -> i | Error i -> i in
-  let rec walk l i =
-    if i < l.ln then begin
-      let k = l.lkeys.(i) in
-      if compare_key k hi < 0 then begin
-        f k l.lvals.(i);
-        walk l (i + 1)
-      end
-    end
-    else match l.next with None -> () | Some l' -> walk l' 0
-  in
-  walk l start
 
 let rec prefix_loop (prefix : key) (k : key) i lp =
   i = lp || (k.(i) = prefix.(i) && prefix_loop prefix k (i + 1) lp)
@@ -411,18 +277,6 @@ let iter_prefix t ~prefix f =
   in
   walk l start
 
-let min_binding t =
-  let l = leftmost_leaf t.root in
-  if l.ln = 0 then None else Some (l.lkeys.(0), l.lvals.(0))
-
-let max_binding t =
-  let rec rightmost = function
-    | Leaf l -> l
-    | Internal n -> rightmost n.ichildren.(n.ik)
-  in
-  let l = rightmost t.root in
-  if l.ln = 0 then None else Some (l.lkeys.(l.ln - 1), l.lvals.(l.ln - 1))
-
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
 
 (* --- sorted cursors (leapfrog substrate) --- *)
@@ -433,8 +287,8 @@ let to_list t = List.rev (fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
    leaf.  Staleness is detected with the tree's [version]: any mutation
    bumps it, and a stale cursor re-descends from the root.  [ckey] holds
    the key *object* at the current position — key arrays are only ever
-   moved between slots, never mutated in place, so the reference stays a
-   valid search target across splits, merges and blits. *)
+   moved between slots, never mutated in place, so the reference stays
+   valid across splits and blits. *)
 type 'a cursor = {
   ctree : 'a t;
   mutable cversion : int;
@@ -490,47 +344,10 @@ let seek_geq c k =
       cursor_at_slot c l !lo
     | _ -> seek_slow c k
 
-let cursor_positioned c = c.cleaf <> None
-
 let cursor_key c =
   match c.cleaf with
   | None -> invalid_arg "Bptree.cursor_key: cursor not positioned"
   | Some _ -> c.ckey
-
-let cursor_value c =
-  match c.cleaf with
-  | None -> invalid_arg "Bptree.cursor_value: cursor not positioned"
-  | Some l ->
-    if c.cversion <> c.ctree.version then begin
-      (* the slot may have been blitted away; re-locate our key *)
-      ignore (seek_slow c c.ckey);
-      match c.cleaf with
-      | Some l' -> l'.lvals.(c.cidx)
-      | None -> invalid_arg "Bptree.cursor_value: key vanished under cursor"
-    end
-    else l.lvals.(c.cidx)
-
-let rec cursor_next c =
-  match c.cleaf with
-  | None -> false
-  | Some l ->
-    if c.cversion = c.ctree.version then begin
-      let i = c.cidx + 1 in
-      if i < l.ln then cursor_at_slot c l i
-      else
-        match l.next with
-        | Some l' when l'.ln > 0 -> cursor_at_slot c l' 0
-        | _ -> cursor_exhaust c
-    end
-    else begin
-      (* interleaved mutation: resume from the remembered key.  If the
-         key still exists we land on it and must step once more; if it
-         was removed we land on its successor, which is the answer. *)
-      let here = c.ckey in
-      if not (seek_slow c here) then false
-      else if compare_key c.ckey here = 0 then cursor_next c
-      else true
-    end
 
 (* --- bulk construction (of_sorted, merge_sorted_slice) --- *)
 
@@ -849,6 +666,12 @@ let merge_sorted_slice t ~n ~key:keyf ~merge =
   end
 
 (* --- invariant checking --- *)
+
+(* Minimum fills of non-root nodes: the bulk builders spread entries so
+   that no node falls below them. *)
+let leaf_min t = t.branching / 2
+
+let internal_min t = (t.branching - 2) / 2
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in

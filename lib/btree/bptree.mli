@@ -45,18 +45,10 @@ val find_opt : 'a t -> key -> 'a option
 
 val mem : 'a t -> key -> bool
 
-val remove : 'a t -> key -> bool
-(** [remove t k] deletes the binding if present; returns whether a
-    binding was removed.  Rebalances (borrow/merge) to keep all nodes at
-    least half full. *)
-
 val iter : 'a t -> (key -> 'a -> unit) -> unit
 (** In ascending key order. *)
 
 val fold : 'a t -> init:'acc -> f:('acc -> key -> 'a -> 'acc) -> 'acc
-
-val iter_range : 'a t -> lo:key -> hi:key -> (key -> 'a -> unit) -> unit
-(** All bindings with [lo <= k < hi], ascending. *)
 
 val iter_prefix : 'a t -> prefix:key -> (key -> 'a -> unit) -> unit
 (** All bindings whose key starts with [prefix], ascending. *)
@@ -66,12 +58,11 @@ val iter_prefix : 'a t -> prefix:key -> (key -> 'a -> unit) -> unit
     The substrate for leapfrog-style generic joins: a cursor supports
     monotone [seek_geq] probes that resolve with a single in-leaf binary
     search when the target lands in the current leaf, falling back to a
-    root descent otherwise.  Cursors survive interleaved mutation: every
-    mutating operation bumps an internal version counter, and a stale
-    cursor transparently re-positions from the root using the key it was
-    parked on (so a [seek_geq]/[cursor_next] sequence over a tree being
-    concurrently grown by its single owner never observes torn state —
-    it resumes at the remembered key's successor). *)
+    root descent otherwise.  Cursors survive interleaved inserts: every
+    mutating operation bumps an internal version counter, and the next
+    [seek_geq] on a stale cursor re-descends from the root, so a cursor
+    over a tree being grown by its single owner never reads a split
+    leaf's torn state. *)
 
 type 'a cursor
 
@@ -85,22 +76,8 @@ val seek_geq : 'a cursor -> key -> bool
     the first key carrying that prefix, which is how trie-level descent
     is expressed over the flattened composite keys. *)
 
-val cursor_positioned : 'a cursor -> bool
-
 val cursor_key : 'a cursor -> key
 (** Current key. @raise Invalid_argument when not positioned. *)
-
-val cursor_value : 'a cursor -> 'a
-(** Current value. @raise Invalid_argument when not positioned. *)
-
-val cursor_next : 'a cursor -> bool
-(** Advance to the successor key; [false] exhausts the cursor.  After an
-    interleaved mutation, resumes at the successor of the key the cursor
-    was parked on. *)
-
-val min_binding : 'a t -> (key * 'a) option
-
-val max_binding : 'a t -> (key * 'a) option
 
 val to_list : 'a t -> (key * 'a) list
 

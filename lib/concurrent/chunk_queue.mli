@@ -3,10 +3,10 @@
     A linked list of fixed-size chunks.  The producer owns the tail chunk
     and publishes elements by bumping the chunk's atomic committed count;
     the consumer owns the head chunk and follows [next] links once a full
-    chunk is consumed.  Used for the DWS message buffers when delta
-    batches can exceed any fixed ring capacity: unlike {!Spsc_queue} a
-    push can never fail, so a producing worker never blocks on a slow
-    consumer (which would reintroduce the coordination stall DWS is
+    chunk is consumed.  Used for the DWS message buffers [M_i^j]
+    (paper §6.1): delta batches can exceed any fixed ring capacity, and
+    here a push can never fail, so a producing worker never blocks on a
+    slow consumer (which would reintroduce the coordination stall DWS is
     designed to remove).
 
     The engine enqueues whole {e batches} (one element per

@@ -24,11 +24,7 @@ let create ?(capacity = 64) ~arity ~contrib () =
   let per = arity + if contrib then 1 else 0 in
   { arity; contrib; data = Array.make (max 1 (capacity * per)) 0; used = 0; count = 0 }
 
-let arity t = t.arity
-
 let data t = t.data
-
-let has_contrib t = t.contrib
 
 let count t = t.count
 
@@ -90,13 +86,3 @@ let iter t f =
       f data ~toff:!off ~clen:0 ~coff:0;
       off := !off + arity
     done
-
-(* Fixed-stride frames split into chunks with one blit per chunk. *)
-let append_range dst src ~first ~n =
-  if dst.contrib || src.contrib then invalid_arg "Frame.append_range: variable-stride frame";
-  if dst.arity <> src.arity then invalid_arg "Frame.append_range: arity mismatch";
-  let k = src.arity in
-  ensure dst (n * k);
-  Array.blit src.data (first * k) dst.data dst.used (n * k);
-  dst.used <- dst.used + (n * k);
-  dst.count <- dst.count + n

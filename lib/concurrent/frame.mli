@@ -17,13 +17,9 @@ type t
 val create : ?capacity:int -> arity:int -> contrib:bool -> unit -> t
 (** [capacity] is a record-count hint. *)
 
-val arity : t -> int
-
 val data : t -> int array
 (** The backing buffer (for reading records at offsets previously
     handed out by {!iter}); valid until the next push. *)
-
-val has_contrib : t -> bool
 
 val count : t -> int
 (** Number of records. *)
@@ -48,10 +44,5 @@ val iter : t -> (int array -> toff:int -> clen:int -> coff:int -> unit) -> unit
 (** [iter t f] calls [f data ~toff ~clen ~coff] per record: the tuple's
     fields are [data.(toff .. toff+arity-1)], its contributor key
     [data.(coff .. coff+clen-1)] ([clen = 0] for none). *)
-
-val append_range : t -> t -> first:int -> n:int -> unit
-(** [append_range dst src ~first ~n] copies records
-    [first .. first+n-1] with a single blit.  Fixed-stride (plain)
-    frames of equal arity only.  @raise Invalid_argument otherwise. *)
 
 val clear : t -> unit

@@ -34,11 +34,10 @@ type prepared = {
 type config = Parallel.config = {
   workers : int;
   strategy : Coord.t;
-  store_opts : Rec_store.opts;
+  optimized_stores : bool;
   partial_agg : bool;
   max_iterations : int;
   exchange : Parallel.exchange;
-  batch_tuples : int;
   steal : bool;
   morsel_tuples : int;
   coord : Coord.config;

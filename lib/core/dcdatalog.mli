@@ -67,11 +67,13 @@ type prepared = {
 type config = Parallel.config = {
   workers : int;
   strategy : Coord.t;
-  store_opts : Rec_store.opts;
+  optimized_stores : bool;
+      (** Table 4's switch for the §6.2 aggregate-store optimizations,
+          the B⁺-tree group index and the existence cache together
+          (default [true]) *)
   partial_agg : bool;
   max_iterations : int;
   exchange : Parallel.exchange;
-  batch_tuples : int;
   steal : bool; (** morsel-driven work stealing (default [true]) *)
   morsel_tuples : int; (** scan tuples per stealable morsel (default 2048) *)
   coord : Coord.config;

@@ -5,6 +5,7 @@ module Run_stats = Dcd_engine.Run_stats
 module Catalog = Dcd_engine.Catalog
 module Engine_error = Dcd_engine.Engine_error
 module Cancel = Dcd_concurrent.Cancel
+module Domain_pool = Dcd_concurrent.Domain_pool
 module Relation = Dcd_storage.Relation
 module Snapshot = Dcd_storage.Snapshot
 module Tuple = Dcd_storage.Tuple
@@ -83,7 +84,7 @@ let view_iter_prefix v ~prefix f =
 type t = {
   plan : Physical.t;
   config : Parallel.config;
-  runtime : Parallel.runtime;
+  pool : Domain_pool.t;
   maintain : Maintain.t;
   stats : Run_stats.t;
   snap : (string * view) list Snapshot.t;
@@ -110,14 +111,14 @@ let record_footprint (m : Run_stats.maintenance) maintain =
   m.Run_stats.resident_tuples <- Maintain.resident_tuples maintain
 
 let open_session ~plan ~edb ?(config = Parallel.default_config) () =
-  let runtime = Parallel.create_runtime ~workers:config.Parallel.workers in
+  let pool = Domain_pool.create ~workers:config.Parallel.workers in
   match
-    let result = Parallel.run ~runtime plan ~edb ~config in
-    let maintain = Maintain.create ~plan ~config ~runtime ~catalog:result.Parallel.catalog in
+    let result = Parallel.run ~pool plan ~edb ~config in
+    let maintain = Maintain.create ~plan ~config ~pool ~catalog:result.Parallel.catalog in
     (result, maintain)
   with
   | exception e ->
-    Parallel.destroy_runtime runtime;
+    Domain_pool.shutdown pool;
     raise e
   | result, maintain ->
     (* version 0 reuses the engine's own materializations: nothing
@@ -135,7 +136,7 @@ let open_session ~plan ~edb ?(config = Parallel.default_config) () =
     {
       plan;
       config;
-      runtime;
+      pool;
       maintain;
       stats = result.Parallel.stats;
       snap = Snapshot.create rels;
@@ -428,4 +429,4 @@ let close t =
       | Closed -> ()
       | Live | Poisoned _ ->
         t.state <- Closed;
-        Parallel.destroy_runtime t.runtime)
+        Domain_pool.shutdown t.pool)

@@ -4,7 +4,7 @@
     (ISSUE 9 tentpole; see DESIGN.md §3h).
 
     Lifecycle: {!open_session} runs the initial fixpoint on a freshly
-    spawned {!Dcd_engine.Parallel.runtime} and hands the result to
+    spawned {!Dcd_concurrent.Domain_pool} and hands the result to
     {!Dcd_engine.Maintain}; {!apply_batch} maintains it; {!close} joins
     the pool.  Between batches the session is a database.
 

@@ -1,28 +1,19 @@
-type dws_opts = {
-  tau_cap : float;
-  poll_interval : float;
-  decay : float;
-}
-
-let default_dws = { tau_cap = 0.01; poll_interval = 0.0002; decay = 0.98 }
-
 type t =
   | Global
   | Ssp of int
-  | Dws of dws_opts
+  | Dws
 
-let dws = Dws default_dws
+let dws_tau_cap = 0.01
 
 type config = {
   timeout : float option;
   cancel : Dcd_concurrent.Cancel.t option;
   stall_window : float option;
-  stall_poll : float;
 }
 
-let default_config = { timeout = None; cancel = None; stall_window = None; stall_poll = 0.02 }
+let default_config = { timeout = None; cancel = None; stall_window = None }
 
 let to_string = function
   | Global -> "global"
   | Ssp s -> Printf.sprintf "ssp(%d)" s
-  | Dws _ -> "dws"
+  | Dws -> "dws"

@@ -11,22 +11,15 @@
       queueing model ({!Qmodel}), whether to wait up to [τ_i] for its
       pending delta to reach [ω_i] tuples or to proceed immediately. *)
 
-type dws_opts = {
-  tau_cap : float; (** hard cap on a single wait, seconds (deadlock-avoidance
-                       timeout of Algorithm 2, line 7) *)
-  poll_interval : float; (** sleep between re-checks while waiting, seconds *)
-  decay : float; (** per-iteration exponential forgetting of statistics *)
-}
-
-val default_dws : dws_opts
-
 type t =
   | Global
   | Ssp of int
-  | Dws of dws_opts
+  | Dws
 
-val dws : t
-(** [Dws default_dws]. *)
+val dws_tau_cap : float
+(** Algorithm 2's deadlock-avoidance timeout (line 7): the cap on a
+    single DWS wait, 10 ms.  The engine's strategy loop and the
+    simulator both apply it. *)
 
 (** Run-guard configuration: cooperative cancellation and the stall
     watchdog.  The strategy loops poll the (internal or caller-supplied)
@@ -46,10 +39,9 @@ type config = {
           is torn down with [Stalled] and a state snapshot.  Must
           comfortably exceed the longest single rule×delta evaluation,
           which cannot be interrupted mid-flight. *)
-  stall_poll : float;  (** watchdog sampling interval, seconds *)
 }
 
 val default_config : config
-(** No timeout, no external token, watchdog off, 20 ms sampling. *)
+(** No timeout, no external token, watchdog off. *)
 
 val to_string : t -> string

@@ -11,19 +11,19 @@ type t = {
   partial_agg : bool;
   stores : Rec_store.t array; (* the owner's own store row, by copy id *)
   ws : Run_stats.worker;
-  take_frame : arity:int -> contrib:bool -> Frame.t;
   outbuf : Frame.t array array; (* outbuf.(copy).(dest) *)
 }
 
-let create ~exch ~me ~h ~partial_agg ~stores ~ws ~take_frame =
-  let copies = Exchange.copies exch in
-  let n = Exchange.workers exch in
+let fresh_frame exch cid =
+  Frame.create ~arity:(Exchange.copies exch).(cid).Exchange.ci_arity
+    ~contrib:(Exchange.contrib exch cid) ()
+
+let create ~exch ~me ~h ~partial_agg ~stores ~ws =
   let outbuf =
-    Array.init (Array.length copies) (fun cid ->
-        Array.init n (fun _ ->
-            take_frame ~arity:copies.(cid).Exchange.ci_arity ~contrib:(Exchange.contrib exch cid)))
+    Array.init (Array.length (Exchange.copies exch)) (fun cid ->
+        Array.init (Exchange.workers exch) (fun _ -> fresh_frame exch cid))
   in
-  { me; exch; h; partial_agg; stores; ws; take_frame; outbuf }
+  { me; exch; h; partial_agg; stores; ws; outbuf }
 
 (* Local delivery: one hash probe into the owner's own set store, in
    place of the frame push, the flush's dedup table, the queue and the
@@ -136,11 +136,8 @@ let flush t =
         | _ ->
           (* ship the accumulation frame itself — ownership passes to
              the consumer, the producer starts a fresh one *)
-          t.outbuf.(cid).(dest) <-
-            t.take_frame ~arity:ci.Exchange.ci_arity ~contrib:(Exchange.contrib t.exch cid);
+          t.outbuf.(cid).(dest) <- fresh_frame t.exch cid;
           Exchange.send t.exch ~ws ~src:t.me ~dest ~copy:cid buf
       end
     done
   done
-
-let release t give = Array.iter (fun row -> Array.iter give row) t.outbuf

@@ -18,13 +18,9 @@ val create :
   partial_agg:bool ->
   stores:Rec_store.t array ->
   ws:Run_stats.worker ->
-  take_frame:(arity:int -> contrib:bool -> Dcd_concurrent.Frame.t) ->
   t
 (** [stores] is worker [me]'s own store row (by copy id), the target of
-    local delivery; [ws] receives the send and local-delivery counters.
-    [take_frame] supplies (possibly recycled) empty frames for the
-    outgoing buffers — the worker's scratch pool, so buffers survive
-    from one stratum to the next. *)
+    local delivery; [ws] receives the send and local-delivery counters. *)
 
 val emitter :
   t ->
@@ -51,7 +47,3 @@ val flush : t -> unit
 (** Ships every non-empty outgoing frame to its destination, applying
     partial aggregation / set dedup per frame when enabled.  Local
     folds never pass through here. *)
-
-val release : t -> (Dcd_concurrent.Frame.t -> unit) -> unit
-(** Hands every outgoing buffer frame back (end of stratum), for reuse
-    by the next stratum's {!create}. *)

@@ -33,6 +33,22 @@ type t =
 
 exception Error of t
 
+let worker_crashed (failures : Dcd_concurrent.Domain_pool.failure list) =
+  match failures with
+  | [] -> invalid_arg "Engine_error.worker_crashed: no failure"
+  | first :: rest ->
+    Worker_crashed
+      {
+        worker = first.index;
+        error = first.error;
+        backtrace = first.backtrace;
+        others =
+          List.map
+            (fun (f : Dcd_concurrent.Domain_pool.failure) ->
+              { worker = f.index; error = f.error; backtrace = f.backtrace })
+            rest;
+      }
+
 let pp_diagnostic fmt d =
   Format.fprintf fmt
     "no worker progress for %.2fs under %s; sent=%d consumed=%d (%d in flight)@." d.stall_window

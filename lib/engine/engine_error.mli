@@ -44,6 +44,11 @@ type t =
 
 exception Error of t
 
+val worker_crashed : Dcd_concurrent.Domain_pool.failure list -> t
+(** The report of a crashed pool round: the first failure (lowest
+    worker index) is the origin, the rest are [others].
+    @raise Invalid_argument on an empty list. *)
+
 val to_string : t -> string
 (** One-line rendering (CLI stderr). *)
 

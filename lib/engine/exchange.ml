@@ -96,7 +96,6 @@ type t = {
   contrib : bool array;
       (* count/sum copies ship a contributor key with every tuple; the
          other copies travel at fixed stride *)
-  batch_tuples : int;
   fabric : fabric;
   (* Tuple-denominated buffer occupancy |M_i^j| for the queueing model
      (the queues themselves count batches).  Producers add before the
@@ -106,7 +105,7 @@ type t = {
   term : Termination.t;
 }
 
-let create ~workers ~kind ~batch_tuples ~copies =
+let create ~workers ~kind ~copies =
   let fabric =
     match kind with
     | Spsc_exchange ->
@@ -117,7 +116,6 @@ let create ~workers ~kind ~batch_tuples ~copies =
     workers;
     copies;
     contrib = Array.map (fun ci -> ci.ci_agg <> None) copies;
-    batch_tuples;
     fabric;
     occupancy = Array.init workers (fun _ -> Array.init workers (fun _ -> Atomic.make 0));
     term = Termination.create ~workers;
@@ -138,7 +136,7 @@ let push_batch t ~dest b =
 
 (* Ships one packed frame: one queue push and one amortized termination
    update per flush, instead of one of each per tuple. *)
-let ship t ~ws ~src ~dest ~copy frame =
+let send t ~ws ~src ~dest ~copy frame =
   let len = Frame.count frame in
   Termination.sent t.term len;
   ignore (Atomic.fetch_and_add t.occupancy.(dest).(src) len);
@@ -146,36 +144,6 @@ let ship t ~ws ~src ~dest ~copy frame =
   ws.Run_stats.batches_sent <- ws.Run_stats.batches_sent + 1;
   ws.Run_stats.words_sent <- ws.Run_stats.words_sent + Frame.words frame;
   push_batch t ~dest { bcopy = copy; bsrc = src; bframe = frame }
-
-let send t ~ws ~src ~dest ~copy frame =
-  let len = Frame.count frame in
-  let cap = t.batch_tuples in
-  if cap <= 0 || len <= cap then ship t ~ws ~src ~dest ~copy frame
-  else if not (Frame.has_contrib frame) then begin
-    (* batch-size knob: split into chunks of at most [cap] tuples
-       (cap = 1 reproduces the old per-tuple message framing);
-       fixed-stride records split with one blit per chunk *)
-    let arity = t.copies.(copy).ci_arity in
-    let i = ref 0 in
-    while !i < len do
-      let k = min cap (len - !i) in
-      let chunk = Frame.create ~capacity:k ~arity ~contrib:false () in
-      Frame.append_range chunk frame ~first:!i ~n:k;
-      ship t ~ws ~src ~dest ~copy chunk;
-      i := !i + k
-    done
-  end
-  else begin
-    let arity = t.copies.(copy).ci_arity in
-    let chunk = ref (Frame.create ~capacity:cap ~arity ~contrib:true ()) in
-    Frame.iter frame (fun data ~toff ~clen ~coff ->
-        Frame.push_slice !chunk data ~toff ~clen ~coff;
-        if Frame.count !chunk = cap then begin
-          ship t ~ws ~src ~dest ~copy !chunk;
-          chunk := Frame.create ~capacity:cap ~arity ~contrib:true ()
-        end);
-    if not (Frame.is_empty !chunk) then ship t ~ws ~src ~dest ~copy !chunk
-  end
 
 let drain t ~me ~drained_from consume =
   Array.fill drained_from 0 t.workers 0;

@@ -65,9 +65,7 @@ type batch = {
 
 type t
 
-val create : workers:int -> kind:kind -> batch_tuples:int -> copies:copy_info array -> t
-(** [batch_tuples] caps tuples per shipped batch ([0] = unbounded, one
-    batch per flush; [1] reproduces per-tuple framing). *)
+val create : workers:int -> kind:kind -> copies:copy_info array -> t
 
 val workers : t -> int
 
@@ -79,15 +77,10 @@ val contrib : t -> int -> bool
 val term : t -> Dcd_concurrent.Termination.t
 (** The stratum's global-fixpoint counters. *)
 
-val ship : t -> ws:Run_stats.worker -> src:int -> dest:int -> copy:int -> Dcd_concurrent.Frame.t -> unit
+val send : t -> ws:Run_stats.worker -> src:int -> dest:int -> copy:int -> Dcd_concurrent.Frame.t -> unit
 (** Pushes one frame as a single batch: bumps the sent counter by the
     frame's tuple count, adds to the occupancy cell, updates [ws], then
     enqueues.  Ownership of the frame passes to the consumer. *)
-
-val send : t -> ws:Run_stats.worker -> src:int -> dest:int -> copy:int -> Dcd_concurrent.Frame.t -> unit
-(** Like {!ship} but honoring the [batch_tuples] cap: oversized frames
-    are split into chunks (fixed-stride records with one blit per
-    chunk). *)
 
 val drain : t -> me:int -> drained_from:int array -> (batch -> unit) -> int
 (** [drain t ~me ~drained_from consume] pops every currently visible

@@ -20,7 +20,7 @@
      recompute for deletions;
    - strata with negation, or recursive count/sum aggregates, recompute
      through the parallel engine itself ({!Parallel.run} on the resident
-     {!Parallel.runtime} pool), then diff against the previous state.
+     domain pool), then diff against the previous state.
 
    Each predicate keeps every visible tuple in one slot of its table,
    whose extra columns carry the derivation count (counting strata) or
@@ -209,7 +209,7 @@ type ebuf = {
 type t = {
   plan : Physical.t;
   config : Parallel.config;
-  runtime : Parallel.runtime;
+  pool : Domain_pool.t; (* the resident pool the initial run used *)
   preds : (string, pred_state) Hashtbl.t;
   edb : (string, unit) Hashtbl.t;
   m_workers : int;
@@ -705,28 +705,6 @@ let push_emit mt w _mi =
   let buf = mt.m_bufs.(w) in
   fun ~tuple ~contributor -> push_row buf tuple contributor 0
 
-let raise_worker_crash (failures : Domain_pool.failure list) =
-  match failures with
-  | [] -> assert false
-  | first :: rest ->
-    raise
-      (Engine_error.Error
-         (Engine_error.Worker_crashed
-            {
-              worker = first.Domain_pool.index;
-              error = first.Domain_pool.error;
-              backtrace = first.Domain_pool.backtrace;
-              others =
-                List.map
-                  (fun (f : Domain_pool.failure) ->
-                    {
-                      Engine_error.worker = f.Domain_pool.index;
-                      error = f.Domain_pool.error;
-                      backtrace = f.Domain_pool.backtrace;
-                    })
-                  rest;
-            }))
-
 (* Executes one buffered maintenance round over the rows [first,
    first + len) of [src], skipping its freed slots.  Below the
    threshold (or with one effective worker) the coordinator runs
@@ -787,9 +765,9 @@ let execute_round mt mk ~src ~first ~len ~morsel =
           mt.m_wjoin.(me) <- mt.m_wjoin.(me) +. (Clock.now () -. t0)
         end
       in
-      (match Domain_pool.submit mt.runtime.Parallel.rt_pool body with
+      (match Domain_pool.submit mt.pool body with
       | Ok () -> ()
-      | Error failures -> raise_worker_crash failures)
+      | Error failures -> raise (Engine_error.Error (Engine_error.worker_crashed failures)))
     | _ -> morsel mk.mk_insts.(0) 0 src ~first ~len
   end
 
@@ -1457,7 +1435,7 @@ let recompute mt cs =
       coord = Coord.default_config;
     }
   in
-  let result = Parallel.run ~runtime:mt.runtime sub ~edb ~config in
+  let result = Parallel.run ~pool:mt.pool sub ~edb ~config in
   List.iter
     (fun p ->
       let ps = get_pred mt p in
@@ -1550,11 +1528,11 @@ let arity_of info p =
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Maintain: unknown arity for %s" p)
 
-let create ~plan ~config ~runtime ~catalog =
+let create ~plan ~config ~pool ~catalog =
   if config.Parallel.max_iterations > 0 then
     invalid_arg "Maintain: bounded-iteration programs cannot be incrementally maintained";
-  if runtime.Parallel.rt_workers <> config.Parallel.workers then
-    invalid_arg "Maintain: runtime/config worker mismatch";
+  if Domain_pool.size pool <> config.Parallel.workers then
+    invalid_arg "Maintain: pool/config worker mismatch";
   if config.Parallel.maintain_workers < 0 then
     invalid_arg "Maintain: maintain_workers must be >= 0";
   let m_workers =
@@ -1569,7 +1547,7 @@ let create ~plan ~config ~runtime ~catalog =
     {
       plan;
       config;
-      runtime;
+      pool;
       preds = Hashtbl.create 32;
       edb = Hashtbl.create 16;
       m_workers;

@@ -19,8 +19,7 @@
     - recursive min/max-aggregate strata propagate inserts monotonically
       and recompute on deletions;
     - strata with negation or recursive count/sum recompute through
-      {!Parallel.run}, on the resident {!Parallel.runtime} if one is
-      supplied.
+      {!Parallel.run}, on the resident domain pool.
 
     Every maintained state is verified against (or adopted from) the
     engine's own materialization at {!create} time, and the differential
@@ -88,18 +87,18 @@ type batch_report = {
 val create :
   plan:Dcd_planner.Physical.t ->
   config:Parallel.config ->
-  runtime:Parallel.runtime ->
+  pool:Dcd_concurrent.Domain_pool.t ->
   catalog:Catalog.t ->
   t
 (** Builds the maintenance state from a finished run's catalog, on the
-    resident [runtime] the run used.  The counting strata rebuild their
+    resident [pool] the run used.  The counting strata rebuild their
     support from scratch with compiled kernels and verify the result
     against the catalog tuple-for-tuple; the other strata adopt the
     engine fixpoint as-is, and DRed strata label it with derivation
     ranks and rank-decreasing support counts.  All of this runs inline
     on the calling domain.
     @raise Invalid_argument if [config.max_iterations > 0] (a bounded
-    fixpoint is not a model and cannot be maintained), if the runtime's
+    fixpoint is not a model and cannot be maintained), if the pool's
     worker count disagrees with [config.workers], or if the rebuilt
     counting support diverges from the engine's materialization. *)
 

@@ -18,11 +18,10 @@ type exchange = Exchange.kind =
 type config = {
   workers : int;
   strategy : Coord.t;
-  store_opts : Rec_store.opts;
+  optimized_stores : bool;
   partial_agg : bool;
   max_iterations : int;
   exchange : exchange;
-  batch_tuples : int;
   steal : bool;
   morsel_tuples : int;
   coord : Coord.config;
@@ -35,12 +34,11 @@ type config = {
 let default_config =
   {
     workers = min 4 (Domain_pool.recommended_workers ());
-    strategy = Coord.dws;
-    store_opts = Rec_store.default_opts;
+    strategy = Coord.Dws;
+    optimized_stores = true;
     partial_agg = true;
     max_iterations = 0;
     exchange = Spsc_exchange;
-    batch_tuples = 0;
     steal = true;
     morsel_tuples = 2048;
     coord = Coord.default_config;
@@ -54,24 +52,6 @@ type result = {
   catalog : Catalog.t;
   stats : Run_stats.t;
 }
-
-(* --- resident runtime --- *)
-
-type runtime = {
-  rt_workers : int;
-  rt_pool : Domain_pool.t;
-  rt_scratches : Worker.scratch array;
-}
-
-let create_runtime ~workers =
-  if workers < 1 then invalid_arg "Parallel.create_runtime: workers must be >= 1";
-  {
-    rt_workers = workers;
-    rt_pool = Domain_pool.create ~workers;
-    rt_scratches = Array.init workers (fun _ -> Worker.make_scratch ~workers ());
-  }
-
-let destroy_runtime rt = Domain_pool.shutdown rt.rt_pool
 
 (* --- shared helpers --- *)
 
@@ -133,16 +113,14 @@ type monitor = {
 
 (* --- one stratum on the pool --- *)
 
-let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config ~pool
-    ~scratches ~fault ~monitor ~stall_diag ~token stats =
+let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config ~pool ~fault
+    ~monitor ~stall_diag ~token stats =
   let t0 = Clock.now () in
   prebuild_indexes plan catalog sp;
   let n = config.workers in
   let h = Partition.create ~workers:n in
   let copies = Exchange.build_copies sp in
-  let exch =
-    Exchange.create ~workers:n ~kind:config.exchange ~batch_tuples:config.batch_tuples ~copies
-  in
+  let exch = Exchange.create ~workers:n ~kind:config.exchange ~copies in
   let steal =
     Steal.create ~workers:n ~enabled:config.steal ~morsel_tuples:config.morsel_tuples
   in
@@ -164,7 +142,7 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
         Array.map
           (fun (ci : Exchange.copy_info) ->
             Rec_store.create ~arity:ci.ci_arity ~agg:ci.ci_agg ~route:ci.ci_route
-              ~indexed:ci.ci_probed ~opts:config.store_opts ())
+              ~indexed:ci.ci_probed ~optimized:config.optimized_stores ())
           copies)
   in
   (* epoch-0 rollback target: the empty stores, before any init rule
@@ -225,16 +203,13 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
   let t1 = Clock.now () in
   let worker me =
     let body () =
-      let w =
-        Worker.create ~shared ~scratch:scratches.(me) ~stratum:sx ~me ~stores ~ws:wstats.(me)
-      in
+      let w = Worker.create ~shared ~stratum:sx ~me ~stores ~ws:wstats.(me) in
       (* a committed epoch means the orchestrator rolled the stores back
          to it: refill the deltas and iteration counters from its banks
          and skip straight into the fixpoint loop *)
       let resumed = recursive && Worker.restore w in
       if not resumed then Worker.run_init w;
-      if recursive then Strategy.run config.strategy w else Worker.finish_nonrecursive w;
-      Worker.recycle w
+      if recursive then Strategy.run config.strategy w else Worker.finish_nonrecursive w
     in
     try body () with
     | Barrier.Poisoned -> ()
@@ -245,26 +220,7 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
       Barrier.poison shared.Worker.barrier;
       Printexc.raise_with_backtrace e bt
   in
-  let raise_crashed (failures : Domain_pool.failure list) =
-    let crashes =
-      List.map
-        (fun (f : Domain_pool.failure) ->
-          { Engine_error.worker = f.index; error = f.error; backtrace = f.backtrace })
-        failures
-    in
-    match crashes with
-    | first :: others ->
-      raise
-        (Engine_error.Error
-           (Worker_crashed
-              {
-                worker = first.worker;
-                error = first.error;
-                backtrace = first.backtrace;
-                others;
-              }))
-    | [] -> assert false
-  in
+  let raise_crashed failures = raise (Engine_error.Error (Engine_error.worker_crashed failures)) in
   let rec_stats = stats.Run_stats.recovery in
   (* Roll every worker's store row back to the committed epoch (or to
      the empty base state when none is committed).  Sound only because
@@ -410,14 +366,18 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
 
 (* --- top level --- *)
 
-let run ?runtime (plan : Physical.t) ~edb ~config =
+(* The guardian's sampling interval: how often it checks the deadline,
+   the external token and the progress counters. *)
+let guardian_poll = 0.02
+
+let run ?pool (plan : Physical.t) ~edb ~config =
   if config.workers < 1 then invalid_arg "Parallel.run: workers must be >= 1";
   if config.morsel_tuples < 1 then invalid_arg "Parallel.run: morsel_tuples must be >= 1";
-  (match runtime with
-  | Some rt when rt.rt_workers <> config.workers ->
+  (match pool with
+  | Some p when Domain_pool.size p <> config.workers ->
     invalid_arg
-      (Printf.sprintf "Parallel.run: runtime has %d workers but config wants %d" rt.rt_workers
-         config.workers)
+      (Printf.sprintf "Parallel.run: pool has %d workers but config wants %d"
+         (Domain_pool.size p) config.workers)
   | _ -> ());
   (* One token guards the whole run (every stratum): caller-supplied or
      internal, with the timeout folded in as an absolute deadline. *)
@@ -445,15 +405,14 @@ let run ?runtime (plan : Physical.t) ~edb ~config =
   List.iter
     (fun pred -> ignore (Catalog.ensure catalog ~name:pred ~arity:(arity_of plan pred)))
     plan.Physical.info.edb;
-  (* The persistent runtime: [workers] domains spawned once, every
-     stratum submitted to the same pool; per-worker scratch carries
-     across strata; one fault schedule and at most one guardian domain
-     per run. *)
+  (* The persistent pool: [workers] domains spawned once, every stratum
+     submitted to the same pool; one fault schedule and at most one
+     guardian domain per run. *)
   let n = config.workers in
-  let owned, pool, scratches =
-    match runtime with
-    | Some rt -> (false, rt.rt_pool, rt.rt_scratches)
-    | None -> (true, Domain_pool.create ~workers:n, Array.init n (fun _ -> Worker.make_scratch ~workers:n ()))
+  let owned, pool =
+    match pool with
+    | Some p -> (false, p)
+    | None -> (true, Domain_pool.create ~workers:n)
   in
   let fault = Option.map (Fault.create ~workers:n) config.fault in
   let monitor : monitor option Atomic.t = Atomic.make None in
@@ -468,7 +427,7 @@ let run ?runtime (plan : Physical.t) ~edb ~config =
     else
       let window = Option.value guard.stall_window ~default:infinity in
       Some
-        (Watchdog.spawn ~window ~poll:guard.stall_poll
+        (Watchdog.spawn ~window ~poll:guardian_poll
            ~progress:(fun () ->
              match Atomic.get monitor with
              | Some m -> m.g_progress ()
@@ -493,8 +452,7 @@ let run ?runtime (plan : Physical.t) ~edb ~config =
       List.iter
         (fun (sp : Physical.stratum_plan) ->
           if Cancel.check token then raise_cancelled token;
-          eval_stratum plan catalog sp config ~pool ~scratches ~fault ~monitor ~stall_diag
-            ~token stats)
+          eval_stratum plan catalog sp config ~pool ~fault ~monitor ~stall_diag ~token stats)
         plan.Physical.strata;
       stats.Run_stats.total_wall <- Clock.now () -. t0;
       { catalog; stats })

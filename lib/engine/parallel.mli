@@ -2,25 +2,25 @@
 
     This module is the thin stratum orchestrator over the layered
     runtime: it owns the run-wide resources — one persistent
-    {!Dcd_concurrent.Domain_pool} of [workers] domains, the per-worker
-    {!Worker.scratch}, the fault schedule and the watchdog guardian —
-    and submits each stratum (in dependency order) as one job per pool
-    worker.  The evaluation machinery itself lives below:
+    {!Dcd_concurrent.Domain_pool} of [workers] domains, the fault
+    schedule and the watchdog guardian — and submits each stratum (in
+    dependency order) as one job per pool worker.  The evaluation
+    machinery itself lives below:
 
     - {!Exchange} — the inter-worker tuple fabric (SPSC matrix or
-      locked-queue ablation), batching, occupancy and termination
-      accounting;
+      locked-queue ablation), one batch per flushed frame, occupancy
+      and termination accounting;
     - {!Distribute} — the emit side: head-target routing into per-copy ×
       per-destination frames, partial aggregation and set dedup at flush;
     - {!Worker} — per-worker stores, delta arenas, prepared rule
-      pipelines, and the step primitives (init scan striping,
-      drain/merge, one semi-naive iteration);
+      pipelines, and the step primitives (init scans, drain/merge,
+      one semi-naive iteration);
     - {!Strategy} — the coordination loops driving those steps: [Global]
       barriers, [Ssp s] bounded staleness, or [Dws] with the {!Qmodel}
       controller (Algorithm 2).
 
     Both recursive and non-recursive strata evaluate on the same pool:
-    non-recursive strata stripe their init-rule scans across the workers
+    non-recursive strata split their init-rule scans across the workers
     and converge after a single exchange round.  Domains are spawned
     exactly once per run, regardless of how many strata the program has.
 
@@ -41,19 +41,16 @@ type exchange = Exchange.kind =
 type config = {
   workers : int;
   strategy : Coord.t;
-  store_opts : Rec_store.opts;
+  optimized_stores : bool;
+      (** Table 4's with/without switch for the §6.2 optimizations of
+          aggregate stores: the B⁺-tree group index and the existence
+          cache together (default [true]; see {!Rec_store.create}) *)
   partial_agg : bool;
   max_iterations : int;
       (** cap on local iterations per worker (0 = unbounded).  Needed
           for programs whose aggregate fixpoint converges only
           numerically (PageRank); also a safety net. *)
   exchange : exchange;
-  batch_tuples : int;
-      (** maximum tuples per exchange batch.  [0] (the default) ships
-          each (copy, destination) flush as a single batch regardless of
-          size; [1] reproduces the historical per-tuple message framing;
-          intermediate values bound consumer latency under very large
-          flushes.  Fixpoints are identical for every setting. *)
   steal : bool;
       (** intra-iteration morsel-driven work stealing (default [true]).
           Large delta and init scans are split into fixed-size morsels
@@ -97,36 +94,15 @@ type config = {
 
 val default_config : config
 (** 4 workers (or fewer if the machine recommends less), DWS, optimized
-    stores, partial aggregation on, unbounded iterations, unbounded
-    batches. *)
+    stores, partial aggregation on, unbounded iterations. *)
 
 type result = {
   catalog : Catalog.t;
   stats : Run_stats.t;
 }
 
-(** A resident worker runtime: the persistent domain pool plus the
-    per-worker scratch, created once and shared across many {!run}
-    calls.  This is what keeps a serving {!Dcd_engine} session from
-    re-spawning domains on every incremental recompute.  The caller owns
-    it: {!run} with [?runtime] never shuts the pool down, and
-    {!destroy_runtime} must be called exactly once when done.  Not
-    thread-safe — at most one [run] may use a runtime at a time. *)
-type runtime = {
-  rt_workers : int;
-  rt_pool : Dcd_concurrent.Domain_pool.t;
-  rt_scratches : Worker.scratch array;
-}
-
-val create_runtime : workers:int -> runtime
-(** Spawns the [workers] domains and allocates their scratch. *)
-
-val destroy_runtime : runtime -> unit
-(** Joins the pool's domains.  Idempotence follows
-    {!Dcd_concurrent.Domain_pool.shutdown}. *)
-
 val run :
-  ?runtime:runtime ->
+  ?pool:Dcd_concurrent.Domain_pool.t ->
   Dcd_planner.Physical.t ->
   edb:(string * Dcd_storage.Tuple.t Dcd_util.Vec.t) list ->
   config:config ->
@@ -135,11 +111,13 @@ val run :
     from [edb] but used as base tables evaluate as empty.  Spawns the
     worker pool (and the guardian, if any run guard is armed) once, and
     always tears both down before returning or raising — unless a
-    [runtime] is supplied, in which case its pool and scratches are
-    reused and left alive (its worker count must equal
-    [config.workers]; a crash that exhausts [max_recoveries] may leave
-    the shared pool with parked domains, so a caller sharing a runtime
-    should treat an escaping error as fatal to the runtime).
+    resident [pool] is supplied, which is used and left alive.  This is
+    what keeps a serving session from re-spawning domains on every
+    incremental recompute.  The caller owns such a pool: its size must
+    equal [config.workers], at most one [run] may use it at a time, and
+    a crash that exhausts [max_recoveries] may leave it with parked
+    domains, so the caller should treat an escaping error as fatal to
+    it.
     @raise Invalid_argument on arity mismatches in [edb].
     @raise Engine_error.Error when the run is cancelled (deadline or
     token), a worker crashes (the error names the faulting worker, with

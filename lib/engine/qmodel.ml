@@ -101,12 +101,3 @@ let decide ?(stealable = false) t ~buffer_sizes =
 let decay t f =
   Array.iter (fun p -> Stats.decay p.interarrival f) t.producers;
   Stats.decay t.service f
-
-let reset t =
-  Array.iter
-    (fun p ->
-      Stats.reset p.interarrival;
-      p.last_arrival <- nan;
-      p.seen <- 0)
-    t.producers;
-  Stats.reset t.service

@@ -50,10 +50,3 @@ val decide : ?stealable:bool -> t -> buffer_sizes:int array -> decision
 val decay : t -> float -> unit
 (** Exponential forgetting of all statistics, to track phase changes of
     the fixpoint computation. *)
-
-val reset : t -> unit
-(** Discards all statistics, returning the model to its cold-start
-    state (it answers [omega = 0] until it has data again).  Used when a
-    persistent worker carries its model from one stratum to the next:
-    the arrival process of the new fixpoint shares nothing with the old
-    one. *)

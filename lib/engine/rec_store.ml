@@ -4,15 +4,6 @@ module Run_buffer = Dcd_storage.Run_buffer
 module Tuple_table = Dcd_storage.Tuple_table
 module Slot_index = Dcd_storage.Slot_index
 
-type opts = {
-  agg_backend : Agg_table.backend;
-  use_cache : bool;
-}
-
-let default_opts = { agg_backend = Agg_table.Indexed; use_cache = true }
-
-let unoptimized_opts = { agg_backend = Agg_table.Scan; use_cache = false }
-
 let agg_kind_of_ast = function
   | Ast.Min -> Agg_table.Min
   | Ast.Max -> Agg_table.Max
@@ -61,7 +52,7 @@ let permuted_order ~arity ~route ~skip =
   done;
   Array.append route (Array.of_list !rest)
 
-let create ~arity ~agg ~route ?(indexed = true) ~opts () =
+let create ~arity ~agg ~route ?(indexed = true) ?(optimized = true) () =
   let order = permuted_order ~arity ~route ~skip:(Option.map fst agg) in
   let store =
     match agg with
@@ -73,14 +64,16 @@ let create ~arity ~agg ~route ?(indexed = true) ~opts () =
       Agg
         {
           table =
-            Agg_table.create ~backend:opts.agg_backend ~kind:(agg_kind_of_ast kind)
+            Agg_table.create
+              ~backend:(if optimized then Agg_table.Indexed else Agg_table.Scan)
+              ~kind:(agg_kind_of_ast kind)
               ~group_arity:(arity - 1) ();
           kind;
           value_pos;
           (* aggregate copies' frames carry a contributor suffix (empty
              for min/max), matching Exchange.contrib *)
           run = Run_buffer.create ~arity ~contrib:true ~key_cols:order ();
-          cache = (if opts.use_cache then Some (Exist_cache.create ()) else None);
+          cache = (if optimized then Some (Exist_cache.create ()) else None);
         }
   in
   { arity; order; store; scratch = Array.make (Array.length order) 0 }

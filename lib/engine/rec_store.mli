@@ -21,16 +21,6 @@
 
 open Dcd_datalog
 
-type opts = {
-  agg_backend : Dcd_storage.Agg_table.backend;
-      (** [Indexed] = paper-optimized merge; [Scan] = Table 4 "w/o" *)
-  use_cache : bool; (** §6.2.2 existence-check cache, aggregate stores only *)
-}
-
-val default_opts : opts
-
-val unoptimized_opts : opts
-
 type t
 
 val create :
@@ -38,12 +28,18 @@ val create :
   agg:(int * Ast.agg_kind) option ->
   route:int array ->
   ?indexed:bool ->
-  opts:opts ->
+  ?optimized:bool ->
   unit ->
   t
 (** [indexed] (default [true]) gives a set store its slot index on the
     route columns; the engine sets it for the copies some rule looks up
-    ({!Exchange.copy_info}[.ci_probed]).  Aggregate stores ignore it. *)
+    ({!Exchange.copy_info}[.ci_probed]).  Aggregate stores ignore it.
+
+    [optimized] (default [true]) is Table 4's with/without switch, and
+    only aggregate stores read it: with it, the group index is a
+    B⁺-tree ({!Dcd_storage.Agg_table.Indexed}, §6.2.1) behind the
+    §6.2.2 existence cache; without it, a linear-scan group table and
+    no cache.  Set stores are the same either way. *)
 
 val index : t -> Dcd_storage.Slot_index.t option
 (** A set store's route index over its table's rows, if it has one: the

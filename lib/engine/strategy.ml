@@ -106,12 +106,19 @@ let ssp w s =
     end
   done
 
+(* Sleep between re-checks while a DWS wait finds nothing to steal, and
+   the per-iteration exponential forgetting of the queueing model's
+   statistics (tracks phase changes of the fixpoint). *)
+let dws_poll_interval = 0.0002
+
+let dws_decay = 0.98
+
 (* Algorithm 2: no global coordination — the queueing model decides,
    per pass, whether to wait up to τ for the pending delta to reach ω
    tuples or to proceed immediately.  The model knows about the morsel
    board: when stealable work exists the wait budget is stretched
    (waiting is productive), and the wait itself is spent stealing. *)
-let dws w (opts : Coord.dws_opts) =
+let dws w =
   let sh = Worker.shared w in
   let me = Worker.me w in
   let term = Exchange.term sh.Worker.exch in
@@ -141,7 +148,7 @@ let dws w (opts : Coord.dws_opts) =
       if float_of_int sz < decision.Qmodel.omega then begin
         (* wait up to τ (capped) for the delta to reach ω, collecting
            arriving tuples and stealing meanwhile; resume on timeout *)
-        let deadline = Clock.now () +. Float.min decision.Qmodel.tau opts.tau_cap in
+        let deadline = Clock.now () +. Float.min decision.Qmodel.tau Coord.dws_tau_cap in
         let waiting = ref true in
         while !waiting do
           if Atomic.get sh.Worker.failed || Cancel.is_set sh.Worker.token then waiting := false
@@ -152,7 +159,7 @@ let dws w (opts : Coord.dws_opts) =
           else if Clock.now () >= deadline then waiting := false
           else begin
             if not (Worker.try_steal w) then
-              Worker.timed_wait w (fun () -> Unix.sleepf opts.poll_interval);
+              Worker.timed_wait w (fun () -> Unix.sleepf dws_poll_interval);
             ignore (Worker.drain_and_merge w);
             if float_of_int (Worker.delta_size w) >= decision.Qmodel.omega then
               waiting := false
@@ -161,7 +168,7 @@ let dws w (opts : Coord.dws_opts) =
       end;
       Worker.run_iteration w;
       Worker.maybe_request_cut w;
-      Worker.decay_model w opts.decay
+      Worker.decay_model w dws_decay
     end
   done
 
@@ -169,4 +176,4 @@ let run strategy w =
   match strategy with
   | Coord.Global -> global w
   | Coord.Ssp s -> ssp w s
-  | Coord.Dws opts -> dws w opts
+  | Coord.Dws -> dws w

@@ -10,54 +10,6 @@ module Termination = Dcd_concurrent.Termination
 module Cancel = Dcd_concurrent.Cancel
 module Fault = Dcd_concurrent.Fault
 
-(* --- persistent scratch: survives from stratum to stratum --- *)
-
-(* Everything a worker allocates per stratum that the next stratum can
-   reuse: the queueing model (reset, same producer count), the drain
-   counting array, and free lists of cleared delta arenas and exchange
-   frames keyed by their shape.  Owned by one worker index for the whole
-   run; only that pool domain touches it during evaluation. *)
-type scratch = {
-  qm : Qmodel.t;
-  drained_from : int array;
-  mutable spare_arenas : Arena.t list;
-  mutable spare_frames : Frame.t list;
-}
-
-let make_scratch ~workers () =
-  {
-    qm = Qmodel.create ~producers:workers ();
-    drained_from = Array.make workers 0;
-    spare_arenas = [];
-    spare_frames = [];
-  }
-
-let take_arena sc ~arity =
-  let rec pick acc = function
-    | [] -> Arena.create ~arity ()
-    | a :: rest when Arena.arity a = arity ->
-      sc.spare_arenas <- List.rev_append acc rest;
-      Arena.clear a;
-      a
-    | a :: rest -> pick (a :: acc) rest
-  in
-  pick [] sc.spare_arenas
-
-let give_arena sc a = sc.spare_arenas <- a :: sc.spare_arenas
-
-let take_frame sc ~arity ~contrib =
-  let rec pick acc = function
-    | [] -> Frame.create ~arity ~contrib ()
-    | f :: rest when Frame.arity f = arity && Frame.has_contrib f = contrib ->
-      sc.spare_frames <- List.rev_append acc rest;
-      Frame.clear f;
-      f
-    | f :: rest -> pick (f :: acc) rest
-  in
-  pick [] sc.spare_frames
-
-let give_frame sc f = sc.spare_frames <- f :: sc.spare_frames
-
 (* --- per-stratum shared coordination state --- *)
 
 type shared = {
@@ -249,10 +201,11 @@ let stall_snapshot sh ~strategy ~window =
 
 type t = {
   sh : shared;
-  sc : scratch;
   sx : stratum_ctx;
   me : int;
   ws : Run_stats.worker;
+  qm : Qmodel.t; (* this worker's DWS queueing model *)
+  drained_from : int array; (* per-source tuple counts of the last drain *)
   stores : Rec_store.t array; (* own partition: stores.(me) of the run matrix *)
   local_cids : int array;
       (* copies whose stores may hold local folds (Exchange.ci_local):
@@ -313,10 +266,10 @@ let stage_batch w (b : Exchange.batch) =
   Frame.iter b.bframe (fun data ~toff ~clen ~coff ->
       Rec_store.stage_slice store ~data ~off:toff ~cdata:data ~coff ~clen)
 
-let create ~shared:sh ~scratch:sc ~stratum:sx ~me ~stores:all_stores ~ws =
+let create ~shared:sh ~stratum:sx ~me ~stores:all_stores ~ws =
   let copies = sx.sx_copies in
   let own_stores = all_stores.(me) in
-  let deltas = Array.map (fun ci -> take_arena sc ~arity:ci.Exchange.ci_arity) copies in
+  let deltas = Array.map (fun ci -> Arena.create ~arity:ci.Exchange.ci_arity ()) copies in
   let delta_groups =
     Array.map
       (fun ci ->
@@ -328,7 +281,6 @@ let create ~shared:sh ~scratch:sc ~stratum:sx ~me ~stores:all_stores ~ws =
   let dist =
     Distribute.create ~exch:sh.exch ~me ~h:sx.sx_h ~partial_agg:sx.sx_partial_agg
       ~stores:own_stores ~ws
-      ~take_frame:(fun ~arity ~contrib -> take_frame sc ~arity ~contrib)
   in
   (* one evaluation context per store row the pipelines may probe: own
      rules bind to this worker's partition, steal pipelines to the
@@ -387,10 +339,11 @@ let create ~shared:sh ~scratch:sc ~stratum:sx ~me ~stores:all_stores ~ws =
   let w =
     {
       sh;
-      sc;
       sx;
       me;
       ws;
+      qm = Qmodel.create ~producers:sh.n ();
+      drained_from = Array.make sh.n 0;
       stores = own_stores;
       local_cids;
       deltas;
@@ -435,14 +388,14 @@ let holds_local_folds w =
 
 let drain_and_merge w =
   let t0 = Clock.now () in
-  let total = Exchange.drain w.sh.exch ~me:w.me ~drained_from:w.sc.drained_from w.on_batch in
+  let total = Exchange.drain w.sh.exch ~me:w.me ~drained_from:w.drained_from w.on_batch in
   if total > 0 then begin
     (* one clock read per drain, not per tuple: the arrival model keeps
        its per-batch framing (see Qmodel) *)
     let now = Clock.now () in
     for j = 0 to w.sh.n - 1 do
-      let cnt = w.sc.drained_from.(j) in
-      if cnt > 0 then Qmodel.record_arrival w.sc.qm ~from:j ~now ~count:cnt
+      let cnt = w.drained_from.(j) in
+      if cnt > 0 then Qmodel.record_arrival w.qm ~from:j ~now ~count:cnt
     done;
     (* Become visibly active BEFORE recording consumption: a peer whose
        quiescence snapshot includes these consumed counts must also see
@@ -536,7 +489,7 @@ let try_steal w =
       w.ws.tuples_processed <- w.ws.tuples_processed + k;
       w.ws.steals <- w.ws.steals + 1;
       w.ws.stolen_tuples <- w.ws.stolen_tuples + m.Steal.m_len;
-      Qmodel.record_service w.sc.qm ~tuples:k ~elapsed:dt;
+      Qmodel.record_service w.qm ~tuples:k ~elapsed:dt;
       true
 
 (* The owner's join: wait for every outstanding morsel to come back,
@@ -620,17 +573,17 @@ let run_iteration w =
   let dt = own +. (Clock.now () -. t1) in
   w.ws.busy_time <- w.ws.busy_time +. dt;
   w.ws.tuples_processed <- w.ws.tuples_processed + !processed;
-  Qmodel.record_service w.sc.qm ~tuples:!processed ~elapsed:dt;
+  Qmodel.record_service w.qm ~tuples:!processed ~elapsed:dt;
   w.ws.iterations <- w.ws.iterations + 1;
   Atomic.incr w.sh.iter_counts.(w.me)
 
 let decide w =
   Qmodel.decide
     ~stealable:(Steal.stealable w.sh.steal ~me:w.me)
-    w.sc.qm
+    w.qm
     ~buffer_sizes:(Exchange.inbox_sizes w.sh.exch ~dest:w.me)
 
-let decay_model w f = Qmodel.decay w.sc.qm f
+let decay_model w f = Qmodel.decay w.qm f
 
 let inject w site = w.sh.inject site ~worker:w.me
 
@@ -788,14 +741,14 @@ let run_init w =
     join_morsels w
   end
   else
-    (* stealing off: the historical strided stripe, copied into a scratch
+    (* stealing off: the historical strided stripe, copied into an
        arena per group *)
     Array.iteri
       (fun g src ->
         bail_if_cancelled w;
         let len = Arena.length src and arity = Arena.arity src in
         let sdata = Arena.data src in
-        let stripe = take_arena w.sc ~arity in
+        let stripe = Arena.create ~capacity:((len / w.sh.n) + 1) ~arity () in
         let k = ref w.me in
         while !k < len do
           ignore (Arena.push_slice stripe sdata (!k * arity));
@@ -805,8 +758,7 @@ let run_init w =
           (fun p ->
             w.ws.tuples_processed <-
               w.ws.tuples_processed + Eval.run_prepared p ~scan:(`Flat stripe))
-          w.init_pipes.(g);
-        give_arena w.sc stripe)
+          w.init_pipes.(g))
       w.init_arenas;
   flush_outgoing w
 
@@ -820,14 +772,3 @@ let finish_nonrecursive w =
   await_barrier w;
   ignore (drain_and_merge w);
   w.ws.iterations <- w.ws.iterations + 1
-
-(* --- end of stratum: recycle the scratch --- *)
-
-let recycle w =
-  Array.iter
-    (fun a ->
-      Arena.clear a;
-      give_arena w.sc a)
-    w.deltas;
-  Distribute.release w.dist (give_frame w.sc);
-  Qmodel.reset w.sc.qm

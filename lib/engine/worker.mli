@@ -3,11 +3,9 @@
     {!Strategy} loops drive (init, drain/merge, run one iteration,
     quiesce bookkeeping).
 
-    A worker object lives for one stratum, but its {!scratch} — the
-    queueing model, drain counters, and free lists of arenas/frames —
-    persists for the whole run and is rethreaded into the next stratum's
-    worker, so per-stratum evaluation does not reallocate the hot-path
-    buffers.
+    A worker object lives for one stratum: it allocates its queueing
+    model, delta arenas and outgoing frames for that stratum, and
+    nothing of it outlives the stratum.
 
     With the morsel board ({!Steal}) enabled, every delta and init scan
     is split into fixed-size morsels published on the owner's deque;
@@ -17,13 +15,6 @@
     Exchange row, keeping every SPSC queue single-producer. *)
 
 open Dcd_planner
-
-(** {1 Persistent per-worker scratch} *)
-
-type scratch
-
-val make_scratch : workers:int -> unit -> scratch
-(** One per pool worker, created once per run. *)
 
 (** {1 Per-stratum shared coordination state} *)
 
@@ -106,14 +97,12 @@ type t
 
 val create :
   shared:shared ->
-  scratch:scratch ->
   stratum:stratum_ctx ->
   me:int ->
   stores:Rec_store.t array array ->
   ws:Run_stats.worker ->
   t
-(** Prepares every rule pipeline against this worker's stores and
-    scratch.  [stores] is the full per-worker store matrix
+(** Prepares every rule pipeline against this worker's stores.  [stores] is the full per-worker store matrix
     ([stores.(v).(cid)]): row [me] backs the worker's own pipelines, and
     when stealing is on, one extra pipeline set per victim row binds
     recursive lookups to that victim's partition.  Runs on the pool
@@ -129,8 +118,8 @@ val run_init : t -> unit
 (** Evaluates the init rules ([S_unit] on worker 0 only; [S_base] scans
     of the shared flat arenas: published as stealable [Init] morsels
     over this worker's contiguous share when the board is on, otherwise
-    striped into a scratch arena) and flushes the produced deltas into
-    the exchange. *)
+    striped into an arena of its own) and flushes the produced deltas
+    into the exchange. *)
 
 val finish_nonrecursive : t -> unit
 (** The whole evaluation of a non-recursive stratum after {!run_init}:
@@ -246,8 +235,3 @@ val restore : t -> bool
     from the epoch's banks and rewind the iteration counters.  [false]
     when no epoch is committed — the caller restarts from
     {!run_init}. *)
-
-val recycle : t -> unit
-(** End of stratum: return the delta arenas and outgoing frames to the
-    scratch free lists and reset the queueing model, so the next
-    stratum's {!create} reuses them. *)

@@ -297,7 +297,7 @@ let run_async spec ~strategy ~params =
               end
             end
             else true
-          | Coord.Dws opts ->
+          | Coord.Dws ->
             if (not (Float.is_nan sim.wait_deadline)) && sim.clock >= sim.wait_deadline then begin
               sim.wait_deadline <- nan;
               true
@@ -314,7 +314,7 @@ let run_async spec ~strategy ~params =
                 (* wait for more input, up to τ (capped) *)
                 if Float.is_nan sim.wait_deadline then
                   sim.wait_deadline <-
-                    sim.clock +. Float.min decision.tau (opts.tau_cap *. 1000.);
+                    sim.clock +. Float.min decision.tau (Coord.dws_tau_cap *. 1000.);
                 let next_arrival =
                   match Heap.peek sim.inbox with
                   | Some (arrival, _, _) -> Float.max arrival (sim.clock +. 1e-9)
@@ -353,7 +353,7 @@ let run_async spec ~strategy ~params =
 let run spec ~strategy ~params =
   match strategy with
   | Coord.Global -> run_global spec ~params
-  | Coord.Ssp _ | Coord.Dws _ -> run_async spec ~strategy ~params
+  | Coord.Ssp _ | Coord.Dws -> run_async spec ~strategy ~params
 
 let speedup_curve make_spec ~strategy ~params ~workers =
   let base = (run (make_spec ~workers:1) ~strategy ~params).makespan in

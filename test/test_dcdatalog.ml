@@ -60,7 +60,8 @@ let test_tuples_helper () =
 let test_default_config_sane () =
   Alcotest.(check bool) "at least one worker" true (D.default_config.workers >= 1);
   Alcotest.(check bool) "dws by default" true
-    (match D.default_config.strategy with D.Coord.Dws _ -> true | _ -> false);
+    (match D.default_config.strategy with D.Coord.Dws -> true | _ -> false);
+  Alcotest.(check bool) "optimized stores by default" true D.default_config.optimized_stores;
   Alcotest.(check bool) "spsc by default" true
     (D.default_config.exchange = D.Parallel.Spsc_exchange)
 

@@ -48,7 +48,7 @@ let config_gen =
     let* workers = int_range 1 4 in
     let* strat = int_range 0 2 in
     let strategy =
-      match strat with 0 -> D.Coord.Global | 1 -> D.Coord.Ssp 2 | _ -> D.Coord.dws
+      match strat with 0 -> D.Coord.Global | 1 -> D.Coord.Ssp 2 | _ -> D.Coord.Dws
     in
     let* optimized = bool in
     let* steal = bool in
@@ -58,7 +58,7 @@ let config_gen =
         workers;
         strategy;
         steal;
-        store_opts = (if optimized then D.Rec_store.default_opts else D.Rec_store.unoptimized_opts);
+        optimized_stores = optimized;
       })
 
 let make_prop name gen prop = QCheck.Test.make ~name ~count:40 (QCheck.make gen) prop
@@ -205,7 +205,7 @@ let test_exhaustive_grid () =
                     Alcotest.(check int) (label ^ ": nothing sent") 0 sent)
                 [ 1; 2; 4 ])
             [ false; true ])
-        [ D.Coord.Global; D.Coord.Ssp 2; D.Coord.dws ])
+        [ D.Coord.Global; D.Coord.Ssp 2; D.Coord.Dws ])
     queries
 
 let () =

@@ -11,7 +11,7 @@ let run ?params ?(config = D.default_config) src edb =
   | Ok result -> result
   | Error e -> Alcotest.fail e
 
-let strategies = [ ("global", D.Coord.Global); ("ssp1", D.Coord.Ssp 1); ("dws", D.Coord.dws) ]
+let strategies = [ ("global", D.Coord.Global); ("ssp1", D.Coord.Ssp 1); ("dws", D.Coord.Dws) ]
 
 let each_config f () =
   List.iter
@@ -114,9 +114,7 @@ let test_pagerank_converges () =
     Alcotest.fail (Printf.sprintf "unexpected pagerank shape (%d rows)" (List.length other))
 
 let test_unoptimized_store_same_results () =
-  let config =
-    { D.default_config with workers = 2; store_opts = D.Rec_store.unoptimized_opts }
-  in
+  let config = { D.default_config with workers = 2; optimized_stores = false } in
   let r = run ~config D.Queries.tc.source arc_chain in
   Alcotest.check rows "tc unoptimized" tc_expected (D.relation r "tc")
 

@@ -147,7 +147,7 @@ let test_pool_run_compat () =
 
 let tc_arc n = List.init (n - 1) (fun i -> [ i; i + 1 ])
 
-let strategies = [ ("global", D.Coord.Global); ("ssp", D.Coord.Ssp 2); ("dws", D.Coord.dws) ]
+let strategies = [ ("global", D.Coord.Global); ("ssp", D.Coord.Ssp 2); ("dws", D.Coord.Dws) ]
 
 (* An induced crash in worker 1 must terminate the whole pool under every
    strategy — peers poisoned, never hung — and the structured error must
@@ -241,7 +241,6 @@ let test_watchdog_detects_livelock () =
             {
               D.Coord.default_config with
               stall_window = Some 0.15;
-              stall_poll = 0.02;
               timeout = Some 30.;
             };
           fault = Some { D.Fault.off with seed = 1; stall_worker = Some 1; stall_after = 2 };

@@ -61,7 +61,6 @@ let run_case ~seed ~workers ~strategy ~crash_prob ~delay_prob ?(steal = true)
           D.Coord.default_config with
           timeout = Some 60.;
           stall_window = Some 10.;
-          stall_poll = 0.02;
         };
       fault =
         Some
@@ -92,7 +91,7 @@ let () =
       ("cc", D.Queries.cc.source, None, [ ("arc", sym) ], "cc");
     ]
   in
-  let strategies = [ ("global", D.Coord.Global); ("ssp2", D.Coord.Ssp 2); ("dws", D.Coord.dws) ]
+  let strategies = [ ("global", D.Coord.Global); ("ssp2", D.Coord.Ssp 2); ("dws", D.Coord.Dws) ]
   in
   let total = ref 0
   and ok = ref 0

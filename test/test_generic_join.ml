@@ -115,7 +115,7 @@ let config_gen =
     let* workers = oneofl [ 1; 4 ] in
     let* strat = int_range 0 2 in
     let strategy =
-      match strat with 0 -> D.Coord.Global | 1 -> D.Coord.Ssp 2 | _ -> D.Coord.dws
+      match strat with 0 -> D.Coord.Global | 1 -> D.Coord.Ssp 2 | _ -> D.Coord.Dws
     in
     let* steal = bool in
     return { D.default_config with workers; strategy; steal; morsel_tuples = 8 })

@@ -131,7 +131,7 @@ let grid_cells =
       List.concat_map
         (fun steal -> List.map (fun mw -> (strategy, steal, mw)) [ 1; 4 ])
         [ false; true ])
-    [ D.Coord.Global; D.Coord.Ssp 2; D.Coord.dws ]
+    [ D.Coord.Global; D.Coord.Ssp 2; D.Coord.Dws ]
 
 let mk_edges rng n m = List.init m (fun _ -> [| Dcd_util.Rng.int rng n; Dcd_util.Rng.int rng n |])
 

@@ -34,7 +34,7 @@ let run ~config =
   | Ok r -> r
   | Error e -> Alcotest.fail e
 
-let strategies = [ ("global", D.Coord.Global); ("ssp2", D.Coord.Ssp 2); ("dws", D.Coord.dws) ]
+let strategies = [ ("global", D.Coord.Global); ("ssp2", D.Coord.Ssp 2); ("dws", D.Coord.Dws) ]
 
 let stratum_sizes (stats : D.Run_stats.t) =
   (* relation cardinalities are pinned via the relations themselves; the

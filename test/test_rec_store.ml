@@ -10,12 +10,11 @@ let matches ?(arity = 2) store key =
   Rs.iter_matches store ~key (fun data off -> out := Array.to_list (Array.sub data off arity) :: !out);
   List.sort compare !out
 
-let all_opts = [ ("optimized", Rs.default_opts); ("unoptimized", Rs.unoptimized_opts) ]
+(* every case runs with and without Table 4's optimizations *)
+let for_all_opts f () = List.iter f [ true; false ]
 
-let for_all_opts f () = List.iter (fun (_, opts) -> f opts) all_opts
-
-let test_set_store opts =
-  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~opts () in
+let test_set_store optimized =
+  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~optimized () in
   Alcotest.(check bool) "fresh tuple" true (Rs.merge s ~tuple:[| 1; 2 |] ~contributor:[||] <> None);
   Alcotest.(check bool) "duplicate absorbed" true
     (Rs.merge s ~tuple:[| 1; 2 |] ~contributor:[||] = None);
@@ -24,17 +23,17 @@ let test_set_store opts =
   Alcotest.(check int) "length" 3 (Rs.length s);
   Alcotest.check tuple_list "route matches" [ [ 1; 2 ]; [ 1; 3 ] ] (matches s [| 1 |])
 
-let test_set_store_route1 opts =
+let test_set_store_route1 optimized =
   (* route on the SECOND column: permutation must still return canonical tuples *)
-  let s = Rs.create ~arity:2 ~agg:None ~route:[| 1 |] ~opts () in
+  let s = Rs.create ~arity:2 ~agg:None ~route:[| 1 |] ~optimized () in
   ignore (Rs.merge s ~tuple:[| 1; 7 |] ~contributor:[||]);
   ignore (Rs.merge s ~tuple:[| 2; 7 |] ~contributor:[||]);
   ignore (Rs.merge s ~tuple:[| 3; 8 |] ~contributor:[||]);
   Alcotest.check tuple_list "match by col 1, canonical order" [ [ 1; 7 ]; [ 2; 7 ] ]
     (matches s [| 7 |])
 
-let test_agg_min opts =
-  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] ~opts () in
+let test_agg_min optimized =
+  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] ~optimized () in
   (match Rs.merge s ~tuple:[| 1; 5 |] ~contributor:[||] with
   | Some t -> Alcotest.(check (list int)) "first" [ 1; 5 ] (Array.to_list t)
   | None -> Alcotest.fail "first merge must change");
@@ -44,9 +43,9 @@ let test_agg_min opts =
   | None -> Alcotest.fail "improvement must be emitted");
   Alcotest.check tuple_list "lookup sees the aggregate" [ [ 1; 2 ] ] (matches s [| 1 |])
 
-let test_agg_value_not_in_route opts =
+let test_agg_value_not_in_route optimized =
   (* APSP-style: path(A, B, min<D>), route by B (col 1), group (A, B) *)
-  let s = Rs.create ~arity:3 ~agg:(Some (2, Ast.Min)) ~route:[| 1 |] ~opts () in
+  let s = Rs.create ~arity:3 ~agg:(Some (2, Ast.Min)) ~route:[| 1 |] ~optimized () in
   ignore (Rs.merge s ~tuple:[| 1; 5; 10 |] ~contributor:[||]);
   ignore (Rs.merge s ~tuple:[| 2; 5; 20 |] ~contributor:[||]);
   ignore (Rs.merge s ~tuple:[| 1; 6; 30 |] ~contributor:[||]);
@@ -58,8 +57,8 @@ let test_agg_value_not_in_route opts =
   Alcotest.check tuple_list "after improvement" [ [ 1; 5; 10 ]; [ 2; 5; 15 ] ]
     (matches ~arity:3 s [| 5 |])
 
-let test_agg_count opts =
-  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Count)) ~route:[| 0 |] ~opts () in
+let test_agg_count optimized =
+  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Count)) ~route:[| 0 |] ~optimized () in
   (match Rs.merge s ~tuple:[| 7; 0 |] ~contributor:[| 100 |] with
   | Some t -> Alcotest.(check (list int)) "count 1" [ 7; 1 ] (Array.to_list t)
   | None -> Alcotest.fail "first contributor");
@@ -72,14 +71,16 @@ let test_agg_count opts =
 (* the existence cache sits in front of aggregate stores only: a set
    store's table probe is its existence check *)
 let test_cache_stats () =
-  let min_store opts = Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] ~opts () in
-  let s = min_store Rs.default_opts in
+  let min_store optimized =
+    Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] ~optimized ()
+  in
+  let s = min_store true in
   ignore (Rs.merge s ~tuple:[| 1; 1 |] ~contributor:[||]);
   ignore (Rs.merge s ~tuple:[| 1; 1 |] ~contributor:[||]);
   (match Rs.cache_stats s with
   | Some (hits, _) -> Alcotest.(check bool) "cache hit recorded" true (hits >= 1)
   | None -> Alcotest.fail "cache should be on by default");
-  let s2 = min_store Rs.unoptimized_opts in
+  let s2 = min_store false in
   Alcotest.(check bool) "no cache when off" true (Rs.cache_stats s2 = None)
 
 (* --- the drain's path: stage_slice + merge_run --------------------- *)
@@ -89,8 +90,8 @@ let dump ?(arity = 2) s =
   Rs.iter s (fun data off -> out := Array.to_list (Array.sub data off arity) :: !out);
   List.sort compare !out
 
-let test_stage_and_merge_run opts =
-  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~opts () in
+let test_stage_and_merge_run optimized =
+  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~optimized () in
   let stage tup =
     Rs.stage_slice s ~data:tup ~off:0 ~cdata:tup ~coff:0 ~clen:0
   in
@@ -140,7 +141,7 @@ let merge_run_matches_per_tuple ~agg ~contrib name =
         (list_of_size QCheck.Gen.(int_range 1 5) (int_range 1 40)))
   in
   QCheck.Test.make ~name ~count:80 gen (fun (candidates, chunk_sizes) ->
-      let mk () = Rs.create ~arity:2 ~agg ~route:[| 0 |] ~opts:Rs.default_opts () in
+      let mk () = Rs.create ~arity:2 ~agg ~route:[| 0 |] () in
       let a = mk () and b = mk () in
       let group_of tup =
         match agg with
@@ -206,8 +207,8 @@ let merge_run_matches_per_tuple ~agg ~contrib name =
 (* Mixing the two fold paths on a set store must fail loudly: a
    [merge_slice] moves the report mark, which would hide folds staged
    before it from [merge_run]. *)
-let test_merge_slice_after_stage opts =
-  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~opts () in
+let test_merge_slice_after_stage optimized =
+  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~optimized () in
   let merge_slice tup = Rs.merge_slice s ~data:tup ~off:0 ~cdata:tup ~coff:0 ~clen:0 in
   Rs.stage_slice s ~data:[| 1; 2 |] ~off:0 ~cdata:[||] ~coff:0 ~clen:0;
   (match merge_slice [| 3; 4 |] with
@@ -224,8 +225,8 @@ let test_merge_slice_after_stage opts =
    refuses to snapshot while it holds tuples merge_run has not reported
    (a local delivery, or a drained candidate), accepts once they are
    reported, and is not bothered by duplicates, which add no slot. *)
-let test_snapshot_refuses_unreported opts =
-  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~indexed:false ~opts () in
+let test_snapshot_refuses_unreported optimized =
+  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~indexed:false ~optimized () in
   let stage tup = Rs.stage_slice s ~data:tup ~off:0 ~cdata:tup ~coff:0 ~clen:0 in
   let refuses label =
     match Rs.snapshot s with
@@ -256,8 +257,8 @@ let test_optimized_and_unoptimized_agree =
   QCheck.Test.make ~name:"store contents identical across opts" ~count:60
     QCheck.(list (pair (int_range 0 8) (int_range 0 30)))
     (fun candidates ->
-      let mk opts = Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] ~opts () in
-      let a = mk Rs.default_opts and b = mk Rs.unoptimized_opts in
+      let mk optimized = Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] ~optimized () in
+      let a = mk true and b = mk false in
       List.iter
         (fun (g, v) ->
           let ra = Rs.merge a ~tuple:[| g; v |] ~contributor:[||] in
@@ -292,7 +293,7 @@ let prop_set_store_model =
   QCheck.Test.make ~name:"set store = model set, each new tuple reported once" ~count:300
     (QCheck.make ~print gen)
     (fun (arity, route, cands, rounds, cut) ->
-      let s = Rs.create ~arity ~agg:None ~route ~opts:Rs.default_opts () in
+      let s = Rs.create ~arity ~agg:None ~route () in
       let tuples l = List.map Array.to_list l in
       let agrees model =
         let keys = List.sort_uniq compare (List.map (fun t -> Array.map (fun c -> t.(c)) route) model) in

@@ -40,7 +40,7 @@ let test_arena_truncate () =
 (* --- set-store snapshot / rollback --- *)
 
 let test_set_rollback () =
-  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] ~opts:Rs.default_opts () in
+  let s = Rs.create ~arity:2 ~agg:None ~route:[| 0 |] () in
   ignore (Rs.merge s ~tuple:[| 1; 2 |] ~contributor:[||]);
   ignore (Rs.merge s ~tuple:[| 3; 4 |] ~contributor:[||]);
   let snap = Rs.snapshot s in
@@ -66,7 +66,7 @@ let test_set_rollback () =
 let tuple_of = Array.to_list
 
 let test_agg_count_rollback () =
-  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Count)) ~route:[| 0 |] ~opts:Rs.default_opts () in
+  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Count)) ~route:[| 0 |] () in
   ignore (Rs.merge s ~tuple:[| 7; 0 |] ~contributor:[| 100 |]);
   let snap = Rs.snapshot s in
   ignore (Rs.merge s ~tuple:[| 7; 0 |] ~contributor:[| 101 |]);
@@ -85,7 +85,7 @@ let test_agg_count_rollback () =
   | None -> Alcotest.fail "rolled-back contributor must count again"
 
 let test_agg_sum_rollback () =
-  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Sum)) ~route:[| 0 |] ~opts:Rs.default_opts () in
+  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Sum)) ~route:[| 0 |] () in
   ignore (Rs.merge s ~tuple:[| 1; 10 |] ~contributor:[| 500 |]);
   let snap = Rs.snapshot s in
   ignore (Rs.merge s ~tuple:[| 1; 5 |] ~contributor:[| 501 |]);
@@ -100,7 +100,7 @@ let test_agg_sum_rollback () =
   | None -> Alcotest.fail "rolled-back sum contribution must apply again"
 
 let test_agg_min_rollback () =
-  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] ~opts:Rs.default_opts () in
+  let s = Rs.create ~arity:2 ~agg:(Some (1, Ast.Min)) ~route:[| 0 |] () in
   ignore (Rs.merge s ~tuple:[| 1; 9 |] ~contributor:[||]);
   let snap = Rs.snapshot s in
   ignore (Rs.merge s ~tuple:[| 1; 3 |] ~contributor:[||]);
@@ -192,7 +192,6 @@ let recovery_config ~strategy ~steal ~workers ~crash_prob ~max_crashes =
         D.Coord.default_config with
         timeout = Some 60.;
         stall_window = Some 10.;
-        stall_poll = 0.02;
       };
     fault = Some { D.Fault.off with seed = 11; crash_prob; max_crashes };
   }
@@ -200,7 +199,7 @@ let recovery_config ~strategy ~steal ~workers ~crash_prob ~max_crashes =
 let test_recovered_run_matches_oracle () =
   let expected = oracle D.Queries.tc.D.Queries.source [ ("arc", graph) ] "tc" in
   let config =
-    recovery_config ~strategy:D.Coord.dws ~steal:true ~workers:4 ~crash_prob:0.3 ~max_crashes:2
+    recovery_config ~strategy:D.Coord.Dws ~steal:true ~workers:4 ~crash_prob:0.3 ~max_crashes:2
   in
   match run_tc ~config with
   | Ok r ->
@@ -225,7 +224,7 @@ let test_recovered_nonlinear_matches_oracle () =
   let expected = oracle nonlinear_tc [ ("arc", path) ] "tc" in
   let config =
     {
-      (recovery_config ~strategy:D.Coord.dws ~steal:true ~workers:4 ~crash_prob:0.02
+      (recovery_config ~strategy:D.Coord.Dws ~steal:true ~workers:4 ~crash_prob:0.02
          ~max_crashes:2)
       with
       checkpoint_every = 1;
@@ -250,7 +249,7 @@ let test_recovered_nonlinear_matches_oracle () =
 let test_recovered_local_delivery_matches_oracle () =
   let expected = oracle D.Queries.tc.D.Queries.source [ ("arc", graph) ] "tc" in
   let config =
-    recovery_config ~strategy:D.Coord.dws ~steal:true ~workers:4 ~crash_prob:0.05 ~max_crashes:3
+    recovery_config ~strategy:D.Coord.Dws ~steal:true ~workers:4 ~crash_prob:0.05 ~max_crashes:3
   in
   let config =
     {
@@ -295,12 +294,12 @@ let test_crash_free_checkpoints_are_invisible () =
         Alcotest.(check int) "no recoveries on a crash-free run" 0 rcv.D.Run_stats.recoveries;
         Alcotest.(check bool) "epochs were cut" true (rcv.D.Run_stats.epochs_cut >= 1)
       | Error e -> Alcotest.fail ("front end: " ^ e))
-    [ D.Coord.Global; D.Coord.Ssp 2; D.Coord.dws ]
+    [ D.Coord.Global; D.Coord.Ssp 2; D.Coord.Dws ]
 
 let test_recovery_disabled_still_fails_fast () =
   let config =
     {
-      (recovery_config ~strategy:D.Coord.dws ~steal:true ~workers:4 ~crash_prob:0.5
+      (recovery_config ~strategy:D.Coord.Dws ~steal:true ~workers:4 ~crash_prob:0.5
          ~max_crashes:1)
       with
       checkpoint_every = 0;

@@ -180,7 +180,7 @@ let grid_cells =
         (fun steal ->
           List.map (fun workers -> (strategy, steal, workers)) [ 1; 4 ])
         [ false; true ])
-    [ D.Coord.Global; D.Coord.Ssp 2; D.Coord.dws ]
+    [ D.Coord.Global; D.Coord.Ssp 2; D.Coord.Dws ]
 
 let diff_case name src outputs initial_edges preds seed () =
   let rng = Dcd_util.Rng.create seed in
@@ -288,7 +288,7 @@ let prop_random_schedule =
          return (seed, workers, steal, strat)))
     (fun (seed, workers, steal, strat) ->
       let strategy =
-        match strat with 0 -> D.Coord.Global | 1 -> D.Coord.Ssp 2 | _ -> D.Coord.dws
+        match strat with 0 -> D.Coord.Global | 1 -> D.Coord.Ssp 2 | _ -> D.Coord.Dws
       in
       let rng = Dcd_util.Rng.create seed in
       let initial = [ ("arc", mk_edges rng 10 15) ] in

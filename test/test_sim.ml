@@ -7,7 +7,7 @@ let params = Sim.default_params
 
 let graph = lazy (Gen.rmat ~seed:7 ~scale:9 ~edges:4000 ())
 
-let all_strategies = [ Coord.Global; Coord.Ssp 1; Coord.Ssp 5; Coord.dws ]
+let all_strategies = [ Coord.Global; Coord.Ssp 1; Coord.Ssp 5; Coord.Dws ]
 
 (* reference CC label counts computed directly *)
 let reference_cc_labels g =
@@ -52,8 +52,8 @@ let test_all_strategies_reach_fixpoint () =
 let test_deterministic () =
   let g = Lazy.force graph in
   let spec = Sim.cc ~graph:g ~workers:4 in
-  let a = Sim.run spec ~strategy:Coord.dws ~params in
-  let b = Sim.run spec ~strategy:Coord.dws ~params in
+  let a = Sim.run spec ~strategy:Coord.Dws ~params in
+  let b = Sim.run spec ~strategy:Coord.Dws ~params in
   Alcotest.(check (float 0.)) "same makespan" a.makespan b.makespan;
   Alcotest.(check int) "same tuples" a.tuples_processed b.tuples_processed
 
@@ -99,7 +99,7 @@ let test_dws_beats_global_at_scale () =
   let g = Gen.rmat ~seed:21 ~scale:11 ~edges:20_000 () in
   let spec = Sim.sssp ~graph:g ~source:1 ~workers:32 in
   let global = Sim.run spec ~strategy:Coord.Global ~params in
-  let dws = Sim.run spec ~strategy:Coord.dws ~params in
+  let dws = Sim.run spec ~strategy:Coord.Dws ~params in
   Alcotest.(check bool)
     (Printf.sprintf "dws (%.0f) < global (%.0f)" dws.makespan global.makespan)
     true (dws.makespan < global.makespan)
@@ -124,7 +124,7 @@ let test_values_match_reference () =
     all_strategies;
   (* CC labels: min vertex id of each component *)
   let g = Gen.components ~seed:4 ~count:3 ~size:10 in
-  let o = Sim.run (Sim.cc ~graph:g ~workers:4) ~strategy:Coord.dws ~params in
+  let o = Sim.run (Sim.cc ~graph:g ~workers:4) ~strategy:Coord.Dws ~params in
   let labels = Array.to_list o.values |> List.filter_map Fun.id |> List.sort_uniq compare in
   Alcotest.(check (list int)) "three component labels" [ 0; 10; 20 ] labels
 

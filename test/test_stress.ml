@@ -88,81 +88,68 @@ let exchange_arc =
 
 let fingerprint r name = D.relation r name
 
-let run_exchange ~exchange ~batch_tuples ~workers ?params src edb =
-  let config =
-    { D.default_config with workers; exchange; batch_tuples; strategy = D.Coord.dws }
-  in
+let run_exchange ~exchange ~workers ?params src edb =
+  let config = { D.default_config with workers; exchange; strategy = D.Coord.Dws } in
   run ~config ?params src edb
 
-(* Byte-identical fixpoints across exchange fabric x batch size x worker
-   count: the batch framing is an encoding of the tuple stream, not a
-   semantic change. *)
+(* Byte-identical fixpoints across exchange fabric x worker count: the
+   batch framing (one packed frame per (copy, destination) flush) is an
+   encoding of the tuple stream, not a semantic change. *)
 let test_batch_framing_invariance () =
   let arc2 = List.map (fun row -> [ List.nth row 0; List.nth row 1 ]) exchange_arc in
   let tc_expect =
-    fingerprint (run_exchange ~exchange:D.Parallel.Spsc_exchange ~batch_tuples:0 ~workers:1
-                   D.Queries.tc.source [ ("arc", arc2) ])
+    fingerprint
+      (run_exchange ~exchange:D.Parallel.Spsc_exchange ~workers:1 D.Queries.tc.source
+         [ ("arc", arc2) ])
       "tc"
   in
   let sssp_expect =
-    fingerprint (run_exchange ~exchange:D.Parallel.Spsc_exchange ~batch_tuples:0 ~workers:1
-                   ~params:[ ("start", 0) ] D.Queries.sssp.source [ ("warc", exchange_arc) ])
+    fingerprint
+      (run_exchange ~exchange:D.Parallel.Spsc_exchange ~workers:1 ~params:[ ("start", 0) ]
+         D.Queries.sssp.source [ ("warc", exchange_arc) ])
       "results"
   in
   Alcotest.(check bool) "closure nonempty" true (List.length tc_expect > 1000);
   List.iter
     (fun exchange ->
       List.iter
-        (fun batch_tuples ->
-          List.iter
-            (fun workers ->
-              let label =
-                Printf.sprintf "%s batch=%d workers=%d"
-                  (match exchange with
-                  | D.Parallel.Spsc_exchange -> "spsc"
-                  | D.Parallel.Locked_exchange -> "locked")
-                  batch_tuples workers
-              in
-              let tc =
-                fingerprint
-                  (run_exchange ~exchange ~batch_tuples ~workers D.Queries.tc.source
-                     [ ("arc", arc2) ])
-                  "tc"
-              in
-              Alcotest.(check bool) ("tc fixpoint identical: " ^ label) true (tc = tc_expect);
-              let sssp =
-                fingerprint
-                  (run_exchange ~exchange ~batch_tuples ~workers ~params:[ ("start", 0) ]
-                     D.Queries.sssp.source
-                     [ ("warc", exchange_arc) ])
-                  "results"
-              in
-              Alcotest.(check bool) ("sssp fixpoint identical: " ^ label) true (sssp = sssp_expect))
-            [ 1; 4 ])
-        [ 1; 64; 4096 ])
+        (fun workers ->
+          let label =
+            Printf.sprintf "%s workers=%d"
+              (match exchange with
+              | D.Parallel.Spsc_exchange -> "spsc"
+              | D.Parallel.Locked_exchange -> "locked")
+              workers
+          in
+          let tc =
+            fingerprint
+              (run_exchange ~exchange ~workers D.Queries.tc.source [ ("arc", arc2) ])
+              "tc"
+          in
+          Alcotest.(check bool) ("tc fixpoint identical: " ^ label) true (tc = tc_expect);
+          let sssp =
+            fingerprint
+              (run_exchange ~exchange ~workers ~params:[ ("start", 0) ] D.Queries.sssp.source
+                 [ ("warc", exchange_arc) ])
+              "results"
+          in
+          Alcotest.(check bool) ("sssp fixpoint identical: " ^ label) true (sssp = sssp_expect))
+        [ 1; 4 ])
     [ D.Parallel.Spsc_exchange; D.Parallel.Locked_exchange ]
 
-(* Counter assertion on the framing itself: at batch_tuples=1 every sent
-   tuple is its own batch (the historical per-tuple costs), while
-   unbounded batching must ship strictly fewer batch objects than tuples
-   — i.e. at most one queue push / termination add per (copy, dest)
-   flush actually carrying more than one tuple. *)
+(* Counter assertion on the framing itself: batching must ship strictly
+   fewer batch objects than tuples — i.e. at most one queue push /
+   termination add per (copy, dest) flush actually carrying more than
+   one tuple. *)
 let test_batch_counters () =
   let arc2 = List.map (fun row -> [ List.nth row 0; List.nth row 1 ]) exchange_arc in
-  let per_tuple =
-    run_exchange ~exchange:D.Parallel.Spsc_exchange ~batch_tuples:1 ~workers:4
-      D.Queries.tc.source [ ("arc", arc2) ]
-  in
-  let sent1 = D.Run_stats.total_sent per_tuple.stats in
-  let batches1 = D.Run_stats.total_batches per_tuple.stats in
-  Alcotest.(check bool) "workload exchanges tuples" true (sent1 > 0);
-  Alcotest.(check int) "batch=1 degenerates to one batch per tuple" sent1 batches1;
   let batched =
-    run_exchange ~exchange:D.Parallel.Spsc_exchange ~batch_tuples:0 ~workers:4
-      D.Queries.tc.source [ ("arc", arc2) ]
+    run_exchange ~exchange:D.Parallel.Spsc_exchange ~workers:4 D.Queries.tc.source
+      [ ("arc", arc2) ]
   in
   let sent = D.Run_stats.total_sent batched.stats in
   let batches = D.Run_stats.total_batches batched.stats in
+  Alcotest.(check bool) "workload exchanges tuples" true (sent > 0);
   Alcotest.(check bool) "batching amortizes: far fewer batches than tuples" true
     (batches * 4 < sent);
   (* each batch still accounts for its tuples in the termination-relevant
@@ -174,7 +161,7 @@ let test_batch_counters () =
 (* The arena/frame storage layer must be an invisible representation
    change: on each tracked recursion class (set-semantics TC, min-CC,
    min-SSSP) the packed engine and the boxed AST interpreter agree
-   tuple-for-tuple, across worker counts and batch framings. *)
+   tuple-for-tuple, across worker counts. *)
 let test_arena_vs_boxed_oracle () =
   let vertices = 60 in
   let st = ref 987654321 in
@@ -208,17 +195,12 @@ let test_arena_vs_boxed_oracle () =
       Alcotest.(check bool) (name ^ ": oracle nonempty") true (want <> []);
       List.iter
         (fun workers ->
-          List.iter
-            (fun batch_tuples ->
-              let config =
-                { D.default_config with workers; batch_tuples; strategy = D.Coord.dws }
-              in
-              let r = run ~config ?params src edb in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s = oracle at workers=%d batch=%d" name workers batch_tuples)
-                true
-                (D.relation r out = want))
-            [ 1; 4096 ])
+          let config = { D.default_config with workers; strategy = D.Coord.Dws } in
+          let r = run ~config ?params src edb in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s = oracle at workers=%d" name workers)
+            true
+            (D.relation r out = want))
         [ 1; 4 ])
     cases
 
