@@ -35,9 +35,6 @@ type 'a t = {
   branching : int;
   mutable root : 'a node;
   mutable count : int;
-  mutable version : int;
-      (* bumped on every mutating entry point; cursors cache a leaf
-         position and re-descend from the root when this moves *)
 }
 
 let dummy_key : key = [||]
@@ -49,7 +46,7 @@ let new_internal b =
 
 let create ?(branching = 32) () =
   if branching < 4 then invalid_arg "Bptree.create: branching must be >= 4";
-  { branching; root = Leaf (new_leaf branching); count = 0; version = 0 }
+  { branching; root = Leaf (new_leaf branching); count = 0 }
 
 let length t = t.count
 
@@ -154,7 +151,6 @@ let split_root t =
   | _ -> ()
 
 let upsert t k f =
-  t.version <- t.version + 1;
   split_root t;
   let rec descend node =
     match node with
@@ -198,7 +194,6 @@ let insert t k v = upsert t k (fun _ -> v)
    — the primitive behind set-semantics merging, which otherwise needs
    a [mem] probe followed by an [insert] (two descents per candidate). *)
 let add_if_absent t k v =
-  t.version <- t.version + 1;
   split_root t;
   let rec descend node =
     match node with
@@ -278,76 +273,6 @@ let iter_prefix t ~prefix f =
   walk l start
 
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
-
-(* --- sorted cursors (leapfrog substrate) --- *)
-
-(* A cursor caches its leaf + slot so that the monotone forward seeks a
-   leapfrog join performs resolve with one in-leaf binary search instead
-   of a root descent whenever the target still lands in the current
-   leaf.  Staleness is detected with the tree's [version]: any mutation
-   bumps it, and a stale cursor re-descends from the root.  [ckey] holds
-   the key *object* at the current position — key arrays are only ever
-   moved between slots, never mutated in place, so the reference stays
-   valid across splits and blits. *)
-type 'a cursor = {
-  ctree : 'a t;
-  mutable cversion : int;
-  mutable cleaf : 'a leaf option; (* None = not positioned / exhausted *)
-  mutable cidx : int;
-  mutable ckey : key;
-}
-
-let cursor t = { ctree = t; cversion = t.version - 1; cleaf = None; cidx = 0; ckey = dummy_key }
-
-let cursor_at_slot c l i =
-  c.cleaf <- Some l;
-  c.cidx <- i;
-  c.ckey <- l.lkeys.(i);
-  true
-
-let cursor_exhaust c =
-  c.cleaf <- None;
-  c.cidx <- 0;
-  false
-
-(* Full root descent; also re-syncs the cursor's version. *)
-let seek_slow c k =
-  let t = c.ctree in
-  c.cversion <- t.version;
-  let l = find_leaf t.root k in
-  let i = match leaf_search l k with Ok i -> i | Error i -> i in
-  if i < l.ln then cursor_at_slot c l i
-  else
-    (* the insertion point sits past this leaf's last key; the first key
-       of the next leaf (if any) is the answer — non-root leaves are
-       never empty, so one hop suffices *)
-    match l.next with
-    | Some l' when l'.ln > 0 -> cursor_at_slot c l' 0
-    | _ -> cursor_exhaust c
-
-let seek_geq c k =
-  let t = c.ctree in
-  if c.cversion <> t.version then seek_slow c k
-  else
-    match c.cleaf with
-    | Some l
-      when c.cidx < l.ln
-           && compare_key l.lkeys.(c.cidx) k <= 0
-           && compare_key l.lkeys.(l.ln - 1) k >= 0 ->
-      (* forward seek landing in the current leaf: binary search the
-         suffix [cidx, ln) *)
-      let lo = ref c.cidx and hi = ref l.ln in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if compare_key l.lkeys.(mid) k < 0 then lo := mid + 1 else hi := mid
-      done;
-      cursor_at_slot c l !lo
-    | _ -> seek_slow c k
-
-let cursor_key c =
-  match c.cleaf with
-  | None -> invalid_arg "Bptree.cursor_key: cursor not positioned"
-  | Some _ -> c.ckey
 
 (* --- bulk construction (of_sorted, merge_sorted_slice) --- *)
 
@@ -446,7 +371,6 @@ let of_sorted ?(branching = 32) entries =
 let merge_sorted_slice t ~n ~key:keyf ~merge =
   if n < 0 then invalid_arg "Bptree.merge_sorted_slice";
   if n > 0 then begin
-    t.version <- t.version + 1;
     let b = t.branching in
     let per_leaf = max (b / 2) (b * 3 / 4) in
     let leaf_min_fill = max 1 (b / 2) in

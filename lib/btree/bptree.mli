@@ -1,11 +1,13 @@
 (** B⁺-tree over composite integer keys (paper §3, Storage Layer).
 
     DCDatalog's recursive aggregates use it to locate the current value
-    for a group key (§6.2.1); generic-join tries and sorted prefix scans
-    are B⁺-trees over permuted tuples.  Keys are [int array]s compared
-    lexicographically (shorter array = prefix = smaller when equal so
-    far), values are arbitrary.  All key arrays handed to the tree are
-    copied defensively on insert, so callers may reuse scratch buffers.
+    for a group key: it is the aggregate index of [Agg_table], the
+    layout Table 4 measures (§6.2.1).  Relations keep their sorted
+    orders as sorted slot arrays ([Sorted_index]) instead.  Keys are
+    [int array]s compared lexicographically (shorter array = prefix =
+    smaller when equal so far), values are arbitrary.  All key arrays
+    handed to the tree are copied defensively on insert, so callers may
+    reuse scratch buffers.
 
     Not thread-safe: in the engine each worker owns the tree for its own
     partition exclusively, which is precisely the design point of the
@@ -52,32 +54,6 @@ val fold : 'a t -> init:'acc -> f:('acc -> key -> 'a -> 'acc) -> 'acc
 
 val iter_prefix : 'a t -> prefix:key -> (key -> 'a -> unit) -> unit
 (** All bindings whose key starts with [prefix], ascending. *)
-
-(** {2 Sorted cursors}
-
-    The substrate for leapfrog-style generic joins: a cursor supports
-    monotone [seek_geq] probes that resolve with a single in-leaf binary
-    search when the target lands in the current leaf, falling back to a
-    root descent otherwise.  Cursors survive interleaved inserts: every
-    mutating operation bumps an internal version counter, and the next
-    [seek_geq] on a stale cursor re-descends from the root, so a cursor
-    over a tree being grown by its single owner never reads a split
-    leaf's torn state. *)
-
-type 'a cursor
-
-val cursor : 'a t -> 'a cursor
-(** A fresh, unpositioned cursor.  Position it with {!seek_geq}. *)
-
-val seek_geq : 'a cursor -> key -> bool
-(** [seek_geq c k] positions [c] on the smallest key [>= k]; returns
-    [false] (and exhausts the cursor) if every key is [< k].  Because a
-    strict prefix sorts before its extensions, seeking a prefix lands on
-    the first key carrying that prefix, which is how trie-level descent
-    is expressed over the flattened composite keys. *)
-
-val cursor_key : 'a cursor -> key
-(** Current key. @raise Invalid_argument when not positioned. *)
 
 val to_list : 'a t -> (key * 'a) list
 

@@ -65,6 +65,7 @@ let view_of_rel rel =
 let view_mem v tup =
   (Relation.mem v.v_base tup && not (Tset.mem v.v_dead tup)) || Tset.mem v.v_extra_mem tup
 
+(* [f] receives each matching tuple as a fresh array it may keep. *)
 let view_iter_prefix v ~prefix f =
   (if Tset.length v.v_dead = 0 then Relation.iter_prefix v.v_base ~prefix f
    else Relation.iter_prefix v.v_base ~prefix (fun tup -> if not (Tset.mem v.v_dead tup) then f tup));
@@ -78,7 +79,7 @@ let view_iter_prefix v ~prefix f =
         for i = 0 to plen - 1 do
           if tup.(i) <> prefix.(i) then ok := false
         done;
-        if !ok then f tup)
+        if !ok then f (Array.copy tup))
       extra
 
 type t = {
@@ -369,7 +370,7 @@ let snapshot t =
             Relation.create ~size_hint:(max 16 v.v_count) ~name
               ~arity:(Relation.arity v.v_base) ()
           in
-          view_iter_prefix v ~prefix:[||] (fun tup -> ignore (Relation.add nr (Array.copy tup)));
+          view_iter_prefix v ~prefix:[||] (fun tup -> ignore (Relation.add nr tup));
           (name, nr))
       views )
 
@@ -400,7 +401,7 @@ let scan t ?deadline ?(prefix = [||]) name =
   view_iter_prefix v ~prefix (fun tup ->
       incr n;
       if !n land 255 = 0 then check_deadline deadline;
-      out := Array.copy tup :: !out);
+      out := tup :: !out);
   (ver, List.sort Tuple.compare !out)
 
 let check_invariants t =

@@ -2,7 +2,7 @@ open Dcd_planner
 module Tuple = Dcd_storage.Tuple
 module Arena = Dcd_storage.Arena
 module Slot_index = Dcd_storage.Slot_index
-module Bptree = Dcd_btree.Bptree
+module Sorted_index = Dcd_storage.Sorted_index
 module Vec = Dcd_util.Vec
 
 type access =
@@ -12,7 +12,7 @@ type access =
 
 type context = {
   lookup : Physical.lookup -> access;
-  base_sorted : string -> int array -> unit Bptree.t;
+  base_sorted : string -> int array -> Sorted_index.t;
 }
 
 type emit = tuple:Tuple.t -> contributor:Tuple.t -> unit
@@ -32,12 +32,6 @@ type prepared = {
   scan_bind : int array -> int -> unit;
   scan_check : int array -> int -> bool;
 }
-
-(* Top-level recursion, not a local [let rec]: runs on every trie probe,
-   and a local recursive closure would be heap-allocated per call by the
-   non-flambda compiler. *)
-let rec prefix_eq_loop (a : int array) (b : int array) i n =
-  i = n || (Array.unsafe_get a i = Array.unsafe_get b i && prefix_eq_loop a b (i + 1) n)
 
 (* Compiles a step array into a closure chain ending in [cont]. *)
 let build_steps ctx regs (steps : Physical.step array) cont =
@@ -100,21 +94,20 @@ let build_steps ctx regs (steps : Physical.step array) cont =
 (* --- generic (worst-case-optimal) join ---
 
    One closure per elimination level.  Each participating atom holds a
-   B⁺-tree cursor over its sorted trie index plus a full-length working
-   key buffer: the scan fills the bound-prefix slots once per scanned
-   tuple, and each level writes its resolved value into the slot the
-   variable occupies in that atom's trie order.  Within one scanned
-   tuple every cursor only moves forward (leapfrog), so almost all seeks
-   resolve inside the current leaf; the backward seek at the next
-   scanned tuple re-descends from the root. *)
+   position in its sorted index plus a full-length working key buffer:
+   the scan fills the bound-prefix slots once per scanned tuple, and
+   each level writes its resolved value into the slot the variable
+   occupies in that atom's trie order.  Within one scanned tuple every
+   position only moves forward (leapfrog), so seeks gallop over a short
+   distance; the backward seek at the next scanned tuple binary
+   searches. *)
 let build_gj ctx (g : Physical.gj) ~regs ~emit_stage =
   let atoms = g.gj_atoms in
   let na = Array.length atoms in
-  let cursors =
-    Array.map
-      (fun (ga : Physical.gj_atom) -> Bptree.cursor (ctx.base_sorted ga.ga_pred ga.ga_cols))
-      atoms
+  let indexes =
+    Array.map (fun (ga : Physical.gj_atom) -> ctx.base_sorted ga.ga_pred ga.ga_cols) atoms
   in
+  let positions = Array.make na 0 in
   let keybufs =
     Array.map (fun (ga : Physical.gj_atom) -> Array.make (Array.length ga.ga_cols) 0) atoms
   in
@@ -132,42 +125,34 @@ let build_gj ctx (g : Physical.gj) ~regs ~emit_stage =
       let np = Array.length lv.gv_atoms in
       let ais = Array.map fst lv.gv_atoms in
       let depths = Array.map snd lv.gv_atoms in
-      let entry_bufs = Array.map (fun d -> Array.make (d - 1) 0) depths in
       let cand_bufs = Array.map (fun d -> Array.make d 0) depths in
       let cands = Array.make np 0 in
       let reg = lv.gv_reg in
-      (* Position participant [j] at its first value >= [v] under the
-         current prefix; false when the subtrie is exhausted. *)
-      let probe j v =
+      (* Seeks participant [j] to its first tuple not below [key]'s
+         first [n] ints, then reads the candidate: the tuple's value at
+         this level, if it still carries the current prefix. *)
+      let seek j key n =
         let ai = ais.(j) in
         let d = depths.(j) in
-        let kb = keybufs.(ai) in
-        let cb = cand_bufs.(j) in
-        Array.blit kb 0 cb 0 (d - 1);
-        cb.(d - 1) <- v;
-        Bptree.seek_geq cursors.(ai) cb
+        let si = indexes.(ai) in
+        let p = Sorted_index.seek_geq si ~from:positions.(ai) key n in
+        positions.(ai) <- p;
+        Sorted_index.prefix_eq si p keybufs.(ai) (d - 1)
         &&
-        let k = Bptree.cursor_key cursors.(ai) in
-        prefix_eq_loop k kb 0 (d - 1)
-        &&
-        (cands.(j) <- Array.unsafe_get k (d - 1);
+        (cands.(j) <- Sorted_index.value si p (d - 1);
          true)
+      in
+      (* First value >= [v] of participant [j] under the current
+         prefix; false when the subtrie is exhausted. *)
+      let probe j v =
+        let d = depths.(j) in
+        let cb = cand_bufs.(j) in
+        Array.blit keybufs.(ais.(j)) 0 cb 0 (d - 1);
+        cb.(d - 1) <- v;
+        seek j cb d
       in
       (* First value of participant [j] under the current prefix. *)
-      let enter j =
-        let ai = ais.(j) in
-        let d = depths.(j) in
-        let kb = keybufs.(ai) in
-        let eb = entry_bufs.(j) in
-        Array.blit kb 0 eb 0 (d - 1);
-        Bptree.seek_geq cursors.(ai) eb
-        &&
-        let k = Bptree.cursor_key cursors.(ai) in
-        prefix_eq_loop k kb 0 (d - 1)
-        &&
-        (cands.(j) <- Array.unsafe_get k (d - 1);
-         true)
-      in
+      let enter j = seek j keybufs.(ais.(j)) (depths.(j) - 1) in
       let bind_match v =
         Array.unsafe_set regs reg v;
         for j = 0 to np - 1 do

@@ -8,7 +8,8 @@
     (the entry point of the Distribute operator).  Rules compiled to a
     {!Physical.gj} plan replace the lookup chain with a leapfrog
     multiway intersection over sorted base indexes, one level per
-    variable in the elimination order.
+    variable in the elimination order: each atom keeps a position in
+    its {!Dcd_storage.Sorted_index} and gallops it forward.
 
     Tuples flow through the pipeline as [(data, off)] cursors into flat
     storage — the delta arena being scanned, a base relation's tuple
@@ -53,11 +54,10 @@ type access =
 type context = {
   lookup : Physical.lookup -> access;
       (** called once per lookup step at prepare time *)
-  base_sorted : string -> int array -> unit Dcd_btree.Bptree.t;
-      (** prebuilt shared sorted (trie) index whose keys are the
-          relation's tuples permuted to the given column order; probed
-          by generic-join pipelines with prefix seeks.  Read-only during
-          evaluation. *)
+  base_sorted : string -> int array -> Dcd_storage.Sorted_index.t;
+      (** prebuilt shared sorted (trie) index: the relation's slots
+          sorted by the given column order; probed by generic-join
+          pipelines with prefix seeks.  Read-only during evaluation. *)
 }
 
 type emit = tuple:Dcd_storage.Tuple.t -> contributor:Dcd_storage.Tuple.t -> unit

@@ -73,8 +73,8 @@ let prebuild_indexes (plan : Physical.t) catalog (sp : Physical.stratum_plan) =
       | { rel = Physical.R_rec _; _ } -> ());
     (match cr.Physical.gj with
     | Some g ->
-      (* sorted trie indexes, one per generic-join atom, bulk-loaded
-         here so workers only ever read them *)
+      (* sorted trie indexes, one per generic-join atom, built here
+         so workers only ever read them *)
       Array.iter
         (fun (ga : Physical.gj_atom) ->
           let rel =

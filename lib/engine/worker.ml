@@ -307,7 +307,7 @@ let create ~shared:sh ~stratum:sx ~me ~stores:all_stores ~ws =
       base_sorted =
         (fun pred cols ->
           match Relation.find_sorted_index (Catalog.get sx.sx_catalog pred) ~cols with
-          | Some tree -> tree
+          | Some si -> si
           | None ->
             (* Parallel.prebuild_indexes guarantees this cannot happen *)
             assert false);

@@ -726,39 +726,6 @@ let iter_lookups cr f =
     Array.iter (fun lv -> steps lv.gv_steps) g.gj_levels
   | None -> ()
 
-let base_relations_needed t =
-  let acc = ref [] in
-  List.iter
-    (fun sp ->
-      List.iter
-        (fun cr ->
-          iter_lookups cr (function
-            | { rel = R_base pred; key_cols; _ } ->
-              if Array.length key_cols > 0 && not (List.mem (pred, key_cols) !acc) then
-                acc := (pred, key_cols) :: !acc
-            | { rel = R_rec _; _ } -> ()))
-        (sp.init_rules @ sp.delta_rules))
-    t.strata;
-  !acc
-
-let sorted_indexes_needed t =
-  let acc = ref [] in
-  List.iter
-    (fun sp ->
-      List.iter
-        (fun cr ->
-          match cr.gj with
-          | Some g ->
-            Array.iter
-              (fun ga ->
-                if not (List.mem (ga.ga_pred, ga.ga_cols) !acc) then
-                  acc := (ga.ga_pred, ga.ga_cols) :: !acc)
-              g.gj_atoms
-          | None -> ())
-        (sp.init_rules @ sp.delta_rules))
-    t.strata;
-  !acc
-
 let method_str = function
   | Hash -> "hash"
   | Index -> "index"

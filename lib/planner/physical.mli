@@ -199,15 +199,6 @@ val iter_lookups : compiled_rule -> (lookup -> unit) -> unit
 (** Every lookup step of a rule: its pipeline, or its generic-join
     prelude and levels. *)
 
-val base_relations_needed : t -> (string * int array) list
-(** Distinct (predicate, key columns) pairs for which the engine should
-    build shared hash indexes before execution. *)
-
-val sorted_indexes_needed : t -> (string * int array) list
-(** Distinct (predicate, trie column order) pairs for which the engine
-    should build shared sorted (B⁺-tree) indexes before execution — one
-    per generic-join atom. *)
-
 val explain : t -> string
 (** Human-readable plan: strata, routes, and each rule's pipeline with
     join methods. *)

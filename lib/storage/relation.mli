@@ -4,11 +4,13 @@
     answers existence probes.  Keyed access goes through {!Slot_index}
     chains over those slots, maintained incrementally on insert; base
     relations are loaded once and indexed on the join keys the planner
-    requests.  Generic-join plans and served prefix scans add sorted
-    B⁺-tree indexes.  Relations never delete, so the table's arena holds
-    the tuples back to back in insertion order ({!arena}).  The
-    [_slice]/[_slices] entry points move tuples between flat buffers
-    without boxing. *)
+    requests.  Generic-join plans and served prefix scans add
+    {!Sorted_index}es: the slot ids sorted over the same table, one int
+    per tuple.  A sorted index is built once and not maintained, so a
+    relation refuses inserts once it holds one.  Relations never
+    delete, so the table's arena holds the tuples back to back in
+    insertion order ({!arena}).  The [_slice]/[_slices] entry points
+    move tuples between flat buffers without boxing. *)
 
 type t
 
@@ -23,11 +25,13 @@ val length : t -> int
 
 val add : t -> Tuple.t -> bool
 (** Inserts; [true] iff new.  Indexes are updated only for new tuples.
-    @raise Invalid_argument on arity mismatch. *)
+    @raise Invalid_argument on arity mismatch, or once the relation
+    holds a sorted index. *)
 
 val add_slice : t -> int array -> int -> bool
 (** [add_slice t data off] inserts the tuple stored flat at
-    [data.(off .. off+arity-1)] without boxing it; [true] iff new. *)
+    [data.(off .. off+arity-1)] without boxing it; [true] iff new.
+    @raise Invalid_argument once the relation holds a sorted index. *)
 
 val mem : t -> Tuple.t -> bool
 
@@ -53,20 +57,21 @@ val ensure_index : t -> key_cols:int array -> Slot_index.t
 
 val find_index : t -> key_cols:int array -> Slot_index.t option
 
-val ensure_sorted_index : t -> cols:int array -> unit Dcd_btree.Bptree.t
-(** Returns the B⁺-tree over tuples re-ordered by [cols] (a permutation
-    of all columns), building it by bulk load on first request and
-    maintaining it incrementally on later inserts.  This is the trie the
-    generic-join path leapfrogs over: seeking a key prefix enumerates
-    the distinct continuations in [cols] order.
-    @raise Invalid_argument if [cols] is not of full arity. *)
+val ensure_sorted_index : t -> cols:int array -> Sorted_index.t
+(** Returns the sorted index over the tuples in column order [cols] (a
+    permutation of all columns), sorting the current slots on first
+    request.  This is the trie the generic-join path leapfrogs over:
+    seeking a key prefix enumerates the distinct continuations in
+    [cols] order.  From then on the relation refuses inserts.
+    @raise Invalid_argument if [cols] is not a full permutation. *)
 
-val find_sorted_index : t -> cols:int array -> unit Dcd_btree.Bptree.t option
+val find_sorted_index : t -> cols:int array -> Sorted_index.t option
 
 val iter_prefix : t -> prefix:Tuple.t -> (Tuple.t -> unit) -> unit
-(** [iter_prefix t ~prefix f] calls [f] on every tuple whose first
-    [Array.length prefix] columns equal [prefix].  Runs off the
-    identity-order sorted index when one exists (ascending order, one
-    tree seek); otherwise scans the flat rows in insertion order and
-    boxes only the matches.  An empty prefix iterates everything.
+(** [iter_prefix t ~prefix f] calls [f] on a fresh copy of every tuple
+    whose first [Array.length prefix] columns equal [prefix].  Runs off
+    the identity-order sorted index when one exists (ascending order,
+    one seek and a walk); otherwise scans the flat rows in insertion
+    order and boxes only the matches.  An empty prefix iterates
+    everything.
     @raise Invalid_argument if the prefix is longer than the arity. *)

@@ -1,7 +1,5 @@
 module B = Dcd_btree.Bptree
 
-let key = Alcotest.testable (fun fmt k -> Fmt.pf fmt "%a" Fmt.(Dump.array int) k) ( = )
-
 let test_compare_key () =
   Alcotest.(check int) "equal" 0 (B.compare_key [| 1; 2 |] [| 1; 2 |]);
   Alcotest.(check bool) "lex order" true (B.compare_key [| 1; 2 |] [| 1; 3 |] < 0);
@@ -398,161 +396,6 @@ let prop_merge_sorted_upsert_matches_map =
         runs;
       B.length t = M.cardinal !m && M.for_all (fun k v -> B.find_opt t k = Some v) !m)
 
-(* --- sorted cursors --- *)
-
-(* small branching so a few dozen keys span several leaves, exercising
-   the leaf-boundary hops of seek_geq *)
-let cursor_tree n =
-  let t = B.create ~branching:4 () in
-  for i = 0 to n - 1 do
-    B.insert t [| (2 * i) + 1 |] i (* odd keys 1, 3, ..., 2n-1 *)
-  done;
-  t
-
-let test_cursor_seek_geq () =
-  let t = cursor_tree 40 in
-  let c = B.cursor t in
-  (* exact hits and between-key seeks across every leaf boundary *)
-  for i = 0 to 39 do
-    let k = (2 * i) + 1 in
-    Alcotest.(check bool) "exact hit" true (B.seek_geq c [| k |]);
-    Alcotest.(check key) "lands on key" [| k |] (B.cursor_key c);
-    Alcotest.(check (option int)) "value" (Some i) (B.find_opt t (B.cursor_key c));
-    Alcotest.(check bool) "between keys" true (B.seek_geq c [| k - 1 |]);
-    Alcotest.(check key) "rounds up" [| k |] (B.cursor_key c)
-  done;
-  (* forward-only leapfrog pattern: re-seek to the same position *)
-  Alcotest.(check bool) "re-seek same key" true (B.seek_geq c [| 79 |]);
-  Alcotest.(check key) "stays" [| 79 |] (B.cursor_key c)
-
-let test_cursor_empty_and_past_max () =
-  let t = B.create ~branching:4 () in
-  let c = B.cursor t in
-  let not_positioned = Invalid_argument "Bptree.cursor_key: cursor not positioned" in
-  Alcotest.(check bool) "empty tree" false (B.seek_geq c [| 0 |]);
-  Alcotest.check_raises "not positioned" not_positioned (fun () -> ignore (B.cursor_key c));
-  let t = cursor_tree 10 in
-  let c = B.cursor t in
-  Alcotest.(check bool) "past max" false (B.seek_geq c [| 20 |]);
-  Alcotest.check_raises "exhausted" not_positioned (fun () -> ignore (B.cursor_key c));
-  Alcotest.(check bool) "can re-seek after exhaustion" true (B.seek_geq c [| 0 |]);
-  Alcotest.(check key) "back to min" [| 1 |] (B.cursor_key c)
-
-let test_cursor_prefix_seek () =
-  (* composite keys: a prefix seek (shorter key) lands on the first key
-     carrying that prefix, the contract generic join relies on *)
-  let t = B.create ~branching:4 () in
-  List.iter
-    (fun (a, b) -> B.insert t [| a; b |] (10 * a + b))
-    [ (1, 5); (1, 9); (2, 0); (2, 7); (4, 2) ];
-  let c = B.cursor t in
-  Alcotest.(check bool) "prefix 1" true (B.seek_geq c [| 1 |]);
-  Alcotest.(check key) "first under 1" [| 1; 5 |] (B.cursor_key c);
-  Alcotest.(check bool) "prefix 2" true (B.seek_geq c [| 2 |]);
-  Alcotest.(check key) "first under 2" [| 2; 0 |] (B.cursor_key c);
-  Alcotest.(check bool) "absent prefix 3 rounds up" true (B.seek_geq c [| 3 |]);
-  Alcotest.(check key) "lands on 4" [| 4; 2 |] (B.cursor_key c);
-  Alcotest.(check bool) "prefix past max" false (B.seek_geq c [| 5 |])
-
-let test_cursor_resume_after_inserts () =
-  let t = cursor_tree 20 in
-  (* position mid-tree, then mutate: inserts before, at-gap and after
-     the cursor, enough to split leaves *)
-  let c = B.cursor t in
-  Alcotest.(check bool) "position" true (B.seek_geq c [| 21 |]);
-  for i = 0 to 19 do
-    B.insert t [| 2 * i |] (100 + i)
-  done;
-  (* the cached leaf was split under the cursor: the next seek must
-     re-descend and see the interleaved keys *)
-  Alcotest.(check bool) "seek after split" true (B.seek_geq c [| 22 |]);
-  Alcotest.(check key) "sees interleaved key" [| 22 |] (B.cursor_key c);
-  Alcotest.(check bool) "forward seek" true (B.seek_geq c [| 23 |]);
-  Alcotest.(check key) "successor" [| 23 |] (B.cursor_key c);
-  Alcotest.(check bool) "seek into a later leaf" true (B.seek_geq c [| 35 |]);
-  Alcotest.(check key) "lands on 35" [| 35 |] (B.cursor_key c);
-  B.check_invariants t
-
-let test_cursor_seek_walk_matches_to_list () =
-  (* a full scan by strict-successor seeks: [k] extended by [min_int]
-     sorts just past [k] and before every other key of the same width *)
-  let t = B.create ~branching:4 () in
-  for a = 0 to 11 do
-    for b = 0 to a mod 4 do
-      B.insert t [| a; b * 5 |] ((a * 10) + b)
-    done
-  done;
-  let c = B.cursor t in
-  let got = ref [] in
-  let rec walk k =
-    if B.seek_geq c k then begin
-      let k = B.cursor_key c in
-      got := k :: !got;
-      walk (Array.append k [| min_int |])
-    end
-  in
-  walk [||];
-  Alcotest.(check int) "full scan" (B.length t) (List.length !got);
-  Alcotest.(check (list key)) "matches to_list" (List.map fst (B.to_list t)) (List.rev !got)
-
-let prop_seek_bulk_matches_map =
-  (* generic join runs its cursors over bulk-loaded sorted indexes:
-     forward probes under one prefix, then a backward seek to the next
-     prefix; every landing must agree with a Map *)
-  QCheck.Test.make ~name:"seeks on a bulk-loaded tree match Map" ~count:60
-    QCheck.(
-      pair
-        (list (pair (int_range 0 20) (int_range 0 20)))
-        (list (pair (int_range 0 21) (int_range 0 21))))
-    (fun (keys, probes) ->
-      let m = List.fold_left (fun m (x, y) -> M.add [| x; y |] () m) M.empty keys in
-      let t = B.of_sorted ~branching:4 (Array.of_list (M.bindings m)) in
-      let c = B.cursor t in
-      let agrees k =
-        let want = M.find_first_opt (fun key -> B.compare_key key k >= 0) m in
-        B.seek_geq c k = (want <> None)
-        &&
-        match want with
-        | Some (wk, ()) -> B.compare_key (B.cursor_key c) wk = 0
-        | None -> true
-      in
-      List.for_all (fun (a, v) -> agrees [| a |] && agrees [| a; v |] && agrees [| a; v + 1 |]) probes)
-
-let prop_cursor_heavy =
-  (* interleave inserts/upserts with seeks; the tree must keep its
-     invariants and every seek must agree with a Map *)
-  QCheck.Test.make ~name:"cursor-heavy workload keeps invariants" ~count:60
-    QCheck.(list (pair (int_range 0 3) (int_range 0 60)))
-    (fun ops ->
-      let t = B.create ~branching:4 () in
-      let m = ref M.empty in
-      let c = B.cursor t in
-      let seek_agrees k =
-        let want = M.find_first_opt (fun key -> key.(0) >= k) !m in
-        let got = B.seek_geq c [| k |] in
-        assert (got = (want <> None));
-        match want with
-        | Some (wk, _) -> assert (B.compare_key (B.cursor_key c) wk = 0)
-        | None -> ()
-      in
-      List.iter
-        (fun (op, k) ->
-          match op with
-          | 0 | 1 ->
-            B.insert t [| k |] k;
-            m := M.add [| k |] k !m
-          | 2 ->
-            let f = function None -> 1 | Some v -> v + 1 in
-            B.upsert t [| k |] f;
-            m := M.update [| k |] (fun cur -> Some (f cur)) !m
-          | _ ->
-            seek_agrees k;
-            (* a forward seek from the landing point *)
-            seek_agrees (k + 1))
-        ops;
-      B.check_invariants t;
-      B.length t = M.cardinal !m)
-
 let () =
   Alcotest.run "bptree"
     [
@@ -580,17 +423,6 @@ let () =
           Alcotest.test_case "repeated runs" `Quick test_merge_sorted_repeated_runs;
           QCheck_alcotest.to_alcotest prop_merge_sorted_matches_add_if_absent;
           QCheck_alcotest.to_alcotest prop_merge_sorted_upsert_matches_map;
-        ] );
-      ( "cursor",
-        [
-          Alcotest.test_case "seek_geq across leaves" `Quick test_cursor_seek_geq;
-          Alcotest.test_case "empty tree and past-max" `Quick test_cursor_empty_and_past_max;
-          Alcotest.test_case "prefix seek" `Quick test_cursor_prefix_seek;
-          Alcotest.test_case "resume after interleaved inserts" `Quick
-            test_cursor_resume_after_inserts;
-          QCheck_alcotest.to_alcotest prop_cursor_heavy;
-          Alcotest.test_case "seek walk = to_list" `Quick test_cursor_seek_walk_matches_to_list;
-          QCheck_alcotest.to_alcotest prop_seek_bulk_matches_map;
         ] );
       ( "property",
         [

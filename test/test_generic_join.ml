@@ -25,6 +25,10 @@ let test_triangle_auto () =
        intersected on the one unbound variable Z *)
     let g = Option.get cr.Ph.gj in
     Alcotest.(check int) "two trie atoms" 2 (Array.length g.Ph.gj_atoms);
+    (* each trie atom is a sorted index the engine builds on arc *)
+    Array.iter
+      (fun (ga : Ph.gj_atom) -> Alcotest.(check string) "trie on arc" "arc" ga.Ph.ga_pred)
+      g.Ph.gj_atoms;
     Alcotest.(check int) "one level (Z)" 1 (Array.length g.Ph.gj_levels);
     Alcotest.(check (array pass)) "binary steps emptied" [||] cr.Ph.steps;
     let contains s sub =
@@ -57,15 +61,6 @@ let test_tc_force_ineligible () =
      multiway intersection, so even `Force leaves it binary *)
   let plan = compile ~generic_join:`Force D.Queries.tc.source in
   Alcotest.(check int) "tc unaffected by `Force" 0 (List.length (gj_rules plan))
-
-let test_sorted_indexes_needed () =
-  let plan = compile D.Queries.triangle.source in
-  let need = Ph.sorted_indexes_needed plan in
-  Alcotest.(check bool) "triangle needs arc tries" true (List.length need > 0);
-  List.iter (fun (p, _) -> Alcotest.(check string) "all on arc" "arc" p) need;
-  let plan_off = compile ~generic_join:`Off D.Queries.triangle.source in
-  Alcotest.(check int) "no tries when off" 0
-    (List.length (Ph.sorted_indexes_needed plan_off))
 
 (* --- exact results on known graphs --- *)
 
@@ -177,7 +172,6 @@ let () =
           Alcotest.test_case "sg stays binary on auto" `Quick test_sg_auto_binary;
           Alcotest.test_case "force flips sg" `Quick test_sg_forced;
           Alcotest.test_case "tc ineligible under force" `Quick test_tc_force_ineligible;
-          Alcotest.test_case "sorted_indexes_needed" `Quick test_sorted_indexes_needed;
         ] );
       ( "exact",
         [

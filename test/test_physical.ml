@@ -55,7 +55,21 @@ let test_join_method_selection () =
   let m = List.concat_map methods all in
   Alcotest.(check bool) "index joins used" true (List.mem Ph.Index m);
   (* c and d share the same key source Z -> the paper's hash-join case *)
-  Alcotest.(check bool) "hash join detected" true (List.mem Ph.Hash m)
+  Alcotest.(check bool) "hash join detected" true (List.mem Ph.Hash m);
+  (* the base lookups a plan's rules make are the slot indexes the
+     engine builds before a stratum runs: TC probes arc on column 0 *)
+  let tc = compile_ok "tc(X, Y) <- arc(X, Y).\ntc(X, Y) <- tc(X, Z), arc(Z, Y)." in
+  let base = ref [] in
+  List.iter
+    (fun sp ->
+      List.iter
+        (fun cr ->
+          Ph.iter_lookups cr (function
+            | { rel = Ph.R_base pred; key_cols; _ } -> base := (pred, key_cols) :: !base
+            | { rel = Ph.R_rec _; _ } -> ()))
+        (sp.Ph.init_rules @ sp.Ph.delta_rules))
+    tc.strata;
+  Alcotest.(check bool) "tc looks up arc on column 0" true (List.mem ("arc", [| 0 |]) !base)
 
 let test_nested_loop_fallback () =
   let plan = compile_ok "p(X, Y) <- a(X), b(Y)." in
@@ -116,12 +130,6 @@ let test_eval_cmp () =
   Alcotest.(check bool) "gt" true (Ph.eval_cmp Ast.Gt 4 3);
   Alcotest.(check bool) "ge" false (Ph.eval_cmp Ast.Ge 2 3)
 
-let test_base_relations_needed () =
-  let plan = compile_ok "tc(X, Y) <- arc(X, Y).\ntc(X, Y) <- tc(X, Z), arc(Z, Y)." in
-  let needed = Ph.base_relations_needed plan in
-  Alcotest.(check bool) "arc index on col 0" true
-    (List.exists (fun (p, cols) -> p = "arc" && cols = [| 0 |]) needed)
-
 let test_explain_runs () =
   let plan = compile_ok apsp_src in
   let text = Ph.explain plan in
@@ -172,7 +180,6 @@ let () =
           Alcotest.test_case "colocation error" `Quick test_colocation_error;
           Alcotest.test_case "eval_code" `Quick test_eval_code;
           Alcotest.test_case "eval_cmp" `Quick test_eval_cmp;
-          Alcotest.test_case "base_relations_needed" `Quick test_base_relations_needed;
           Alcotest.test_case "explain" `Quick test_explain_runs;
           Alcotest.test_case "to_dot" `Quick test_to_dot;
           Alcotest.test_case "count head" `Quick test_count_head_const_zero;
