@@ -50,8 +50,6 @@ let create ?(branching = 32) () =
 
 let length t = t.count
 
-let is_empty t = t.count = 0
-
 (* Number of separators [<= k]: index of the child to descend into. *)
 let child_index node k =
   let lo = ref 0 and hi = ref node.ik in
@@ -82,10 +80,6 @@ let find_opt t k =
   match leaf_search l k with
   | Ok i -> Some l.lvals.(i)
   | Error _ -> None
-
-let mem t k =
-  let l = find_leaf t.root k in
-  match leaf_search l k with Ok _ -> true | Error _ -> false
 
 (* --- insertion (preemptive splitting on the way down) --- *)
 
@@ -245,11 +239,6 @@ let iter t f =
   in
   walk (Some (leftmost_leaf t.root))
 
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun k v -> acc := f !acc k v);
-  !acc
-
 let rec prefix_loop (prefix : key) (k : key) i lp =
   i = lp || (k.(i) = prefix.(i) && prefix_loop prefix k (i + 1) lp)
 
@@ -271,8 +260,6 @@ let iter_prefix t ~prefix f =
     else match l.next with None -> () | Some l' -> walk l' 0
   in
   walk l start
-
-let to_list t = List.rev (fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
 
 (* --- bulk construction (of_sorted, merge_sorted_slice) --- *)
 

@@ -26,8 +26,6 @@ val create : ?branching:int -> unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val insert : 'a t -> key -> 'a -> unit
 (** [insert t k v] maps [k] to [v], replacing any previous binding. *)
 
@@ -45,17 +43,11 @@ val upsert : 'a t -> key -> ('a option -> 'a) -> unit
 
 val find_opt : 'a t -> key -> 'a option
 
-val mem : 'a t -> key -> bool
-
 val iter : 'a t -> (key -> 'a -> unit) -> unit
 (** In ascending key order. *)
 
-val fold : 'a t -> init:'acc -> f:('acc -> key -> 'a -> 'acc) -> 'acc
-
 val iter_prefix : 'a t -> prefix:key -> (key -> 'a -> unit) -> unit
 (** All bindings whose key starts with [prefix], ascending. *)
-
-val to_list : 'a t -> (key * 'a) list
 
 val of_sorted : ?branching:int -> (key * 'a) array -> 'a t
 (** Bulk load from a strictly-sorted array of distinct keys; O(n).

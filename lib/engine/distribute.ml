@@ -46,17 +46,17 @@ let emitter t ~targets ~local =
     let bufs = t.outbuf.(cid) and route = copies.(cid).Exchange.ci_route in
     if local && copies.(cid).Exchange.ci_local then
       fun ~tuple ~contributor ->
-        let dest = Partition.of_tuple t.h ~cols:route tuple in
+        let dest = Partition.of_slice t.h ~cols:route tuple 0 in
         if dest = t.me then fold_local t cid tuple else Frame.push bufs.(dest) tuple contributor
     else
       fun ~tuple ~contributor ->
-        Frame.push bufs.(Partition.of_tuple t.h ~cols:route tuple) tuple contributor
+        Frame.push bufs.(Partition.of_slice t.h ~cols:route tuple 0) tuple contributor
   end
   else
     fun ~tuple ~contributor ->
       for k = 0 to Array.length targets - 1 do
         let cid = Array.unsafe_get targets k in
-        let dest = Partition.of_tuple t.h ~cols:copies.(cid).Exchange.ci_route tuple in
+        let dest = Partition.of_slice t.h ~cols:copies.(cid).Exchange.ci_route tuple 0 in
         Frame.push t.outbuf.(cid).(dest) tuple contributor
       done
 

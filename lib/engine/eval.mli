@@ -20,8 +20,10 @@
     times: preparation resolves every lookup, once, to an {!access}
     through {!context.lookup} — the engine resolves base lookups, and
     recursive lookups into a set relation, to their slot index (the
-    worker's own partition of the recursive copy), and recursive
-    lookups into an aggregate relation to its partition's iterator;
+    worker's own partition of the recursive copy), a lookup into a
+    sharded lower-stratum relation to its per-shard probe, and
+    recursive lookups into an aggregate relation to its partition's
+    iterator;
     incremental maintenance resolves each body position to its
     atom's Old- or Cur-visibility iterator or membership probe — and
     allocates the register file, the per-step lookup-key scratch

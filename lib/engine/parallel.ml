@@ -102,7 +102,7 @@ let raise_cancelled token = raise (Engine_error.Error (Cancelled (cancel_reason 
 
 (* The per-run watchdog dispatches through this indirection: each
    stratum arms it with closures over its own barrier/exchange state and
-   disarms it before materialization.  While disarmed, progress is an
+   disarms it before adopting the answers.  While disarmed, progress is an
    ever-advancing idle tick so the stall window cannot fire between
    strata. *)
 type monitor = {
@@ -335,21 +335,32 @@ let eval_stratum (plan : Physical.t) catalog (sp : Physical.stratum_plan) config
         | None -> ())
       stores.(w)
   done;
-  (* --- materialize the primary-route union into the catalog --- *)
+  (* --- the primary-route partitions become the answer ---
+     A set relation adopts each worker's primary-route table as its
+     shard: the route's placement put every tuple there.  An aggregate
+     relation's groups live in B⁺-trees and are copied out. *)
   let t2 = Clock.now () in
   List.iter
     (fun (pp : Physical.pred_plan) ->
       let primary = List.hd pp.routes in
       let cid = Exchange.copy_id copies pp.pred primary in
-      let total = ref 0 in
-      for w = 0 to n - 1 do
-        total := !total + Rec_store.length stores.(w).(cid)
-      done;
-      let rel = Relation.create ~size_hint:!total ~name:pp.pred ~arity:pp.arity () in
-      let add data off = ignore (Relation.add_slice rel data off) in
-      for w = 0 to n - 1 do
-        Rec_store.iter stores.(w).(cid) add
-      done;
+      let rel =
+        match pp.agg with
+        | None ->
+          Relation.of_shards ~name:pp.pred ~arity:pp.arity ~cols:primary
+            (Array.init n (fun w -> Option.get (Rec_store.table stores.(w).(cid))))
+        | Some _ ->
+          let total = ref 0 in
+          for w = 0 to n - 1 do
+            total := !total + Rec_store.length stores.(w).(cid)
+          done;
+          let rel = Relation.create ~size_hint:!total ~name:pp.pred ~arity:pp.arity () in
+          let add data off = ignore (Relation.add_slice rel data off) in
+          for w = 0 to n - 1 do
+            Rec_store.iter stores.(w).(cid) add
+          done;
+          rel
+      in
       Catalog.add_relation catalog rel)
     sp.pred_plans;
   let materialize = Clock.now () -. t2 in

@@ -24,9 +24,13 @@
     and converge after a single exchange round.  Domains are spawned
     exactly once per run, regardless of how many strata the program has.
 
-    After a stratum reaches its global fixpoint, the union of its
-    primary-route partitions is materialized into the catalog, where
-    later strata (and the caller) read it. *)
+    After a stratum reaches its global fixpoint, its answers enter the
+    catalog, where later strata (and the caller) read them.  A set
+    relation adopts each worker's primary-route partition as one of its
+    shards ({!Dcd_storage.Relation.of_shards}), with no copy: the
+    partitions are the answer.  An aggregate relation is copied into a
+    one-shard relation.  [Run_stats.stratum.materialize] times this
+    step. *)
 
 (** The tuple-exchange fabric between workers.  [Spsc_exchange] is the
     paper's design (§6.1): a matrix of single-producer single-consumer
@@ -126,4 +130,4 @@ val run :
     are joined and the barrier poisoned before the error is raised. *)
 
 val relation_vec : result -> string -> Dcd_storage.Tuple.t Dcd_util.Vec.t
-(** Tuples of a materialized relation (empty if the relation is absent). *)
+(** Tuples of an answer relation (empty if the relation is absent). *)

@@ -78,6 +78,8 @@ let create ~arity ~agg ~route ?(indexed = true) ?(optimized = true) () =
   in
   { arity; order; store; scratch = Array.make (Array.length order) 0 }
 
+let table t = match t.store with Set s -> Some s.table | Agg _ -> None
+
 let index t = match t.store with Set s -> s.index | Agg _ -> None
 
 (* Fills the scratch buffer with the route-permuted key of the tuple

@@ -17,6 +17,10 @@
     All tuples are exchanged and returned in the predicate's canonical
     column order.
 
+    A set store's table outlives its stratum: the engine adopts each
+    worker's primary-route table as one shard of the answer relation
+    ({!table}).  An aggregate store's groups are copied out instead.
+
     A store is owned by exactly one worker; no synchronization inside. *)
 
 open Dcd_datalog
@@ -40,6 +44,13 @@ val create :
     B⁺-tree ({!Dcd_storage.Agg_table.Indexed}, §6.2.1) behind the
     §6.2.2 existence cache; without it, a linear-scan group table and
     no cache.  Set stores are the same either way. *)
+
+val table : t -> Dcd_storage.Tuple_table.t option
+(** A set store's table, in canonical column order.  Once the stratum
+    is over, the engine adopts each worker's primary-route table as a
+    shard of the answer relation ({!Dcd_storage.Relation.of_shards}):
+    every tuple in it is there because the route's placement sent it to
+    this worker.  The store must not be used afterwards. *)
 
 val index : t -> Dcd_storage.Slot_index.t option
 (** A set store's route index over its table's rows, if it has one: the

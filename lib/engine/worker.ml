@@ -94,8 +94,8 @@ type stratum_ctx = {
   sx_delta_groups : (int * (Physical.compiled_rule * int array) list) array;
       (** delta rules grouped by scanned copy id *)
   sx_init_groups : (Arena.t * (Physical.compiled_rule * int array) list) array;
-      (** [S_base] init rules grouped by scanned relation, with that
-          relation's own arena *)
+      (** [S_base] init rules grouped by (scanned relation, shard),
+          with that shard's own arena *)
   sx_init_unit : (Physical.compiled_rule * int array) list;
 }
 
@@ -152,13 +152,17 @@ let make_stratum ~catalog ~copies ~h ~partial_agg (sp : Physical.stratum_plan) =
         | Physical.S_delta _ | Physical.S_unit -> None)
       sx_init
   in
-  (* init morsels range over the scanned relation's own arena: a
-     relation never deletes, so its arena holds exactly its tuples, and
-     the catalog is read-only while the stratum runs *)
+  (* init morsels range over the scanned relation's own arenas, one
+     group per shard: a relation never deletes, so each shard's arena
+     holds exactly its tuples, and the catalog is read-only while the
+     stratum runs *)
   let sx_init_groups =
     Array.of_list
-      (List.map
-         (fun (pred, rules) -> (Relation.arena (Catalog.get catalog pred), List.map snd rules))
+      (List.concat_map
+         (fun (pred, rules) ->
+           let rules = List.map snd rules in
+           List.map (fun arena -> (arena, rules))
+             (Array.to_list (Relation.arenas (Catalog.get catalog pred))))
          (group_by String.equal fst base_init))
   in
   let sx_init_unit =
@@ -300,7 +304,11 @@ let create ~shared:sh ~stratum:sx ~me ~stores:all_stores ~ws =
             if Array.length l.key_cols = 0 then Eval.Iter (fun _ f -> Relation.iter_slices rel f)
             else
               match Relation.find_index rel ~key_cols:l.key_cols with
-              | Some idx -> Eval.Index idx
+              | Some ix -> (
+                (* a sharded relation picks the shard, or tries each *)
+                match Relation.slot_index ix with
+                | Some idx -> Eval.Index idx
+                | None -> Eval.Iter (Relation.iter_index ix))
               | None ->
                 (* Parallel.prebuild_indexes guarantees this cannot happen *)
                 assert false));

@@ -70,9 +70,9 @@ type stratum_ctx = {
       (** delta rules grouped by scanned copy id; the group index is the
           [m_gid] of [Delta] morsels *)
   sx_init_groups : (Dcd_storage.Arena.t * (Physical.compiled_rule * int array) list) array;
-      (** [S_base] init rules grouped by scanned relation, with that
-          relation's own arena; the group index is the [m_gid] of
-          [Init] morsels *)
+      (** [S_base] init rules grouped by (scanned relation, shard),
+          with that shard's own arena; the group index is the [m_gid]
+          of [Init] morsels *)
   sx_init_unit : (Physical.compiled_rule * int array) list;
 }
 
@@ -84,8 +84,8 @@ val make_stratum :
   Physical.stratum_plan ->
   stratum_ctx
 (** Resolves every rule's head targets and scanned copy to integer ids
-    and builds the morsel group tables; init rules scan their
-    relation's own arena in place. *)
+    and builds the morsel group tables; init rules scan each shard of
+    their relation's in place, one group per shard. *)
 
 val stall_snapshot : shared -> strategy:string -> window:float -> Engine_error.stall_diagnostic
 (** The watchdog's evidence on stall: global and per-worker termination

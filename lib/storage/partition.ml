@@ -1,6 +1,7 @@
 module Vec = Dcd_util.Vec
 
-type t = { workers : int }
+(* unboxed: a placement costs no load beyond the key columns *)
+type t = { workers : int } [@@unboxed]
 
 let create ~workers =
   if workers < 1 then invalid_arg "Partition.create";
@@ -18,7 +19,9 @@ let workers t = t.workers
    consistent with every other hash in the storage layer. *)
 let of_key t k = Tuple.hash_int k mod t.workers
 
-let of_tuple t ~cols tup = Tuple.hash_cols tup ~base:0 cols mod t.workers
+let of_slice t ~cols data off = Tuple.hash_cols data ~base:off cols mod t.workers
+
+let of_tuple t ~cols tup = of_slice t ~cols tup 0
 
 let split t batch ~cols =
   let parts = Array.init t.workers (fun _ -> Vec.create ()) in

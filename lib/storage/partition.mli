@@ -18,9 +18,16 @@ val of_key : t -> int -> int
     evenly over the workers and a single-column key places identically
     to {!of_tuple} on that column. *)
 
+val of_slice : t -> cols:int array -> int array -> int -> int
+(** [of_slice h ~cols data off] is the owner of the tuple stored flat at
+    [data.(off ..)], by its key columns [cols] (the multi-column key is
+    mixed into a single hash).  This is the one placement: the engine's
+    Distribute routes every derived tuple through it, and a sharded
+    {!Relation} picks the shard of a probe through it, so a worker's
+    partition of a stratum's answer is that relation's shard. *)
+
 val of_tuple : t -> cols:int array -> Tuple.t -> int
-(** Owner of a tuple according to its key columns (the multi-column key
-    is mixed into a single hash). *)
+(** [of_slice] on a boxed tuple. *)
 
 val split : t -> Tuple.t Dcd_util.Vec.t -> cols:int array -> Tuple.t Dcd_util.Vec.t array
 (** Partitions a batch of tuples by owner. *)

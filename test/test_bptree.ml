@@ -1,5 +1,11 @@
 module B = Dcd_btree.Bptree
 
+(* the bindings in ascending key order *)
+let to_list t =
+  let acc = ref [] in
+  B.iter t (fun k v -> acc := (k, v) :: !acc);
+  List.rev !acc
+
 let test_compare_key () =
   Alcotest.(check int) "equal" 0 (B.compare_key [| 1; 2 |] [| 1; 2 |]);
   Alcotest.(check bool) "lex order" true (B.compare_key [| 1; 2 |] [| 1; 3 |] < 0);
@@ -8,7 +14,7 @@ let test_compare_key () =
 
 let test_insert_find () =
   let t = B.create ~branching:4 () in
-  Alcotest.(check bool) "fresh empty" true (B.is_empty t);
+  Alcotest.(check bool) "fresh empty" true (B.length t = 0);
   for i = 0 to 200 do
     B.insert t [| (i * 37) mod 211 |] i
   done;
@@ -71,7 +77,7 @@ let test_add_if_absent_agrees_with_mem_insert () =
   let b = B.create ~branching:4 () in
   for i = 0 to 2_000 do
     let k = [| Random.State.int rng 97; Random.State.int rng 7 |] in
-    let via_mem = not (B.mem b k) in
+    let via_mem = B.find_opt b k = None in
     if via_mem then B.insert b k i;
     let via_single = B.add_if_absent a k i in
     Alcotest.(check bool) "same decision" via_mem via_single
@@ -79,7 +85,7 @@ let test_add_if_absent_agrees_with_mem_insert () =
   B.check_invariants a;
   B.check_invariants b;
   Alcotest.(check int) "same cardinality" (B.length b) (B.length a);
-  Alcotest.(check bool) "same contents" true (B.to_list a = B.to_list b)
+  Alcotest.(check bool) "same contents" true (to_list a = to_list b)
 
 let test_iter_sorted () =
   let t = B.create ~branching:5 () in
@@ -183,7 +189,7 @@ let prop_matches_map =
       && M.for_all (fun k v -> B.find_opt t k = Some v) !m
       && List.for_all2
            (fun (k1, v1) (k2, v2) -> B.compare_key k1 k2 = 0 && v1 = v2)
-           (B.to_list t) (M.bindings !m))
+           (to_list t) (M.bindings !m))
 
 let prop_prefix_matches_map =
   (* iter_prefix is the sorted-index scan of relations and aggregate
@@ -221,9 +227,9 @@ let prop_of_sorted_matches_map =
       B.check_invariants t;
       let loaded =
         B.length t = M.cardinal m
-        && B.to_list t = M.bindings m
+        && to_list t = M.bindings m
         && M.for_all (fun k v -> B.find_opt t k = Some v) m
-        && not (B.mem t [| 41; 0 |])
+        && B.find_opt t [| 41; 0 |] = None
       in
       (* upsert a column of keys, present or absent, into the loaded tree *)
       let f = function None -> -1 | Some v -> v in
@@ -233,7 +239,7 @@ let prop_of_sorted_matches_map =
         m := M.update [| x; 20 |] (fun cur -> Some (f cur)) !m
       done;
       B.check_invariants t;
-      loaded && B.to_list t = M.bindings !m)
+      loaded && to_list t = M.bindings !m)
 
 (* --- batch-sorted merge (merge_sorted_slice) --- *)
 
@@ -250,7 +256,7 @@ let test_merge_sorted_empty_tree () =
   Alcotest.(check int) "bulk loaded" 500 (B.length t);
   Alcotest.(check (option int)) "found" (Some 123) (B.find_opt t [| 369 |]);
   Alcotest.(check bool) "sorted contents" true
-    (List.map fst (B.to_list t) = List.init 500 (fun i -> [| i * 3 |]))
+    (List.map fst (to_list t) = List.init 500 (fun i -> [| i * 3 |]))
 
 let test_merge_sorted_semantics () =
   let t = B.create ~branching:4 () in
@@ -324,7 +330,7 @@ let test_merge_sorted_repeated_runs () =
   Alcotest.(check bool) "contents match model" true
     (List.for_all2
        (fun (k1, v1) (k2, v2) -> B.compare_key k1 k2 = 0 && v1 = v2)
-       (B.to_list t) (M.bindings !m))
+       (to_list t) (M.bindings !m))
 
 let prop_merge_sorted_matches_add_if_absent =
   (* differential: a batch-sorted merge of each run must leave exactly
@@ -362,7 +368,7 @@ let prop_merge_sorted_matches_add_if_absent =
       B.length bulk = B.length ref_t
       && List.for_all2
            (fun (k1, v1) (k2, v2) -> B.compare_key k1 k2 = 0 && v1 = v2)
-           (B.to_list bulk) (B.to_list ref_t))
+           (to_list bulk) (to_list ref_t))
 
 let prop_merge_sorted_upsert_matches_map =
   (* aggregate-shaped merges (min upsert) against the Map model *)

@@ -15,7 +15,10 @@ let make_ctx rels =
         | Ph.R_base pred ->
           if Array.length l.key_cols = 0 then
             Eval.Iter (fun _ f -> Relation.iter_slices (find pred) f)
-          else Eval.Index (Relation.ensure_index (find pred) ~key_cols:l.key_cols));
+          else
+            Eval.Index
+              (Option.get
+                 (Relation.slot_index (Relation.ensure_index (find pred) ~key_cols:l.key_cols))));
     base_sorted =
       (fun pred cols -> Relation.ensure_sorted_index (find pred) ~cols);
   }
@@ -139,7 +142,8 @@ let test_lookup_resolved_once () =
   let cr = compile_single "p(X, Z) <- e(X, Y), f(Y, Z)." in
   let _, f = rel "f" 2 [ [ 2; 20 ]; [ 2; 21 ]; [ 9; 90 ] ] in
   let calls, ctx =
-    counting_ctx f (fun f l -> Eval.Index (Relation.ensure_index f ~key_cols:l.Ph.key_cols))
+    counting_ctx f (fun f l ->
+        Eval.Index (Option.get (Relation.slot_index (Relation.ensure_index f ~key_cols:l.Ph.key_cols))))
   in
   let n, out =
     collect cr ctx (`Tuples (Vec.of_list [ [| 1; 2 |]; [| 3; 2 |]; [| 4; 9 |]; [| 5; 7 |] ]))

@@ -102,6 +102,92 @@ let test_program_file_matches () =
   in
   Alcotest.(check string) "program file in sync" src stripped
 
+(* --- a sharded lower-stratum relation, read every way a stratum can ---
+
+   Stratum 0 derives the symmetric [e] from [arc]; at [workers > 1] the
+   engine adopts each worker's partition of [e] as one shard, placed on
+   its route column 0.  The later strata read it by scan ([s], init
+   morsels over each shard), by a keyed join whose key holds the shard
+   column ([two], key [0]; [reach], a recursive stratum), by keyed joins
+   whose key lacks it ([back] and [left], key [1]), by a negation
+   ([far], key [0,1]) and, last, by a generic join ([tri], which merges
+   the shards for its sorted index). *)
+
+let sharded_src =
+  "e(X, Y) <- arc(X, Y).\n\
+   e(Y, X) <- arc(X, Y).\n\
+   s(X, Y) <- e(X, Y), X < Y.\n\
+   two(X, Z) <- s(X, Y), e(Y, Z), X != Z.\n\
+   back(X, Z) <- two(Z, Y), e(X, Y).\n\
+   far(X, Z) <- back(X, Z), !e(X, Z).\n\
+   reach(X, Y) <- s(X, Y).\n\
+   reach(X, Z) <- reach(X, Y), e(Y, Z).\n\
+   left(X, Y) <- s(X, Y), X < 4.\n\
+   left(X, Z) <- left(Y, Z), e(X, Y).\n\
+   tri(X, Y, Z) <- e(X, Y), e(Y, Z), e(X, Z), X < Y, Y < Z."
+
+let sharded_outputs = [ "e"; "s"; "two"; "back"; "far"; "reach"; "left"; "tri" ]
+
+(* two components, so [reach] is not everything, with triangles *)
+let sharded_arcs =
+  let rng = Dcd_util.Rng.create 29 in
+  let arcs = ref [] in
+  for _ = 1 to 70 do
+    let a = Dcd_util.Rng.int rng 24 and b = Dcd_util.Rng.int rng 24 in
+    if a <> b then arcs := [ a; b ] :: !arcs;
+    let c = 30 + Dcd_util.Rng.int rng 10 and d = 30 + Dcd_util.Rng.int rng 10 in
+    if c <> d then arcs := [ c; d ] :: !arcs
+  done;
+  List.sort_uniq compare !arcs
+
+let test_sharded_reads () =
+  let prepared = Result.get_ok (D.prepare sharded_src) in
+  (* the strata that read [e] sharded run before the one that merges it *)
+  let stratum_of pred =
+    let rec find i = function
+      | [] -> Alcotest.failf "no stratum for %s" pred
+      | (sp : D.Physical.stratum_plan) :: rest ->
+        if List.mem pred sp.stratum.preds then i else find (i + 1) rest
+    in
+    find 0 prepared.D.plan.D.Physical.strata
+  in
+  List.iter
+    (fun p ->
+      if stratum_of p >= stratum_of "tri" then
+        Alcotest.failf "%s is evaluated after the generic join merges e" p)
+    [ "s"; "two"; "back"; "far"; "reach"; "left" ];
+  let oracle =
+    D.Naive.run (D.Parser.parse_program sharded_src)
+      ~edb:[ ("arc", List.map Array.of_list sharded_arcs) ]
+  in
+  let want out =
+    match List.assoc_opt out oracle with
+    | Some rows -> List.sort compare (List.map Array.to_list rows)
+    | None -> []
+  in
+  List.iter
+    (fun out -> if want out = [] then Alcotest.failf "oracle %s is empty" out)
+    sharded_outputs;
+  let edb = [ ("arc", D.tuples sharded_arcs) ] in
+  List.iter
+    (fun (sname, strategy) ->
+      List.iter
+        (fun workers ->
+          List.iter
+            (fun steal ->
+              let label = Printf.sprintf "%s/w%d/steal=%b" sname workers steal in
+              let r = D.run prepared ~edb ~config:{ D.default_config with strategy; workers; steal } () in
+              List.iter
+                (fun out -> Alcotest.check rows (out ^ " " ^ label) (want out) (D.relation r out))
+                sharded_outputs;
+              Alcotest.(check int)
+                ("s is adopted as one shard per worker " ^ label)
+                workers
+                (D.Relation.shards (D.Catalog.get r.D.Parallel.catalog "s")))
+            [ true; false ])
+        [ 1; 2; 4 ])
+    strategies
+
 let () =
   Alcotest.run "multi_stratum"
     [
@@ -113,5 +199,10 @@ let () =
           Alcotest.test_case "stratum time breakdown" `Quick
             test_stratum_time_breakdown_populated;
           Alcotest.test_case "program file in sync" `Quick test_program_file_matches;
+        ] );
+      ( "sharded",
+        [
+          Alcotest.test_case "later strata read a sharded relation every way, vs naive" `Quick
+            test_sharded_reads;
         ] );
     ]
